@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``qsieve run --config cfg.json [--out DIR] [--seed N] [--threads N]``
+* ``qsieve run --config cfg.json [--out DIR] [--seed N]``
 * ``qsieve models``    -- list built-in model types with parameter schemas
 * ``qsieve validate --config cfg.json``  -- parse and validate without running
 
@@ -39,9 +39,7 @@ from .liouville import (
     build_superoperator,
     channel_applier,
     eis_check,
-    propagator,
-    unvec,
-    vec,
+    steady_state,
 )
 from .models import (
     davies_model,
@@ -420,26 +418,6 @@ def _states_from_config(spec, dim: int, seed: int):
     return states
 
 
-def _steady_state(gen: LindbladGenerator, rho: np.ndarray,
-                  t_ref: float) -> np.ndarray:
-    """Long-time limit of T_t rho by power iteration of a fixed-time channel.
-
-    A Hamiltonian-free Hadamard-kernel semigroup converges entrywise to the
-    mask of kernel zeros, so the limit is available in closed form there.
-    """
-    if gen.kernel is not None and np.abs(gen.hamiltonian).max() == 0.0:
-        return rho * (gen.kernel == 0.0)
-    P = propagator(gen, t_ref)
-    v = vec(rho)
-    for _ in range(10_000):
-        nxt = P @ v
-        if np.linalg.norm(nxt - v) <= 1e-13:
-            return unvec(nxt)
-        v = nxt
-    raise RuntimeError("steady-state power iteration did not converge; "
-                       "the semigroup may have an oscillating peripheral part")
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -456,7 +434,7 @@ def _cmd_evolve(gen: LindbladGenerator, config: dict):
         psi = normalize_state(_to_complex(amps))
         rho = np.outer(psi, psi.conj())
     times = config["times"]
-    steady = _steady_state(gen, rho, t_ref=max(times[-1], 1.0))
+    steady = steady_state(gen, rho, t_ref=max(times[-1], 1.0))
 
     rows = []
     current = rho
@@ -547,7 +525,8 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _render_csv(header: dict, table: dict) -> str:
-    lines = ["# " + json.dumps(header, sort_keys=True)]
+    lines = ["# " + json.dumps(header, sort_keys=True,
+                               default=_json_default)]
     lines.append(",".join(table["columns"]))
     for row in table["rows"]:
         lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x)
@@ -566,21 +545,6 @@ def _json_default(obj):
 def _render_json(header: dict, body: dict) -> str:
     return json.dumps({"header": header, "result": body}, sort_keys=True,
                       indent=2, default=_json_default) + "\n"
-
-
-def _set_threads(n: int | None) -> None:
-    if n is None:
-        env = os.environ.get("QSIEVE_THREADS")
-        n = int(env) if env and env.isdigit() else None
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
 
 
 def run_config(config: dict, out_dir: str) -> str:
@@ -628,7 +592,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=".")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
 
     sub.add_parser("models", help="list built-in model types")
 
@@ -661,7 +624,6 @@ def main(argv=None) -> int:
 
     if args.seed is not None:
         config["seed"] = args.seed
-    _set_threads(args.threads)
 
     started = time.monotonic()
     try:

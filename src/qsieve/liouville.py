@@ -5,17 +5,22 @@ rho -> X rho Y has the matrix Y^T (x) X.  The vec map is an isometry between
 the Hilbert-Schmidt inner product and the Euclidean one, so the HS-adjoint of
 a superoperator is its conjugate transpose.
 
-Three dissipator forms are supported:
+Every generator has the GKS-Lindblad shape
 
-* jump list          L_D(rho) = sum_k V_k rho V_k^dag - 1/2 {V_k^dag V_k, rho}
-* Hadamard kernel    (L_D rho)(x, y) = C(x, y) rho(x, y)  with C(x, x) = 0
-* weighted rank-1 projectors (quadrature form)
-                     L_D(rho) = sum_j w_j P_j rho P_j - 1/2 {sum_j w_j P_j, rho}
-  with P_j = v_j v_j^dag stored as the columns v_j of a d x n array.
-* explicit CP part  L_D(rho) = Phi(rho) - 1/2 {Phi*(I), rho}
-  with Phi a completely positive map given by its d^2 x d^2 matrix; the
-  anticommutator operator Phi*(I) is the unique choice making L trace
-  preserving.
+    L(rho) = -i[H, rho] + Phi(rho) - 1/2 {Phi*(I), rho}
+           = K rho + rho K^dag + Phi(rho),      K = -iH - 1/2 Phi*(I),
+
+where the anticommutator operator G = Phi*(I) is the unique choice making L
+trace preserving.  Then L*(A) = K^dag A + A K + Phi*(A), and the
+superoperator is M = I (x) K + conj(K) (x) I + mat(Phi).  The map Phi can be
+given in three ways:
+
+* jump list        Phi(rho) = sum_k V_k rho V_k^dag
+* Hadamard kernel  Phi(rho)(x, y) = C(x, y) rho(x, y)  with C(x, x) = 0,
+                   so G = diag(conj C) = 0 and L = Phi
+* explicit CP map  Phi given by its d^2 x d^2 matrix S
+
+A purely Hamiltonian generator is a jump list with no operators.
 """
 from __future__ import annotations
 
@@ -28,7 +33,6 @@ import scipy.linalg
 from .operators import (
     DimensionMismatchError,
     ValidationError,
-    hs_norm,
     is_hermitian,
     operator_norm,
     random_density_matrix,
@@ -48,6 +52,7 @@ __all__ = [
     "propagator",
     "evolve",
     "channel_applier",
+    "steady_state",
     "choi_matrix",
     "eis_check",
     "EisReport",
@@ -70,20 +75,102 @@ def _frozen_array(a, dtype=complex) -> np.ndarray:
     return a
 
 
+# Each form of Phi offers apply (Phi), apply_adjoint (Phi*), apply_sym
+# (Phi + Phi*, the only map the sieve's gradient needs) and matrix (mat Phi).
+
+class _JumpList:
+    """Phi(X) = sum_k V_k X V_k^dag."""
+
+    def __init__(self, dim: int, ops: tuple):
+        self.dim = dim
+        self.ops = ops
+        self.adjoints = tuple(V.conj().T for V in ops)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for V, Vh in zip(self.ops, self.adjoints):
+            out += V @ X @ Vh
+        return out
+
+    def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for V, Vh in zip(self.ops, self.adjoints):
+            out += Vh @ X @ V
+        return out
+
+    def apply_sym(self, X: np.ndarray) -> np.ndarray:
+        return self.apply(X) + self.apply_adjoint(X)
+
+    def matrix(self) -> np.ndarray:
+        d = self.dim
+        M = np.zeros((d * d, d * d), dtype=complex)
+        for V in self.ops:
+            M += np.kron(V.conj(), V)
+        return M
+
+
+class _HadamardKernel:
+    """Phi(X) = C * X entrywise."""
+
+    def __init__(self, C: np.ndarray):
+        self.C = C
+        self.C_conj = C.conj()
+        self.C_sym = C + self.C_conj
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        return self.C * X
+
+    def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
+        return self.C_conj * X
+
+    def apply_sym(self, X: np.ndarray) -> np.ndarray:
+        return self.C_sym * X
+
+    def matrix(self) -> np.ndarray:
+        return np.diag(vec(self.C))
+
+
+class _ExplicitCP:
+    """Phi given by its d^2 x d^2 matrix S: vec(Phi(X)) = S vec(X)."""
+
+    def __init__(self, S: np.ndarray):
+        self.S = S
+
+    @cached_property
+    def sym(self) -> np.ndarray:
+        """S + S^dag, cached as a contiguous complex array so that each
+        lambda+gradient evaluation in a descent costs one matvec."""
+        S = self.S
+        return np.ascontiguousarray(S + S.conj().T, dtype=complex)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        return unvec(self.S @ vec(X))
+
+    def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
+        # S^dag x = conj(x^dag S); avoids a conjugated d^2 x d^2 copy of S
+        return unvec((vec(X).conj() @ self.S).conj())
+
+    def apply_sym(self, X: np.ndarray) -> np.ndarray:
+        return unvec(self.sym @ vec(X))
+
+    def matrix(self) -> np.ndarray:
+        return self.S
+
+
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Hamiltonian plus one dissipator specification.
+    """Hamiltonian plus at most one dissipator specification.
 
-    Exactly one of (jump_ops, kernel, proj_vectors/proj_weights) carries the
-    dissipator; a purely Hamiltonian generator has none of them.
+    At most one of jump_ops, kernel and cp_superop carries the map Phi; a
+    purely Hamiltonian generator has none of them.  Construction derives
+    the single internal representation every operation uses: ``_phi`` (the
+    form of Phi), ``_G = Phi*(I)`` and ``_K = -iH - G/2``.
     """
 
     dim: int
     hamiltonian: np.ndarray
     jump_ops: tuple = ()
     kernel: np.ndarray | None = None
-    proj_vectors: np.ndarray | None = None
-    proj_weights: np.ndarray | None = None
     cp_superop: np.ndarray | None = None
     label: str = field(default="custom", compare=False)
 
@@ -97,17 +184,10 @@ class LindbladGenerator:
         object.__setattr__(self, "hamiltonian", H)
 
         forms = sum([bool(len(self.jump_ops)), self.kernel is not None,
-                     self.proj_vectors is not None,
                      self.cp_superop is not None])
         if forms > 1:
             raise ValidationError("at most one dissipator form may be given")
 
-        if len(self.jump_ops):
-            ops = tuple(_frozen_array(V) for V in self.jump_ops)
-            for V in ops:
-                if V.shape != (self.dim, self.dim):
-                    raise ValidationError("jump operator shape mismatch")
-            object.__setattr__(self, "jump_ops", ops)
         if self.kernel is not None:
             C = _frozen_array(self.kernel)
             if C.shape != (self.dim, self.dim):
@@ -119,59 +199,29 @@ class LindbladGenerator:
                     "Hadamard kernel must vanish on the diagonal "
                     "(trace preservation)")
             object.__setattr__(self, "kernel", C)
-        if (self.proj_vectors is None) != (self.proj_weights is None):
-            raise ValidationError(
-                "proj_vectors and proj_weights must be given together")
-        if self.proj_vectors is not None:
-            V = _frozen_array(self.proj_vectors)
-            w = _frozen_array(self.proj_weights, dtype=float)
-            if V.ndim != 2 or V.shape[0] != self.dim or w.shape != (V.shape[1],):
-                raise ValidationError("projector-family shape mismatch")
-            if w.min() <= 0.0:
-                raise ValidationError("projector weights must be positive")
-            object.__setattr__(self, "proj_vectors", V)
-            object.__setattr__(self, "proj_weights", w)
-        if self.cp_superop is not None:
+            phi = _HadamardKernel(C)
+        elif self.cp_superop is not None:
             S = _frozen_array(self.cp_superop)
             if S.shape != (self.dim * self.dim, self.dim * self.dim):
                 raise ValidationError("cp_superop must be d^2 x d^2")
             object.__setattr__(self, "cp_superop", S)
-            if not is_hermitian(self._cp_anticomm, tol=1e-10):
-                raise ValidationError(
-                    "cp_superop must be Hermiticity preserving "
-                    "(its adjoint applied to the identity is not Hermitian)")
+            phi = _ExplicitCP(S)
+        else:
+            ops = tuple(_frozen_array(V) for V in self.jump_ops)
+            for V in ops:
+                if V.shape != (self.dim, self.dim):
+                    raise ValidationError("jump operator shape mismatch")
+            object.__setattr__(self, "jump_ops", ops)
+            phi = _JumpList(self.dim, ops)
 
-    @cached_property
-    def _cp_anticomm(self) -> np.ndarray:
-        """Phi*(I) for the explicit CP form; makes the generator trace free."""
-        S = self.cp_superop
-        return unvec(S.conj().T @ vec(np.eye(self.dim)))
-
-    @cached_property
-    def _cp_sym(self) -> np.ndarray:
-        """S + S^dag for the explicit CP form, cached as a complex array so
-        repeated matvecs (gradient descent) skip the dtype promotion."""
-        S = self.cp_superop
-        return np.ascontiguousarray(S + S.conj().T, dtype=complex)
-
-    @cached_property
-    def _proj_sum(self) -> np.ndarray:
-        """sum_j w_j v_j v_j^dag for the weighted-projector form."""
-        V, w = self.proj_vectors, self.proj_weights
-        return (V * w) @ V.conj().T
-
-    @cached_property
-    def _jump_anticomm(self) -> np.ndarray:
-        """sum_k V_k^dag V_k for the jump-list form."""
-        G = np.zeros((self.dim, self.dim), dtype=complex)
-        for V in self.jump_ops:
-            G += V.conj().T @ V
-        return G
-
-    @property
-    def is_hamiltonian_only(self) -> bool:
-        return (not self.jump_ops and self.kernel is None
-                and self.proj_vectors is None and self.cp_superop is None)
+        G = phi.apply_adjoint(np.eye(self.dim))
+        if not is_hermitian(G, tol=1e-10):
+            raise ValidationError(
+                "dissipator must be Hermiticity preserving "
+                "(its adjoint applied to the identity is not Hermitian)")
+        object.__setattr__(self, "_phi", phi)
+        object.__setattr__(self, "_G", G)
+        object.__setattr__(self, "_K", -1j * H - 0.5 * G)
 
 
 def _check_dim(gen: LindbladGenerator, A: np.ndarray) -> np.ndarray:
@@ -182,85 +232,27 @@ def _check_dim(gen: LindbladGenerator, A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _dissipator(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
-    if gen.jump_ops:
-        out = -0.5 * (gen._jump_anticomm @ rho + rho @ gen._jump_anticomm)
-        for V in gen.jump_ops:
-            out += V @ rho @ V.conj().T
-        return out
-    if gen.kernel is not None:
-        return gen.kernel * rho
-    if gen.proj_vectors is not None:
-        V, w = gen.proj_vectors, gen.proj_weights
-        q = np.einsum("ij,ik,kj->j", V.conj(), rho, V)
-        out = (V * (w * q)) @ V.conj().T
-        G = gen._proj_sum
-        return out - 0.5 * (G @ rho + rho @ G)
-    if gen.cp_superop is not None:
-        G = gen._cp_anticomm
-        out = unvec(gen.cp_superop @ vec(rho))
-        return out - 0.5 * (G @ rho + rho @ G)
-    return np.zeros_like(rho)
-
-
 def apply_generator(gen: LindbladGenerator, rho) -> np.ndarray:
-    """L(rho) = -i[H, rho] + L_D(rho)."""
+    """L(rho) = K rho + rho K^dag + Phi(rho)."""
     rho = _check_dim(gen, rho)
-    H = gen.hamiltonian
-    return -1j * (H @ rho - rho @ H) + _dissipator(gen, rho)
+    K = gen._K
+    return K @ rho + rho @ K.conj().T + gen._phi.apply(rho)
 
 
 def apply_generator_adjoint(gen: LindbladGenerator, A) -> np.ndarray:
-    """HS-adjoint L*(A) = +i[H, A] + L_D*(A)."""
+    """HS-adjoint L*(A) = K^dag A + A K + Phi*(A)."""
     A = _check_dim(gen, A)
-    H = gen.hamiltonian
-    out = 1j * (H @ A - A @ H)
-    if gen.jump_ops:
-        out -= 0.5 * (gen._jump_anticomm @ A + A @ gen._jump_anticomm)
-        for V in gen.jump_ops:
-            out += V.conj().T @ A @ V
-    elif gen.kernel is not None:
-        out += gen.kernel.conj() * A
-    elif gen.proj_vectors is not None:
-        # projectors are Hermitian, so the dissipator is HS-self-adjoint
-        V, w = gen.proj_vectors, gen.proj_weights
-        q = np.einsum("ij,ik,kj->j", V.conj(), A, V)
-        G = gen._proj_sum
-        out += (V * (w * q)) @ V.conj().T - 0.5 * (G @ A + A @ G)
-    elif gen.cp_superop is not None:
-        G = gen._cp_anticomm
-        out += unvec(gen.cp_superop.conj().T @ vec(A))
-        out -= 0.5 * (G @ A + A @ G)
-    return out
+    K = gen._K
+    return K.conj().T @ A + A @ K + gen._phi.apply_adjoint(A)
 
 
 def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
     """Dense d^2 x d^2 matrix M with M vec(rho) = vec(L(rho))."""
-    d = gen.dim
-    I = np.eye(d)
-    H = gen.hamiltonian
-    M = -1j * (np.kron(I, H) - np.kron(H.T, I))
-    if gen.jump_ops:
-        G = gen._jump_anticomm
-        M -= 0.5 * (np.kron(I, G) + np.kron(G.T, I))
-        for V in gen.jump_ops:
-            M += np.kron(V.conj(), V)
-    elif gen.kernel is not None:
-        M += np.diag(vec(gen.kernel))
-    elif gen.proj_vectors is not None:
-        G = gen._proj_sum
-        M -= 0.5 * (np.kron(I, G) + np.kron(G.T, I))
-        V, w = gen.proj_vectors, gen.proj_weights
-        # vec(v v^dag) = conj(v) (x) v; accumulate in chunks to bound memory
-        n = V.shape[1]
-        for lo in range(0, n, 512):
-            hi = min(lo + 512, n)
-            Z = np.einsum("cj,rj->crj", V[:, lo:hi].conj(),
-                          V[:, lo:hi]).reshape(d * d, hi - lo)
-            M += (Z * w[lo:hi]) @ Z.conj().T
-    elif gen.cp_superop is not None:
-        G = gen._cp_anticomm
-        M += gen.cp_superop - 0.5 * (np.kron(I, G) + np.kron(G.T, I))
+    I = np.eye(gen.dim)
+    K = gen._K
+    M = np.kron(I, K)
+    M += np.kron(K.conj(), I)
+    M += gen._phi.matrix()
     return M
 
 
@@ -278,6 +270,14 @@ def propagator(gen: LindbladGenerator, t: float,
     return scipy.linalg.expm(t * M)
 
 
+def _entrywise_kernel(gen: LindbladGenerator) -> np.ndarray | None:
+    """The kernel C of a Hamiltonian-free Hadamard-kernel generator, whose
+    semigroup acts entrywise as exp(tC); None for every other generator."""
+    if gen.kernel is not None and np.abs(gen.hamiltonian).max() == 0.0:
+        return gen.kernel
+    return None
+
+
 def channel_applier(gen: LindbladGenerator, t: float):
     """Return a function A -> T_t(A).
 
@@ -287,11 +287,33 @@ def channel_applier(gen: LindbladGenerator, t: float):
     """
     if t < 0:
         raise ValidationError("the semigroup is defined for t >= 0 only")
-    if gen.kernel is not None and np.abs(gen.hamiltonian).max() == 0.0:
-        E = np.exp(t * gen.kernel)
+    C = _entrywise_kernel(gen)
+    if C is not None:
+        E = np.exp(t * C)
         return lambda A: E * np.asarray(A, dtype=complex)
     P = propagator(gen, t)
     return lambda A: unvec(P @ vec(A))
+
+
+def steady_state(gen: LindbladGenerator, rho: np.ndarray,
+                 t_ref: float) -> np.ndarray:
+    """Long-time limit of T_t rho by power iteration of a fixed-time channel.
+
+    A Hamiltonian-free Hadamard-kernel semigroup converges entrywise to the
+    mask of kernel zeros, so the limit is available in closed form there.
+    """
+    C = _entrywise_kernel(gen)
+    if C is not None:
+        return rho * (C == 0.0)
+    P = propagator(gen, t_ref)
+    v = vec(rho)
+    for _ in range(10_000):
+        nxt = P @ v
+        if np.linalg.norm(nxt - v) <= 1e-13:
+            return unvec(nxt)
+        v = nxt
+    raise RuntimeError("steady-state power iteration did not converge; "
+                       "the semigroup may have an oscillating peripheral part")
 
 
 def evolve(gen: LindbladGenerator, rho, t: float) -> np.ndarray:

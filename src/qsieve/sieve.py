@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liouville import (
-    LindbladGenerator,
-    apply_generator,
-    apply_generator_adjoint,
-    channel_applier,
-    unvec,
-    vec,
-)
+from .liouville import LindbladGenerator, apply_generator, channel_applier
 from .operators import (
     DegenerateInputError,
     ValidationError,
@@ -60,50 +53,25 @@ def lambda_form(gen: LindbladGenerator, e) -> float:
 
 
 def lambda_pure(gen: LindbladGenerator, psi) -> float:
-    """lambda on the projector of a unit vector, O(d * n_jumps) fast paths."""
+    """lambda on the projector e of a unit vector: <G> - <psi|Phi(e)|psi>
+    with G = Phi*(I); the Hamiltonian drops out."""
     psi = np.asarray(psi, dtype=complex)
-    if gen.proj_vectors is not None:
-        V, w = gen.proj_vectors, gen.proj_weights
-        q = np.abs(V.conj().T @ psi) ** 2
-        gpsi = gen._proj_sum @ psi
-        return float(np.real(np.vdot(psi, gpsi)) - np.dot(w, q * q))
-    if gen.cp_superop is not None:
-        val, _ = _lambda_and_grad(gen, psi)
-        return val
-    return lambda_form(gen, projector(psi))
+    e = projector(psi)
+    g_mean = np.vdot(psi, gen._G @ psi).real
+    return float(g_mean - np.vdot(psi, gen._phi.apply(e) @ psi).real)
 
 
 def _lambda_and_grad(gen: LindbladGenerator, psi: np.ndarray):
     """Value and Riemannian gradient of psi -> lambda(|psi><psi|).
 
-    With A = L(e) + L*(e), the gradient is -2 (A psi - <A> psi), tangent to
-    the sphere and phase-gauge free.
+    With A = L(e) + L*(e) = (Phi + Phi*)(e) - {G, e}, the gradient is
+    -2 (A psi - <A> psi), tangent to the sphere and phase-gauge free.
     """
-    if gen.proj_vectors is not None:
-        V, w = gen.proj_vectors, gen.proj_weights
-        c = V.conj().T @ psi
-        q = np.abs(c) ** 2
-        G = gen._proj_sum
-        gpsi = G @ psi
-        g_mean = float(np.real(np.vdot(psi, gpsi)))
-        val = g_mean - float(np.dot(w, q * q))
-        # A psi = 2 [ V (w q c) - (G psi + <G> psi)/2 ]; Hamiltonian part
-        # cancels between L and L*
-        apsi = 2.0 * (V @ (w * q * c) - 0.5 * (gpsi + g_mean * psi))
-    elif gen.cp_superop is not None:
-        # A = (Phi + Phi*)(e) - {G, e}: one cached symmetric matvec
-        G = gen._cp_anticomm
-        gpsi = G @ psi
-        g_mean = float(np.real(np.vdot(psi, gpsi)))
-        sym = unvec(gen._cp_sym @ vec(projector(psi)))
-        val = g_mean - 0.5 * float(np.real(np.vdot(psi, sym @ psi)))
-        apsi = sym @ psi - gpsi - g_mean * psi
-    else:
-        e = projector(psi)
-        Le = apply_generator(gen, e)
-        val = float(-np.real(np.vdot(psi, Le @ psi)))
-        A = Le + apply_generator_adjoint(gen, e)
-        apsi = A @ psi
+    gpsi = gen._G @ psi
+    g_mean = float(np.real(np.vdot(psi, gpsi)))
+    sym_psi = gen._phi.apply_sym(projector(psi)) @ psi
+    val = g_mean - 0.5 * float(np.real(np.vdot(psi, sym_psi)))
+    apsi = sym_psi - gpsi - g_mean * psi
     mean = np.vdot(psi, apsi)
     grad = -2.0 * (apsi - mean * psi)
     return val, grad

@@ -196,6 +196,20 @@ def test_run_custom_model_reports_semigroup_check(tmp_path):
     assert "eis_check" in doc["header"]
 
 
+def test_run_custom_model_csv_header_carries_semigroup_check(tmp_path):
+    code, out = run_cli(tmp_path,
+                        {"command": "lambda", "states": "random:3",
+                         "model": {"type": "custom",
+                                   "hamiltonian": [[[0.0, 0.0], [0.0, 0.0]],
+                                                   [[0.0, 0.0], [1.0, 0.0]]],
+                                   "jump_ops": [[[[1.0, 0.0], [0.0, 0.0]],
+                                                 [[0.0, 0.0], [-1.0, 0.0]]]]}})
+    assert code == 0
+    first = (out / "lambda.csv").read_text(encoding="utf-8").splitlines()[0]
+    header = json.loads(first[2:])
+    assert header["eis_check"]["passed"] is True
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     payload = {"command": "sieve", "seed": 7, "n_starts": 6,
                "model": {"type": "pointer", "energies": [0.0, 0.8, 2.0]}}

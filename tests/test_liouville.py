@@ -14,6 +14,8 @@ from qsieve import (
     build_superoperator,
     davies_model,
     eis_check,
+    lambda_gradient,
+    lambda_pure,
     evolve,
     grw_model,
     hs_inner,
@@ -87,6 +89,48 @@ def test_superoperator_eigenvalues_pointer_qubit():
     key = lambda z: (np.round(z.real, 9), np.round(z.imag, 9))
     assert np.allclose(sorted(eigs, key=key), sorted(expected, key=key),
                        atol=1e-10)
+
+
+def _explicit_map_pairs():
+    """Each generator paired with the same generator whose map Phi is given
+    as an explicit d^2 x d^2 matrix."""
+    H = np.diag([0.0, 0.7, -1.3]).astype(complex)
+    V = (np.diag([1.0, 1.0], 1) + 0.5j * np.diag([1.0, -1.0, 0.3])
+         + 0.2 * np.ones((3, 3)))
+    W = np.diag([0.4, 0.0], -1).astype(complex)
+    jumps = LindbladGenerator(3, H, jump_ops=(V, W))
+    S = np.kron(V.conj(), V) + np.kron(W.conj(), W)
+    grw = grw_model(np.linspace(-2, 2, 6), 1.0, 2.0)
+    return [(jumps, LindbladGenerator(3, H, cp_superop=S)),
+            (grw, LindbladGenerator(grw.dim, grw.hamiltonian,
+                                    cp_superop=np.diag(vec(grw.kernel))))]
+
+
+def test_anticommutator_is_adjoint_map_on_identity():
+    for gen, explicit in _explicit_map_pairs():
+        if gen.jump_ops:
+            G = sum(V.conj().T @ V for V in gen.jump_ops)
+        else:
+            G = np.zeros((gen.dim, gen.dim))
+        assert np.abs(gen._G - G).max() <= 1e-12
+        assert np.abs(explicit._G - G).max() <= 1e-12
+    closed = LindbladGenerator(2, np.diag([0.5, -0.5]))
+    assert not np.any(closed._G)
+
+
+def test_forms_agree_with_explicit_map(rng):
+    for gen, explicit in _explicit_map_pairs():
+        assert np.abs(build_superoperator(gen)
+                      - build_superoperator(explicit)).max() <= 1e-12
+        A = random_hermitian(gen.dim, rng)
+        for apply in (apply_generator, apply_generator_adjoint):
+            assert np.abs(apply(gen, A) - apply(explicit, A)).max() <= 1e-12
+        for _ in range(5):
+            psi = random_pure(gen.dim, rng)
+            assert lambda_pure(gen, psi) == pytest.approx(
+                lambda_pure(explicit, psi), abs=1e-12)
+            assert np.abs(lambda_gradient(gen, psi)
+                          - lambda_gradient(explicit, psi)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
