@@ -13,12 +13,17 @@ Every generator has the GKS-Lindblad shape
 where the anticommutator operator G = Phi*(I) is the unique choice making L
 trace preserving.  Then L*(A) = K^dag A + A K + Phi*(A), and the
 superoperator is M = I (x) K + conj(K) (x) I + mat(Phi).  The map Phi can be
-given in three ways:
+given in four ways:
 
 * jump list        Phi(rho) = sum_k V_k rho V_k^dag
 * Hadamard kernel  Phi(rho)(x, y) = C(x, y) rho(x, y)  with C(x, x) = 0,
                    so G = diag(conj C) = 0 and L = Phi
 * explicit CP map  Phi given by its d^2 x d^2 matrix S
+* coherent measure Phi(rho) = kappa int dmu(zeta) e_zeta rho e_zeta over the
+                   SU(1,1) coherent states, compressed to the lowest d Fock
+                   levels, plus a diagonal trace compensator; held matrix
+                   free through the selection rule m + q = n + p, so G and
+                   lambda never touch a d^2 x d^2 array
 
 A purely Hamiltonian generator is a jump list with no operators.
 """
@@ -35,6 +40,7 @@ from .operators import (
     ValidationError,
     is_hermitian,
     operator_norm,
+    projector,
     random_density_matrix,
     random_hermitian,
     trace_norm,
@@ -75,10 +81,20 @@ def _frozen_array(a, dtype=complex) -> np.ndarray:
     return a
 
 
-# Each form of Phi offers apply (Phi), apply_adjoint (Phi*), apply_sym
-# (Phi + Phi*, the only map the sieve's gradient needs) and matrix (mat Phi).
+# Each form of Phi offers apply (Phi), apply_adjoint (Phi*) and matrix
+# (mat Phi) on general operators.  The sieve only ever feeds Phi a projector
+# e = |psi><psi|, so each form also answers its two questions about one:
+# rank1_expectation (<psi|Phi(e)|psi>, for lambda) and rank1_sym_action
+# ((Phi + Phi*)(e) psi, for its gradient).
 
-class _JumpList:
+class _Form:
+    """rank1_expectation through apply, for forms with no cheaper route."""
+
+    def rank1_expectation(self, psi: np.ndarray) -> float:
+        return np.vdot(psi, self.apply(projector(psi)) @ psi).real
+
+
+class _JumpList(_Form):
     """Phi(X) = sum_k V_k X V_k^dag."""
 
     def __init__(self, dim: int, ops: tuple):
@@ -98,8 +114,9 @@ class _JumpList:
             out += Vh @ X @ V
         return out
 
-    def apply_sym(self, X: np.ndarray) -> np.ndarray:
-        return self.apply(X) + self.apply_adjoint(X)
+    def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
+        e = projector(psi)
+        return (self.apply(e) + self.apply_adjoint(e)) @ psi
 
     def matrix(self) -> np.ndarray:
         d = self.dim
@@ -109,7 +126,7 @@ class _JumpList:
         return M
 
 
-class _HadamardKernel:
+class _HadamardKernel(_Form):
     """Phi(X) = C * X entrywise."""
 
     def __init__(self, C: np.ndarray):
@@ -123,14 +140,14 @@ class _HadamardKernel:
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         return self.C_conj * X
 
-    def apply_sym(self, X: np.ndarray) -> np.ndarray:
-        return self.C_sym * X
+    def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
+        return (self.C_sym * projector(psi)) @ psi
 
     def matrix(self) -> np.ndarray:
         return np.diag(vec(self.C))
 
 
-class _ExplicitCP:
+class _ExplicitCP(_Form):
     """Phi given by its d^2 x d^2 matrix S: vec(Phi(X)) = S vec(X)."""
 
     def __init__(self, S: np.ndarray):
@@ -150,19 +167,111 @@ class _ExplicitCP:
         # S^dag x = conj(x^dag S); avoids a conjugated d^2 x d^2 copy of S
         return unvec((vec(X).conj() @ self.S).conj())
 
-    def apply_sym(self, X: np.ndarray) -> np.ndarray:
-        return unvec(self.sym @ vec(X))
+    def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
+        return unvec(self.sym @ vec(projector(psi))) @ psi
 
     def matrix(self) -> np.ndarray:
         return self.S
+
+
+def davies_jump_tensor(N: int, kappa: float) -> np.ndarray:
+    """Exact Fock-basis tensor of the coherent-projector jump integral.
+
+    T[m, n, p, q] is the matrix element of rho -> kappa int dmu(zeta)
+    e_zeta rho e_zeta compressed to the lowest N levels.  The angular
+    integral forces m + q = n + p and the radial one is a Beta integral:
+    int_0^1 (1-u)^2 u^s du = 2 / ((s+1)(s+2)(s+3)) with s = m + q.
+    """
+    idx = np.arange(N, dtype=float)
+    m = idx[:, None, None, None]
+    n = idx[None, :, None, None]
+    p = idx[None, None, :, None]
+    q = idx[None, None, None, :]
+    s = m + q
+    coef = (np.sqrt((m + 1) * (n + 1) * (p + 1) * (q + 1))
+            * 2.0 / ((s + 1) * (s + 2) * (s + 3)))
+    return kappa * np.where(m + q == n + p, coef, 0.0)
+
+
+class _CoherentMeasure:
+    """Phi = Phi_J + Phi_C: the jump integral of davies_jump_tensor plus the
+    trace compensator Phi_C(X) = diag(plan^T diag X).
+
+    With r_n = sqrt(n+1) and w_s = 2 kappa / ((s+1)(s+2)(s+3)) for
+    s < 2N - 1, the selection rule m + q = n + p gives
+    Phi_J(X)[m, n] = r_m r_n sum_s w_s (rXr)[s-n, s-m]; Phi_J is real and
+    self-adjoint.  On e = |psi><psi|, with a = r psi and its self-convolution
+    c = a * a, <psi|Phi_J(e)|psi> = sum_s w_s |c_s|^2 and
+    Phi_J(e) psi = r (w c correlated with a): O(N^2) per evaluation.
+    """
+
+    def __init__(self, dim: int, kappa: float, plan: np.ndarray):
+        self.dim = dim
+        self.kappa = kappa
+        self.plan = plan
+        self.plan_sym = plan + plan.T
+        n = np.arange(dim)
+        self.r = np.sqrt(n + 1.0)
+        s = np.arange(2 * dim - 1, dtype=float)
+        self.w = 2.0 * kappa / ((s + 1) * (s + 2) * (s + 3))
+        # Phi_J(X)[m, n] = r_m r_n sum_j w_{m+j} B[j+k, j] with B = rXr and
+        # k = m - n: a Hankel matrix against the diagonals of B
+        self._hankel = self.w[n[:, None] + n[None, :]]
+        rows = np.arange(1 - dim, dim)[:, None] + n[None, :]
+        self._diag_in = (rows >= 0) & (rows < dim)
+        self._diag_rows = np.clip(rows, 0, dim - 1)
+        self._diag_offset = n[:, None] - n[None, :] + dim - 1
+        self._S = None
+
+    def _jump(self, X: np.ndarray) -> np.ndarray:
+        n = np.arange(self.dim)
+        B = self.r[:, None] * X * self.r[None, :]
+        diags = np.where(self._diag_in, B[self._diag_rows, n], 0.0)
+        Z = self._hankel @ diags.T
+        return (self.r[:, None] * Z[n[:, None], self._diag_offset]
+                * self.r[None, :])
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        return self._jump(X) + np.diag(self.plan.T @ np.diag(X))
+
+    def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
+        return self._jump(X) + np.diag(self.plan @ np.diag(X))
+
+    def rank1_expectation(self, psi: np.ndarray) -> float:
+        a = self.r * psi
+        c = np.convolve(a, a)
+        p = np.abs(psi) ** 2
+        return float(self.w @ np.abs(c) ** 2 + p @ self.plan @ p)
+
+    def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
+        a = self.r * psi
+        c = np.convolve(a, a)
+        p = np.abs(psi) ** 2
+        return (2.0 * self.r * np.correlate(self.w * c, a, "valid")
+                + (self.plan_sym @ p) * psi)
+
+    def matrix(self) -> np.ndarray:
+        """Dense mat(Phi), built on first use and kept on the form."""
+        if self._S is None:
+            N = self.dim
+            # vec is column stacked: entry (m, n) sits at index n*N + m, so
+            # the slot for output (m, n) from input (p, q) is [nN+m, qN+p]
+            S = davies_jump_tensor(N, self.kappa).transpose(
+                1, 0, 3, 2).reshape(N * N, N * N)
+            diag_idx = np.arange(N) * (N + 1)
+            S[np.ix_(diag_idx, diag_idx)] += self.plan.T
+            S.setflags(write=False)
+            self._S = S
+        return self._S
 
 
 @dataclass(frozen=True)
 class LindbladGenerator:
     """Hamiltonian plus at most one dissipator specification.
 
-    At most one of jump_ops, kernel and cp_superop carries the map Phi; a
-    purely Hamiltonian generator has none of them.  Construction derives
+    At most one of jump_ops, kernel, cp_superop and coherent_measure (the
+    pair (kappa, plan), see _CoherentMeasure) carries the map Phi; a purely
+    Hamiltonian generator has none of them.  Construction derives
     the single internal representation every operation uses: ``_phi`` (the
     form of Phi), ``_G = Phi*(I)`` and ``_K = -iH - G/2``.
     """
@@ -172,6 +281,7 @@ class LindbladGenerator:
     jump_ops: tuple = ()
     kernel: np.ndarray | None = None
     cp_superop: np.ndarray | None = None
+    coherent_measure: tuple | None = None
     label: str = field(default="custom", compare=False)
 
     def __post_init__(self):
@@ -184,7 +294,8 @@ class LindbladGenerator:
         object.__setattr__(self, "hamiltonian", H)
 
         forms = sum([bool(len(self.jump_ops)), self.kernel is not None,
-                     self.cp_superop is not None])
+                     self.cp_superop is not None,
+                     self.coherent_measure is not None])
         if forms > 1:
             raise ValidationError("at most one dissipator form may be given")
 
@@ -206,6 +317,13 @@ class LindbladGenerator:
                 raise ValidationError("cp_superop must be d^2 x d^2")
             object.__setattr__(self, "cp_superop", S)
             phi = _ExplicitCP(S)
+        elif self.coherent_measure is not None:
+            kappa, plan = self.coherent_measure
+            plan = _frozen_array(plan, dtype=float)
+            if plan.shape != (self.dim, self.dim):
+                raise ValidationError("compensator plan must be d x d")
+            object.__setattr__(self, "coherent_measure", (kappa, plan))
+            phi = _CoherentMeasure(self.dim, kappa, plan)
         else:
             ops = tuple(_frozen_array(V) for V in self.jump_ops)
             for V in ops:

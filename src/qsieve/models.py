@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .liouville import LindbladGenerator
+from .liouville import LindbladGenerator, davies_jump_tensor
 from .operators import ValidationError, normalize_state
 
 __all__ = [
@@ -219,23 +219,14 @@ def grw_model(grid, kappa: float, alpha: float) -> LindbladGenerator:
                              kernel=C, label="grw")
 
 
-def davies_jump_tensor(N: int, kappa: float) -> np.ndarray:
-    """Exact Fock-basis tensor of the coherent-projector jump integral.
-
-    T[m, n, p, q] is the matrix element of rho -> kappa int dmu(zeta)
-    e_zeta rho e_zeta compressed to the lowest N levels.  The angular
-    integral forces m + q = n + p and the radial one is a Beta integral:
-    int_0^1 (1-u)^2 u^s du = 2 / ((s+1)(s+2)(s+3)) with s = m + q.
-    """
+def _davies_jump_diagonal(N: int, kappa: float) -> np.ndarray:
+    """T[m, m, p, p] of davies_jump_tensor, the population-to-population
+    part of the jump integral, without forming the N^4 tensor."""
     idx = np.arange(N, dtype=float)
-    m = idx[:, None, None, None]
-    n = idx[None, :, None, None]
-    p = idx[None, None, :, None]
-    q = idx[None, None, None, :]
-    s = m + q
-    coef = (np.sqrt((m + 1) * (n + 1) * (p + 1) * (q + 1))
-            * 2.0 / ((s + 1) * (s + 2) * (s + 3)))
-    return kappa * np.where(m + q == n + p, coef, 0.0)
+    m = idx[:, None]
+    p = idx[None, :]
+    s = m + p
+    return kappa * ((m + 1) * (p + 1) * 2.0 / ((s + 1) * (s + 2) * (s + 3)))
 
 
 def _trace_deficit_plan(deficit: np.ndarray) -> np.ndarray:
@@ -284,6 +275,12 @@ def davies_model(N: int, kappa: float, energies=None,
     cutoff -- are unaffected.  The result is exactly trace preserving and
     unital, hence contractive in both norms.
 
+    The generator carries the map matrix free (the coherent-measure form in
+    liouville): the per-level deficits come from the O(N^2) population block
+    of the jump tensor, lambda and its gradient are O(N^2) self-convolutions,
+    and the dense N^2 x N^2 map is built only when a superoperator is asked
+    for (evolve, decompose, classify).
+
     Construction validates the disc-quadrature moments and the process
     compatibility relation tr[J(D, e_psi)] = kappa on random states.
     """
@@ -298,21 +295,14 @@ def davies_model(N: int, kappa: float, energies=None,
         raise ValidationError(
             f"disc quadrature fails coherent-moment check: {bad}")
 
-    T = davies_jump_tensor(N, kappa)
-    diag = np.arange(N)
-    deficit = kappa - np.einsum("mmpp->p", T)
+    deficit = kappa - _davies_jump_diagonal(N, kappa).sum(axis=0)
     plan = _trace_deficit_plan(deficit)
-
-    # vec is column stacked: entry (m, n) sits at index n*N + m, so the
-    # superoperator slot for output (m, n) from input (p, q) is [nN+m, qN+p]
-    S = T.transpose(1, 0, 3, 2).reshape(N * N, N * N)
-    diag_idx = diag * (N + 1)
-    S[np.ix_(diag_idx, diag_idx)] += plan.T
 
     if energies is None:
         energies = np.arange(N, dtype=float)
     H = np.diag(np.asarray(energies, dtype=float))
-    gen = LindbladGenerator(N, H, cp_superop=S, label="davies")
+    gen = LindbladGenerator(N, H, coherent_measure=(kappa, plan),
+                            label="davies")
 
     # compatibility check through the quadrature itself, independent of the
     # closed-form tensor: tr[J(D, e_psi)] = kappa sum_j w_j |<zeta_j|psi>|^2

@@ -186,10 +186,23 @@ def superposition(e, f, z1: complex, z2: complex) -> np.ndarray:
     """
     if z1 == 0 and z2 == 0:
         raise DegenerateInputError("(z1, z2) = (0, 0)")
+    u, v = superposition_basis(e, f)
+    return combine_states(u, v, z1, z2)
+
+
+def superposition_basis(e, f) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-fixed unit vectors (u, v) of two distinct rank-1 projectors,
+    the representatives every superposition of e and f is built from."""
     u = state_from_projector(e)
     v = state_from_projector(f)
     if fidelity(u, v) > 1.0 - 1e-12:
         raise DegenerateInputError("e and f coincide")
+    return u, v
+
+
+def combine_states(u: np.ndarray, v: np.ndarray, z1: complex,
+                   z2: complex) -> np.ndarray:
+    """Normalized, phase-fixed z1 u + z2 v."""
     psi = z1 * u + z2 * v
     n = np.linalg.norm(psi)
     if n < 1e-12 * (abs(z1) + abs(z2)):

@@ -14,8 +14,8 @@ import numpy as np
 
 from .liouville import LindbladGenerator, apply_generator, channel_applier
 from .operators import (
-    DegenerateInputError,
     ValidationError,
+    combine_states,
     fidelity,
     hs_norm,
     is_hermitian,
@@ -23,8 +23,7 @@ from .operators import (
     normalize_state,
     projector,
     random_pure_state,
-    state_from_projector,
-    superposition,
+    superposition_basis,
 )
 
 __all__ = [
@@ -56,9 +55,8 @@ def lambda_pure(gen: LindbladGenerator, psi) -> float:
     """lambda on the projector e of a unit vector: <G> - <psi|Phi(e)|psi>
     with G = Phi*(I); the Hamiltonian drops out."""
     psi = np.asarray(psi, dtype=complex)
-    e = projector(psi)
     g_mean = np.vdot(psi, gen._G @ psi).real
-    return float(g_mean - np.vdot(psi, gen._phi.apply(e) @ psi).real)
+    return float(g_mean - gen._phi.rank1_expectation(psi))
 
 
 def _lambda_and_grad(gen: LindbladGenerator, psi: np.ndarray):
@@ -69,7 +67,7 @@ def _lambda_and_grad(gen: LindbladGenerator, psi: np.ndarray):
     """
     gpsi = gen._G @ psi
     g_mean = float(np.real(np.vdot(psi, gpsi)))
-    sym_psi = gen._phi.apply_sym(projector(psi)) @ psi
+    sym_psi = gen._phi.rank1_sym_action(psi)
     val = g_mean - 0.5 * float(np.real(np.vdot(psi, sym_psi)))
     apsi = sym_psi - gpsi - g_mean * psi
     mean = np.vdot(psi, apsi)
@@ -235,14 +233,16 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
 def superposition_grid(e, f, n_ratio: int = 24, n_phase: int = 16) -> list:
     """Non-trivial superpositions of two distinct rank-1 projectors on a
     modulus-ratio x phase grid: z2/z1 = tan(theta_k) e^{i phi_m} with theta_k
-    interior to (0, pi/2)."""
+    interior to (0, pi/2).  Each state equals superposition(e, f, ...) at
+    its grid point; the representatives of e and f are recovered once."""
+    u, v = superposition_basis(e, f)
     states = []
     thetas = np.pi / 2 * (np.arange(1, n_ratio + 1) / (n_ratio + 1))
     phis = 2 * np.pi * np.arange(n_phase) / n_phase
     for th in thetas:
         for ph in phis:
-            states.append(superposition(e, f, np.cos(th),
-                                        np.sin(th) * np.exp(1j * ph)))
+            states.append(combine_states(u, v, np.cos(th),
+                                         np.sin(th) * np.exp(1j * ph)))
     return states
 
 
@@ -260,10 +260,7 @@ def quasi_classical_test(gen: LindbladGenerator, report: SieveReport,
                          e, f) -> bool:
     """Do all grid superpositions of two most-stable states leave the stability
     band?  (Sampled universality; see SieveReport.sampled_universality.)"""
-    u = state_from_projector(np.asarray(e, dtype=complex))
-    v = state_from_projector(np.asarray(f, dtype=complex))
-    if fidelity(u, v) > 1.0 - 1e-12:
-        raise DegenerateInputError("e and f coincide")
+    u, v = superposition_basis(e, f)
     return _excludes(gen, projector(u), projector(v),
                      report.a0 + report.epsilon)
 

@@ -131,6 +131,15 @@ def test_verify_split_pointer_all_residuals_small():
             assert val <= 1e-7, f"{key} = {val}"
 
 
+def test_verify_split_max_residual_skips_health_figures():
+    # the basis conditioning is ~1 on a healthy split; it is not a residual
+    gen = pointer_model([0.0, 1.0, 2.5])
+    M = build_superoperator(gen)
+    report = verify_split_properties(M, spectral_split(M))
+    assert report.residuals["c_basis_conditioning"] >= 1e-3
+    assert report.max_residual <= 1e-7
+
+
 def test_verify_split_depolarizing_sweep_decay():
     gen = toy_model()
     M = build_superoperator(gen)

@@ -12,6 +12,7 @@ from qsieve import (
     apply_generator,
     apply_generator_adjoint,
     build_superoperator,
+    davies_jump_tensor,
     davies_model,
     eis_check,
     lambda_gradient,
@@ -103,13 +104,31 @@ def _explicit_map_pairs():
     grw = grw_model(np.linspace(-2, 2, 6), 1.0, 2.0)
     return [(jumps, LindbladGenerator(3, H, cp_superop=S)),
             (grw, LindbladGenerator(grw.dim, grw.hamiltonian,
-                                    cp_superop=np.diag(vec(grw.kernel))))]
+                                    cp_superop=np.diag(vec(grw.kernel)))),
+            _davies_with_explicit_map(8, 1.3)]
+
+
+def _davies_with_explicit_map(N, kappa):
+    """The matrix-free Davies generator and its map written out densely:
+    the jump tensor contracted with each matrix unit, plus the diagonal
+    compensator diag(plan^T diag X)."""
+    davies = davies_model(N, kappa)
+    _, plan = davies.coherent_measure
+    T = davies_jump_tensor(N, kappa)
+    units = [unvec(x) for x in np.eye(N * N)]
+    S = np.stack([vec(np.einsum("mnpq,pq->mn", T, X)
+                      + np.diag(plan.T @ np.diag(X))) for X in units],
+                 axis=1)
+    return davies, LindbladGenerator(N, davies.hamiltonian, cp_superop=S)
 
 
 def test_anticommutator_is_adjoint_map_on_identity():
     for gen, explicit in _explicit_map_pairs():
         if gen.jump_ops:
             G = sum(V.conj().T @ V for V in gen.jump_ops)
+        elif gen.coherent_measure is not None:
+            kappa, _ = gen.coherent_measure
+            G = kappa * np.eye(gen.dim)  # Davies: trace preserving, unital
         else:
             G = np.zeros((gen.dim, gen.dim))
         assert np.abs(gen._G - G).max() <= 1e-12

@@ -4,6 +4,8 @@ averaging semigroup with its coherent-state family."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from qsieve import (
     disc_quadrature,
     evolve,
     grw_model,
+    lambda_gradient,
     lambda_pure,
+    minimize_lambda,
     nearest_su11_coherent,
     pointer_model,
     position_operator,
@@ -183,8 +187,12 @@ def test_davies_jump_tensor_structure():
     assert np.abs(T[m + q != n + p]).max() == 0.0
 
 
-def test_davies_lambda_on_fock_states():
-    N, kappa = 20, 1.0
+# N=100 is out of reach of a dense map (a 1.6 GB superoperator); the
+# coherent-measure form evaluates lambda without one
+
+@pytest.mark.parametrize("N", [20, 100])
+def test_davies_lambda_on_fock_states(N):
+    kappa = 1.0
     gen = davies_model(N, kappa)
     for n in (0, 1, 2, 5, 12):
         expected = kappa * (1.0 - (n + 1) / ((2 * n + 1) * (2 * n + 3)))
@@ -192,8 +200,9 @@ def test_davies_lambda_on_fock_states():
             expected, abs=1e-12)
 
 
-def test_davies_lambda_constant_on_coherent_orbit():
-    N, kappa = 24, 1.0
+@pytest.mark.parametrize("N", [24, 100])
+def test_davies_lambda_constant_on_coherent_orbit(N):
+    kappa = 1.0
     gen = davies_model(N, kappa)
     for zeta in (0.0, 0.3, 0.45j, -0.35 + 0.25j):
         psi = su11_coherent_state(N, zeta)
@@ -207,6 +216,26 @@ def test_davies_lambda_band_on_random_states(rng):
     for _ in range(30):
         lam = lambda_pure(gen, random_pure(N, rng))
         assert 2.0 * kappa / 3.0 - 1e-3 <= lam < kappa
+
+
+def test_davies_lambda_path_builds_no_dense_map(rng):
+    gen = davies_model(12, 1.0)
+    minimize_lambda(gen, n_starts=2, seed=3)
+    lambda_gradient(gen, random_pure(12, rng))
+    assert gen.cp_superop is None
+    assert gen._phi._S is None  # the dense map is built only on demand
+    # at N=60 the N^4 jump tensor alone would take 104 MB
+    tracemalloc.start()
+    try:
+        big = davies_model(60, 1.0)
+        for _ in range(3):
+            psi = random_pure(60, rng)
+            lambda_pure(big, psi)
+            lambda_gradient(big, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_davies_consistency_validation_runs():

@@ -199,6 +199,12 @@ def test_superposition_grid_shape_and_norms(rng):
         ee = projector(psi)
         assert np.abs(np.trace(ee @ e)).real < 1.0 - 1e-9
         assert np.abs(np.trace(ee @ f)).real < 1.0 - 1e-9
+    thetas = np.pi / 2 * (np.arange(1, 7) / 7)
+    phis = 2 * np.pi * np.arange(4) / 4
+    points = [(th, ph) for th in thetas for ph in phis]
+    for psi, (th, ph) in zip(grid, points):
+        assert np.array_equal(psi, superposition(
+            e, f, np.cos(th), np.sin(th) * np.exp(1j * ph)))
 
 
 def test_superposition_grid_single_point_is_balanced():
