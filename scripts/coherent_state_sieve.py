@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import time
 
-import numpy as np
-
 from qsieve import (
     davies_model,
     lambda_pure,

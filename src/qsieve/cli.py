@@ -221,8 +221,12 @@ def _validate_model(model, path: str = "model") -> dict:
         if len(H) != len(H[0]):
             raise ConfigError(f"{path}.hamiltonian", "must be square")
         out["hamiltonian"] = H
+        jump_ops = model.get("jump_ops", [])
+        if not isinstance(jump_ops, list):
+            raise ConfigError(f"{path}.jump_ops",
+                              "expected an array of matrices")
         jumps = []
-        for i, Jm in enumerate(model.get("jump_ops", [])):
+        for i, Jm in enumerate(jump_ops):
             J = _complex_matrix(Jm, f"{path}.jump_ops[{i}]")
             if len(J) != len(H) or len(J[0]) != len(H):
                 raise ConfigError(f"{path}.jump_ops[{i}]",
@@ -493,16 +497,13 @@ def _cmd_classify(gen: LindbladGenerator, config: dict):
     split = spectral_split(M)
     result = classical_states(gen, split, seed=config["seed"],
                               residual_tol=config["residual_tol"])
-    projs = [p for p in result.projectors]
-    overlaps = []
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            overlaps.append(float(np.abs(np.trace(projs[i] @ projs[j])).real))
+    projs = result.projectors
+    overlaps = result.pairwise_overlaps[np.triu_indices(len(projs), 1)]
     return {
         "n_classical": len(projs),
         "projectors": [[[[c.real, c.imag] for c in row] for row in p]
                        for p in projs],
-        "max_pairwise_overlap": max(overlaps) if overlaps else 0.0,
+        "max_pairwise_overlap": float(overlaps.max(initial=0.0)),
         "fixed_point_residuals": [float(r)
                                   for r in result.fixed_point_residuals],
     }
@@ -613,6 +614,8 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(text)
+        if getattr(args, "seed", None) is not None:  # run --seed N
+            config["seed"] = _integer(args.seed, "seed", 0)
     except ValidationError as exc:
         print(_error_json(exc), file=sys.stderr)
         return 1
@@ -621,9 +624,6 @@ def main(argv=None) -> int:
         print(json.dumps({"valid": True, "config": config},
                          sort_keys=True, indent=2))
         return 0
-
-    if args.seed is not None:
-        config["seed"] = args.seed
 
     started = time.monotonic()
     try:

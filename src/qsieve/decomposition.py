@@ -15,24 +15,12 @@ import scipy.linalg
 
 from .liouville import (
     LindbladGenerator,
-    adjoint_semigroup,
     apply_generator,
     build_superoperator,
-    channel_applier,
     unvec,
     vec,
 )
-from .operators import (
-    ValidationError,
-    fidelity,
-    hs_norm,
-    join_projectors,
-    linear_entropy,
-    projector,
-    state_from_projector,
-    validate_density_matrix,
-)
-from .sieve import superposition_grid
+from .operators import ValidationError, hs_norm, join_projectors, projector
 
 __all__ = [
     "SpectralSplit",
@@ -283,6 +271,8 @@ def _rank1_projectors_in(basis: np.ndarray, tol: float = 1e-8) -> list:
 
 @dataclass(frozen=True)
 class ClassicalSet:
+    """Pairwise-orthogonal pure fixed points in iso none of whose pairwise
+    superpositions stays in iso; both conditions hold to residual_tol."""
     projectors: tuple
     pairwise_overlaps: np.ndarray
     fixed_point_residuals: np.ndarray
@@ -295,74 +285,26 @@ def classical_states(gen: LindbladGenerator,
                      split: SpectralSplit | None = None,
                      seed: int = 0,
                      residual_tol: float = 1e-8,
-                     grid: tuple[int, int] = (24, 16),
                      max_retries: int = 5) -> ClassicalSet:
     """Enumerate the pairwise-orthogonal family of pure semigroup fixed points
     whose superpositions with every other fixed point leave the robust set.
 
     Candidates come from diagonalizing a generic Hermitian element of ker L;
-    the superposition-exclusion test is grid-sampled (universality is sampled,
-    not proven).
+    the superposition exclusion is exact to residual_tol, one closed-form test
+    per candidate pair.
     """
     M = build_superoperator(gen)
     if split is None:
         split = spectral_split(M)
-    rng = np.random.default_rng(seed)
+    vectors = _fixed_point_candidates(gen, M, split, seed, residual_tol,
+                                      max_retries)
 
-    kernel = scipy.linalg.null_space(M)
-    if kernel.size == 0:
-        raise ValidationError("trace-preserving generator must have a kernel")
-
-    herm_basis = _hermitian_kernel_basis(kernel)
-    if not herm_basis:
-        return ClassicalSet((), np.zeros((0, 0)), np.zeros(0))
-
-    candidates = None
-    degenerate = True
-    last_vectors = None
-    for _ in range(max_retries):
-        c = rng.standard_normal(len(herm_basis))
-        K = np.tensordot(c, np.array(herm_basis), axes=1)
-        w, V = np.linalg.eigh(K)
-        scale = max(np.abs(w).max(), 1.0)
-        gaps = np.diff(np.sort(w))
-        last_vectors = V
-        if gaps.size == 0 or gaps.min() > 1e-10 * scale:
-            degenerate = False
-            break
-    V = last_vectors
-
-    candidates = []
-    for i in range(V.shape[1]):
-        e = projector(V[:, i] / np.linalg.norm(V[:, i]))
-        if hs_norm(apply_generator(gen, e)) > residual_tol:
-            continue
-        if iso_membership(split, e) > residual_tol:
-            continue
-        candidates.append(e)
-
-    if degenerate and candidates:
-        # with a degenerate kernel element the eigenbasis is ambiguous, so
-        # surviving candidates cannot be trusted
-        raise ValidationError(
-            "kernel element degenerate after retries while fixed-point "
-            "candidates survive; cannot resolve the classical set")
-
-    kept = []
-    n_ratio, n_phase = grid
-    for i, e in enumerate(candidates):
-        excluded = False
-        for j, f in enumerate(candidates):
-            if i == j:
-                continue
-            for psi in superposition_grid(e, f, n_ratio, n_phase):
-                if iso_membership(split, projector(psi)) <= residual_tol:
-                    excluded = True
-                    break
-            if excluded:
-                break
-        if not excluded:
-            kept.append(e)
+    excluded = [False] * len(vectors)
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            if _pair_stays_in_iso(split, vectors[i], vectors[j], residual_tol):
+                excluded[i] = excluded[j] = True
+    kept = [projector(u) for u, out in zip(vectors, excluded) if not out]
 
     m = len(kept)
     overlaps = np.zeros((m, m))
@@ -377,6 +319,64 @@ def classical_states(gen: LindbladGenerator,
             f"classical candidates are not pairwise orthogonal "
             f"(max overlap {off.max():.3e})")
     return ClassicalSet(tuple(kept), overlaps, residuals)
+
+
+def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
+                            split: SpectralSplit, seed: int,
+                            residual_tol: float, max_retries: int) -> list:
+    """Unit eigenvectors of a generic Hermitian kernel element whose
+    projectors are semigroup fixed points lying in iso."""
+    rng = np.random.default_rng(seed)
+    kernel = scipy.linalg.null_space(M)
+    if kernel.size == 0:
+        raise ValidationError("trace-preserving generator must have a kernel")
+
+    herm_basis = _hermitian_kernel_basis(kernel)
+    if not herm_basis:
+        return []
+
+    degenerate = True
+    for _ in range(max_retries):
+        c = rng.standard_normal(len(herm_basis))
+        K = np.tensordot(c, np.array(herm_basis), axes=1)
+        w, V = np.linalg.eigh(K)
+        scale = max(np.abs(w).max(), 1.0)
+        gaps = np.diff(np.sort(w))
+        if gaps.size == 0 or gaps.min() > 1e-10 * scale:
+            degenerate = False
+            break
+
+    vectors = []
+    for i in range(V.shape[1]):
+        u = V[:, i] / np.linalg.norm(V[:, i])
+        e = projector(u)
+        if (hs_norm(apply_generator(gen, e)) <= residual_tol
+                and iso_membership(split, e) <= residual_tol):
+            vectors.append(u)
+
+    if degenerate and vectors:
+        # with a degenerate kernel element the eigenbasis is ambiguous, so
+        # surviving candidates cannot be trusted
+        raise ValidationError(
+            "kernel element degenerate after retries while fixed-point "
+            "candidates survive; cannot resolve the classical set")
+    return vectors
+
+
+def _pair_stays_in_iso(split: SpectralSplit, u: np.ndarray, v: np.ndarray,
+                       tol: float) -> bool:
+    """Does a superposition of orthonormal u, v (uu^dag, vv^dag in iso) stay
+    in iso?  That of cos t u + sin t e^{i phi} v has the swept part cos t
+    sin t (e^{-i phi} r_uv + e^{i phi} r_vu), r_uv = (I - P) vec(uv^dag), least
+    over phi at e^{2i phi} = -conj(z)/|z|, z = <r_uv, r_vu> (any phi if z = 0);
+    the balanced state at that phase is tested against tol."""
+    X = np.stack([vec(np.outer(u, v.conj())), vec(np.outer(v, u.conj()))],
+                 axis=1)
+    R = X - split.iso_projection @ X
+    z = np.vdot(R[:, 0], R[:, 1])
+    phase = np.sqrt(-np.conj(z) / abs(z)) if abs(z) > 0 else 1.0
+    psi = (u + phase * v) / np.sqrt(2.0)
+    return iso_membership(split, projector(psi)) <= tol
 
 
 def _hermitian_kernel_basis(kernel: np.ndarray, tol: float = 1e-10) -> list:

@@ -309,12 +309,13 @@ def davies_model(N: int, kappa: float, energies=None,
     n = np.arange(N)
     V = ((1 - np.abs(quad.nodes) ** 2)[None, :]
          * np.sqrt(n + 1.0)[:, None] * quad.nodes[None, :] ** n[:, None])
+    Vh = V.conj().T
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(10):
         psi = normalize_state(rng.standard_normal(N)
                               + 1j * rng.standard_normal(N))
-        overlaps = np.abs(V.conj().T @ psi) ** 2
+        overlaps = np.abs(Vh @ psi) ** 2
         jd = kappa * float(np.dot(quad.weights, overlaps))
         worst = max(worst, abs(jd - kappa) / kappa)
     if worst > consistency_tol:

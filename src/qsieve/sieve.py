@@ -8,7 +8,7 @@ projected gradient descent with backtracking on the unit sphere modulo phase.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,7 @@ from .operators import (
     ValidationError,
     combine_states,
     fidelity,
-    hs_norm,
     is_hermitian,
-    linear_entropy,
     normalize_state,
     projector,
     random_pure_state,

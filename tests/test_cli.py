@@ -95,6 +95,27 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert err["error"]["path"] == "model.D"
 
 
+def test_negative_seed_flag_exits_one(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, {"command": "lambda", "model": {"type": "toy"},
+                                 "states": "random:2"},
+                      extra_args=["--seed", "-3"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["path"] == "seed"
+
+
+@pytest.mark.parametrize("jump_ops", [{}, "I", 3])
+def test_custom_jump_ops_must_be_an_array(jump_ops):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(
+            {"command": "lambda",
+             "model": {"type": "custom",
+                       "hamiltonian": [[[0.0, 0.0], [0.0, 0.0]],
+                                       [[0.0, 0.0], [1.0, 0.0]]],
+                       "jump_ops": jump_ops}}))
+    assert exc.value.path == "model.jump_ops"
+
+
 # ---------------------------------------------------------------------------
 # run outputs
 

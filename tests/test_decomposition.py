@@ -13,6 +13,7 @@ from qsieve import (
     classical_states,
     evolve,
     fidelity,
+    grw_model,
     iso_membership,
     pointer_model,
     projector,
@@ -20,10 +21,14 @@ from qsieve import (
     spectral_split,
     state_from_projector,
     superposition,
+    superposition_grid,
     toy_model,
     trace_norm,
     verify_split_properties,
 )
+
+import qsieve.decomposition as decomposition
+from qsieve.decomposition import _fixed_point_candidates
 
 from conftest import basis_state, random_pure
 
@@ -191,6 +196,77 @@ def test_classical_states_are_semigroup_fixed_points():
 def test_classical_states_empty_for_unitary_and_depolarizing():
     assert len(classical_states(hamiltonian_only(3)).projectors) == 0
     assert len(classical_states(toy_model()).projectors) == 0
+
+
+def block_model() -> LindbladGenerator:
+    """Coherences inside span{|0>, |1>} persist, those with |2> decay: iso
+    has dimension 5 and only |2> is classical."""
+    return LindbladGenerator(3, np.diag([0.0, 0.0, 1.0]),
+                             jump_ops=(np.diag([1.0, 1.0, 0.0]),
+                                       np.diag([0.0, 0.0, 1.0])))
+
+
+def grid_excluded_projectors(gen, split, residual_tol=1e-8,
+                             grid=(24, 16)) -> list:
+    """Reference: the candidates of classical_states kept by sampling every
+    ordered pair's superpositions on a modulus-ratio x phase grid."""
+    M = build_superoperator(gen)
+    candidates = [projector(u) for u in
+                  _fixed_point_candidates(gen, M, split, 0, residual_tol, 5)]
+    kept = []
+    for i, e in enumerate(candidates):
+        excluded = False
+        for j, f in enumerate(candidates):
+            if i == j:
+                continue
+            for psi in superposition_grid(e, f, *grid):
+                if iso_membership(split, projector(psi)) <= residual_tol:
+                    excluded = True
+                    break
+            if excluded:
+                break
+        if not excluded:
+            kept.append(e)
+    return kept
+
+
+@pytest.mark.parametrize("gen", [
+    pointer_model([0.0, 1.0, 2.5, 4.0]),
+    grw_model(np.linspace(-3.0, 3.0, 8), 1.0, 1.0),
+    hamiltonian_only(3),
+    block_model(),
+], ids=["pointer4", "grw8", "hamiltonian3", "block"])
+def test_classical_states_exclusion_matches_grid_reference(gen):
+    split = spectral_split(build_superoperator(gen))
+    kept = classical_states(gen, split).projectors
+    reference = grid_excluded_projectors(gen, split)
+    assert len(kept) == len(reference)
+    for e, f in zip(kept, reference):
+        assert np.array_equal(e, f)
+
+
+def test_classical_states_block_model_keeps_only_level_two():
+    gen = block_model()
+    split = spectral_split(build_superoperator(gen))
+    assert split.iso_dim == 5
+    (e,) = classical_states(gen, split).projectors
+    assert fidelity(state_from_projector(e), basis_state(3, 2)) \
+        >= 1.0 - 1e-12
+
+
+def test_classical_states_membership_calls_per_candidate_and_pair(
+        monkeypatch):
+    calls = []
+    real = decomposition.iso_membership
+
+    def counting(split, e):
+        calls.append(1)
+        return real(split, e)
+
+    monkeypatch.setattr(decomposition, "iso_membership", counting)
+    m = len(classical_states(pointer_model([0.0, 1.0, 2.0, 3.0, 4.0])))
+    assert m == 5
+    assert len(calls) <= m + m * (m - 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from qsieve import (
     lambda_pure,
     minimize_lambda,
     nearest_su11_coherent,
-    pointer_model,
     position_operator,
     projector,
     qbm_model,
