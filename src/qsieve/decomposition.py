@@ -4,7 +4,10 @@ The split is read off the Liouvillian spectrum: the isometric subspace is
 spanned by eigenvectors whose eigenvalues sit on the imaginary axis (within a
 tolerance), the sweeping subspace by the remaining generalized eigenvectors.
 Both are extracted from an ordered Schur form, which stays stable when the
-Liouvillian is non-normal.
+Liouvillian is non-normal.  Every dense factorisation runs on one diagonal
+block of M, or one stack of equal-size blocks, at a time (see
+liouville.superoperator_blocks); the entries between blocks are structural
+zeros, so this is exact.
 """
 from __future__ import annotations
 
@@ -15,8 +18,11 @@ import scipy.linalg
 
 from .liouville import (
     LindbladGenerator,
+    _stack,
     apply_generator,
     build_superoperator,
+    propagator,
+    superoperator_blocks,
     unvec,
     vec,
 )
@@ -67,51 +73,89 @@ class SpectralSplit:
         return self.sweep_basis.shape[0]
 
 
+def _vec_columns(ops: np.ndarray) -> np.ndarray:
+    """vec of each operator in a (m, d, d) stack, as the columns of a
+    d^2 x m matrix."""
+    m, d, _ = ops.shape
+    return ops.transpose(0, 2, 1).reshape(m, d * d).T
+
+
+def _unvec_columns(X: np.ndarray, d: int) -> np.ndarray:
+    """The columns of a d^2 x m matrix as a (m, d, d) stack of operators."""
+    return np.ascontiguousarray(X.T.reshape(-1, d, d).transpose(0, 2, 1))
+
+
+def _embed(n: int, idx: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """n-row matrix holding the rows of part at the rows idx, zero
+    elsewhere: block vectors written in the whole space."""
+    out = np.zeros((n, part.shape[1]), dtype=complex)
+    out[idx] = part
+    return out
+
+
+def _block_apply(groups: tuple, stacks: list, X: np.ndarray) -> np.ndarray:
+    """Apply the block-diagonal matrix with the given stacks of diagonal
+    blocks (one per group of superoperator_blocks) to the columns of X."""
+    out = np.zeros(X.shape, dtype=complex)
+    for group, A in zip(groups, stacks):
+        out[group] = A @ X[group]
+    return out
+
+
 def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     """Split vectorized operator space into peripheral (isometric) and decaying
     (sweeping) invariant subspaces of the Liouvillian matrix M."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
-    evs = np.linalg.eigvals(M)
+    groups = superoperator_blocks(M)
+    stacks = [_stack(M, group) for group in groups]
+    evs = np.concatenate([np.linalg.eigvals(S).ravel() for S in stacks])
     if tol is None:
         scale = max(np.abs(evs.real).max(), 1e-30)
         tol = 1e-9 * scale
 
     is_peripheral = lambda z: abs(z.real) <= tol
-    T, Q, k = scipy.linalg.schur(M, output="complex", sort=is_peripheral)
-    k = int(k)
+    blocks = [idx for group in groups for idx in group]
+    schurs = []
+    for B in (B for S in stacks for B in S):
+        T, Q, k = scipy.linalg.schur(B, output="complex", sort=is_peripheral)
+        schurs.append((T, Q, int(k)))
+    periph = np.concatenate([np.diag(T)[:k] for T, _, k in schurs])
+    periph_scale = max(np.abs(periph).max(initial=0.0), 1.0)
 
-    periph = np.diag(T)[:k]
-    _check_semisimple(T[:k, :k], periph, tol)
-
-    if 0 < k < n:
-        # spectral projector from the 2x2 block Schur form
-        R = scipy.linalg.solve_sylvester(T[:k, :k], -T[k:, k:], T[:k, k:])
-        top = np.hstack([np.eye(k), R])
-        P = Q[:, :k] @ top @ Q.conj().T
-        sweep_raw = Q[:, :k] @ (-R) + Q[:, k:]
-        sweep_q, _ = np.linalg.qr(sweep_raw)
-    elif k == n:
-        P = np.eye(n, dtype=complex)
-        sweep_q = np.zeros((n, 0), dtype=complex)
-    else:
-        P = np.zeros((n, n), dtype=complex)
-        sweep_q = np.eye(n, dtype=complex)
+    P = np.zeros((n, n), dtype=complex)
+    iso_cols, sweep_cols = [], []
+    for idx, (T, Q, k) in zip(blocks, schurs):
+        s = idx.size
+        _check_semisimple(T[:k, :k], np.diag(T)[:k], tol, periph_scale)
+        if 0 < k < s:
+            # spectral projector from the 2x2 block Schur form
+            R = scipy.linalg.solve_sylvester(T[:k, :k], -T[k:, k:], T[:k, k:])
+            top = np.hstack([np.eye(k), R])
+            P[np.ix_(idx, idx)] = Q[:, :k] @ top @ Q.conj().T
+            sweep_q, _ = np.linalg.qr(Q[:, :k] @ (-R) + Q[:, k:])
+        elif k == s:
+            P[idx, idx] = 1.0
+            sweep_q = np.zeros((s, 0), dtype=complex)
+        else:
+            sweep_q = np.eye(s, dtype=complex)
+        iso_cols.append(_embed(n, idx, Q[:, :k]))
+        sweep_cols.append(_embed(n, idx, sweep_q))
 
     d = int(round(np.sqrt(n)))
-    iso_basis = np.array([unvec(Q[:, i]) for i in range(k)]).reshape(k, d, d)
-    sweep_basis = np.array([unvec(sweep_q[:, i])
-                            for i in range(n - k)]).reshape(n - k, d, d)
+    iso_basis = _unvec_columns(np.hstack(iso_cols), d)
+    sweep_basis = _unvec_columns(np.hstack(sweep_cols), d)
     swept_res = np.abs(evs.real)[np.abs(evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
-    return SpectralSplit(iso_basis, sweep_basis, P, periph.copy(), gap, tol)
+    return SpectralSplit(iso_basis, sweep_basis, P, periph, gap, tol)
 
 
-def _check_semisimple(T11: np.ndarray, periph: np.ndarray, tol: float) -> None:
+def _check_semisimple(T11: np.ndarray, periph: np.ndarray, tol: float,
+                      scale: float) -> None:
+    """Raise unless every peripheral eigenvalue of one block is semisimple;
+    scale is that of the whole peripheral spectrum.  A Jordan chain cannot
+    cross an invariant block, so the blocks are checked one by one."""
     k = periph.size
-    if k == 0:
-        return
-    scale = max(np.abs(periph).max(), 1.0)
     remaining = list(periph)
     while remaining:
         lam = remaining[0]
@@ -160,95 +204,120 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     """Numeric residuals for the structural properties of the split:
     *-invariance, trace orthogonality, completeness, isometry and
     multiplicativity of the peripheral flow, sweep decay at the final time,
-    product closure, and join closure for rank-1 projectors in iso."""
+    product closure, and join closure for rank-1 projectors in iso.
+
+    exp(tM), one stack of equal-size blocks of M at a time, and the
+    projection, restricted to its nonzero rows and columns, act on whole
+    stacks of vectors; the blocks are those of M, whatever split is given."""
     rng = np.random.default_rng(seed)
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
+    groups = superoperator_blocks(M)
     P = split.iso_projection
+    rows = np.flatnonzero(P.any(axis=1))
+    cols = np.flatnonzero(P.any(axis=0))
+    P_nonzero = P[np.ix_(rows, cols)]
+
+    def project(X: np.ndarray) -> np.ndarray:
+        out = np.zeros(X.shape, dtype=complex)
+        out[rows] = P_nonzero @ X[cols]
+        return out
+
+    swept_norm = lambda X: float(np.linalg.norm(X - project(X), axis=0)
+                                 .max(initial=0.0))
     iso = split.iso_basis
     sweep = split.sweep_basis
+    sweep_vecs = _vec_columns(sweep)
     res: dict[str, float | None] = {}
 
     # (a) *-invariance of iso (and of sweep, which is equivalent here)
-    star = 0.0
-    for B in iso:
-        x = vec(B.conj().T)
-        star = max(star, float(np.linalg.norm(x - P @ x)))
-    for B in sweep:
-        x = vec(B.conj().T)
-        star = max(star, float(np.linalg.norm(P @ x)))
-    res["a_star_invariance"] = star
+    adj = lambda ops: _vec_columns(ops.conj().transpose(0, 2, 1))
+    res["a_star_invariance"] = max(
+        swept_norm(adj(iso)),
+        float(np.linalg.norm(project(adj(sweep)), axis=0).max(initial=0.0)))
 
-    # (b) trace orthogonality tr(phi1 phi2) = 0
-    ortho = 0.0
-    for B1 in iso:
-        for B2 in sweep:
-            ortho = max(ortho, abs((B1 @ B2).trace()))
-    res["b_trace_orthogonality"] = float(ortho)
+    # (b) trace orthogonality tr(phi1 phi2) = 0; the rows of the reshaped
+    # iso stack are vec(phi1^T), and tr(phi1 phi2) = vec(phi1^T) . vec(phi2)
+    res["b_trace_orthogonality"] = float(
+        np.abs(iso.reshape(split.iso_dim, n) @ sweep_vecs).max(initial=0.0))
 
     # (c) completeness of the direct sum
     res["c_completeness"] = float(split.iso_dim + split.sweep_dim != n)
     if split.iso_dim and split.sweep_dim:
-        stacked = np.hstack([np.stack([vec(B) for B in iso], axis=1),
-                             np.stack([vec(B) for B in sweep], axis=1)])
-        res["c_basis_conditioning"] = float(
-            1.0 / np.linalg.cond(stacked))
+        sv = _singular_values(np.hstack([_vec_columns(iso), sweep_vecs]))
+        res["c_basis_conditioning"] = float(sv.min() / sv.max())
     else:
         res["c_basis_conditioning"] = 1.0
 
     # (d) HS isometry + multiplicativity of the flow on iso
+    expms = {t: [scipy.linalg.expm(t * _stack(M, group)) for group in groups]
+             for t in times}
     iso_norm = 0.0
     iso_mult = 0.0
-    sweep_decay = 0.0
-    expms = {t: scipy.linalg.expm(t * M) for t in times}
-    for t in times:
-        E = expms[t]
-        apply_t = lambda A: unvec(E @ vec(A))
-        for _ in range(n_samples):
-            if split.iso_dim:
-                c = rng.standard_normal(split.iso_dim) \
-                    + 1j * rng.standard_normal(split.iso_dim)
-                phi1 = np.tensordot(c, iso, axes=1)
-                phi1 /= hs_norm(phi1)
-                c = rng.standard_normal(split.iso_dim) \
-                    + 1j * rng.standard_normal(split.iso_dim)
-                phi2 = np.tensordot(c, iso, axes=1)
-                phi2 /= hs_norm(phi2)
-                iso_norm = max(iso_norm,
-                               abs(hs_norm(apply_t(phi1)) - hs_norm(phi1)))
-                iso_mult = max(iso_mult, hs_norm(
-                    apply_t(phi1 @ phi2) - apply_t(phi1) @ apply_t(phi2)))
+    for t in (times if split.iso_dim else ()):
+        phis = []
+        for _ in range(2 * n_samples):
+            c = rng.standard_normal(split.iso_dim) \
+                + 1j * rng.standard_normal(split.iso_dim)
+            phi = np.tensordot(c, iso, axes=1)
+            phis.append(phi / hs_norm(phi))
+        phi1, phi2 = np.array(phis[0::2]), np.array(phis[1::2])
+        moved = _block_apply(groups, expms[t], np.hstack(
+            [_vec_columns(phi1), _vec_columns(phi2),
+             _vec_columns(phi1 @ phi2)]))
+        T1, T2, T12 = np.split(_unvec_columns(moved, split.dim), 3)
+        iso_norm = max(iso_norm, float(np.abs(
+            np.linalg.norm(T1, axis=(1, 2))
+            - np.linalg.norm(phi1, axis=(1, 2))).max()))
+        iso_mult = max(iso_mult, float(
+            np.linalg.norm(T12 - T1 @ T2, axis=(1, 2)).max()))
     res["d_iso_isometry"] = iso_norm
     res["d_iso_multiplicativity"] = iso_mult
 
     # (e) sweeping decay at the largest time
     if split.sweep_dim:
-        E = expms[max(times)]
-        for B in sweep:
-            sweep_decay = max(sweep_decay,
-                              float(np.abs(unvec(E @ vec(B))).max()))
-        res["e_sweep_decay"] = sweep_decay
+        res["e_sweep_decay"] = float(np.abs(
+            _block_apply(groups, expms[max(times)], sweep_vecs)).max())
     else:
         res["e_sweep_decay"] = None  # vacuous: no sweeping part
 
-    # (i) product closure of iso
-    prod = 0.0
-    for B1 in iso:
-        for B2 in iso:
-            x = vec(B1 @ B2)
-            prod = max(prod, float(np.linalg.norm(x - P @ x)))
-    res["i_product_closure"] = prod
+    # (i) product closure of iso, one stack of products B1 B2 per B1
+    res["i_product_closure"] = max(
+        (swept_norm(_vec_columns(B1 @ iso)) for B1 in iso), default=0.0)
 
     # (ii) join closure for rank-1 projectors found among iso elements
     projs = _rank1_projectors_in(iso)
-    join = 0.0
-    for a in range(len(projs)):
-        for b in range(a + 1, len(projs)):
-            j = join_projectors(projs[a], projs[b])
-            x = vec(j)
-            join = max(join, float(np.linalg.norm(x - P @ x)))
-    res["ii_join_closure"] = join if len(projs) >= 2 else None
+    joins = [join_projectors(projs[a], projs[b])
+             for a in range(len(projs)) for b in range(a + 1, len(projs))]
+    res["ii_join_closure"] = swept_norm(_vec_columns(np.array(joins))) \
+        if joins else None
     return SplitVerification(res)
+
+
+def _singular_values(B: np.ndarray) -> np.ndarray:
+    """Singular values of B, one SVD per connected component of its sparsity
+    pattern (row i and column j joined wherever B[i, j] is nonzero), stacked
+    over components of one shape.  Exact for any B; a basis whose vectors
+    each lie in one block of M splits into one small SVD per block."""
+    r, c = B.shape
+    nz = B != 0
+    pattern = np.block([[np.zeros((r, r), dtype=bool), nz],
+                        [nz.T, np.zeros((c, c), dtype=bool)]])
+    sv = [np.zeros(0)]
+    for group in superoperator_blocks(pattern):
+        # each component lists its rows (indices < r) before its columns
+        n_rows = np.count_nonzero(group < r, axis=1)
+        for k in np.unique(n_rows):
+            comps = group[n_rows == k]
+            rows, cols = comps[:, :k], comps[:, k:] - r
+            # a component with more columns than rows adds zero singular
+            # values
+            sv.append(np.zeros(comps.shape[0]
+                               * max(cols.shape[1] - k, 0)))
+            if k and cols.shape[1]:
+                sv.append(np.linalg.svd(B[rows[:, :, None], cols[:, None, :]],
+                                        compute_uv=False).ravel())
+    return np.concatenate(sv)
 
 
 def _rank1_projectors_in(basis: np.ndarray, tol: float = 1e-8) -> list:
@@ -327,7 +396,7 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
     """Unit eigenvectors of a generic Hermitian kernel element whose
     projectors are semigroup fixed points lying in iso."""
     rng = np.random.default_rng(seed)
-    kernel = scipy.linalg.null_space(M)
+    kernel = _null_space(M, superoperator_blocks(M))
     if kernel.size == 0:
         raise ValidationError("trace-preserving generator must have a kernel")
 
@@ -361,6 +430,22 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
             "kernel element degenerate after retries while fixed-point "
             "candidates survive; cannot resolve the classical set")
     return vectors
+
+
+def _null_space(M: np.ndarray, groups: tuple) -> np.ndarray:
+    """Orthonormal basis of ker M from one stacked SVD per group of equal
+    diagonal blocks.  The rank is decided for M as a whole, as
+    scipy.linalg.null_space(M) decides it: singular values above d^2 eps
+    times the largest one count."""
+    n = M.shape[0]
+    svds = [np.linalg.svd(_stack(M, group)) for group in groups]
+    cutoff = n * np.finfo(float).eps * max(s.max() for _, s, _ in svds)
+    cols = []
+    for group, (_, s, vh) in zip(groups, svds):
+        for idx, s_b, vh_b in zip(group, s, vh):
+            null = vh_b[np.count_nonzero(s_b > cutoff):].conj().T
+            cols.append(_embed(n, idx, null))
+    return np.hstack(cols)
 
 
 def _pair_stays_in_iso(split: SpectralSplit, u: np.ndarray, v: np.ndarray,
@@ -420,19 +505,18 @@ def robustness_probe(gen: LindbladGenerator, e, times,
     """Max linear entropy of T_t e and T*_t e over sampled times, cross-checked
     against the spectral membership residual."""
     e = np.asarray(e, dtype=complex)
-    M = build_superoperator(gen)
-    Ms = M.conj().T
     if split is None:
-        split = spectral_split(M)
+        split = spectral_split(build_superoperator(gen))
+    x = vec(e)
     fwd = 0.0
     adj = 0.0
     for t in times:
         if t < 0:
             raise ValidationError("probe times must be nonnegative")
-        rho = unvec(scipy.linalg.expm(t * M) @ vec(e))
-        fwd = max(fwd, _entropy_loose(rho))
-        sigma = unvec(scipy.linalg.expm(t * Ms) @ vec(e))
-        adj = max(adj, _entropy_loose(sigma))
+        # exp(tM^dag) = exp(tM)^dag: one propagator serves both semigroups
+        E = propagator(gen, t)
+        fwd = max(fwd, _entropy_loose(unvec(E @ x)))
+        adj = max(adj, _entropy_loose(unvec(E.conj().T @ x)))
     return RobustnessReport(fwd, adj, iso_membership(split, e))
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "apply_generator",
     "apply_generator_adjoint",
     "build_superoperator",
+    "superoperator_blocks",
     "adjoint_semigroup",
     "propagator",
     "evolve",
@@ -273,7 +274,9 @@ class LindbladGenerator:
     pair (kappa, plan), see _CoherentMeasure) carries the map Phi; a purely
     Hamiltonian generator has none of them.  Construction derives
     the single internal representation every operation uses: ``_phi`` (the
-    form of Phi), ``_G = Phi*(I)`` and ``_K = -iH - G/2``.
+    form of Phi), ``_G = Phi*(I)`` and ``_K = -iH - G/2``.  The superoperator
+    M and its blocks are built on first use and kept, read-only, in ``_M``
+    and ``_blocks``.
     """
 
     dim: int
@@ -340,6 +343,8 @@ class LindbladGenerator:
         object.__setattr__(self, "_phi", phi)
         object.__setattr__(self, "_G", G)
         object.__setattr__(self, "_K", -1j * H - 0.5 * G)
+        object.__setattr__(self, "_M", None)
+        object.__setattr__(self, "_blocks", None)
 
 
 def _check_dim(gen: LindbladGenerator, A: np.ndarray) -> np.ndarray:
@@ -365,13 +370,58 @@ def apply_generator_adjoint(gen: LindbladGenerator, A) -> np.ndarray:
 
 
 def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
-    """Dense d^2 x d^2 matrix M with M vec(rho) = vec(L(rho))."""
-    I = np.eye(gen.dim)
-    K = gen._K
-    M = np.kron(I, K)
-    M += np.kron(K.conj(), I)
-    M += gen._phi.matrix()
-    return M
+    """Dense d^2 x d^2 matrix M with M vec(rho) = vec(L(rho)), built on first
+    use and kept, read-only, on the generator."""
+    if gen._M is None:
+        I = np.eye(gen.dim)
+        K = gen._K
+        M = np.kron(I, K)
+        M += np.kron(K.conj(), I)
+        M += gen._phi.matrix()
+        M.setflags(write=False)
+        object.__setattr__(gen, "_M", M)
+    return gen._M
+
+
+def superoperator_blocks(M: np.ndarray) -> tuple:
+    """The diagonal blocks of M grouped by size: one (m, s) index array per
+    block size s, whose rows are the m blocks of that size in order of their
+    smallest index.  The blocks are the connected components of the graph
+    with an edge i - j wherever M[i, j] or M[j, i] is nonzero.
+
+    The entries between blocks are structural zeros, so every dense
+    factorisation of M splits exactly into one per block, and blocks of one
+    size stack into one call.  A matrix with no such structure is one block.
+    """
+    # imported on first use: the sieve and lambda paths never factorise M
+    import scipy.sparse.csgraph
+
+    # the CSR pattern of M, with float weights so that connected_components
+    # takes it without a conversion
+    M = np.asarray(M)
+    rows, cols = np.nonzero(M)
+    indptr = np.searchsorted(rows, np.arange(M.shape[0] + 1))
+    graph = scipy.sparse.csr_array((np.ones(rows.size), cols.copy(), indptr),
+                                   shape=M.shape)
+    _, labels = scipy.sparse.csgraph.connected_components(graph,
+                                                          directed=False)
+    # components are labelled in order of their smallest index; the sort by
+    # block size, then block, is stable, so each block keeps its indices in
+    # increasing order
+    sizes = np.bincount(labels)
+    order = np.lexsort((labels, sizes[labels]))
+    groups, start = [], 0
+    for size in np.unique(sizes):
+        count = np.count_nonzero(sizes == size)
+        groups.append(order[start:start + count * size].reshape(count, size))
+        start += count * size
+    return tuple(groups)
+
+
+def _stack(M: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of M indexed by the rows of group, as one
+    (m, s, s) stack."""
+    return M[group[:, :, None], group[:, None, :]]
 
 
 def adjoint_semigroup(gen: LindbladGenerator) -> np.ndarray:
@@ -379,13 +429,19 @@ def adjoint_semigroup(gen: LindbladGenerator) -> np.ndarray:
     return build_superoperator(gen).conj().T
 
 
-def propagator(gen: LindbladGenerator, t: float,
-               superop: np.ndarray | None = None) -> np.ndarray:
-    """Superoperator matrix of T_t = exp(tL) (scaling-and-squaring Pade)."""
+def propagator(gen: LindbladGenerator, t: float) -> np.ndarray:
+    """Superoperator matrix of T_t = exp(tL) (scaling-and-squaring Pade, one
+    stack of equal-size blocks of M at a time)."""
     if t < 0:
         raise ValidationError("the semigroup is defined for t >= 0 only")
-    M = build_superoperator(gen) if superop is None else superop
-    return scipy.linalg.expm(t * M)
+    M = build_superoperator(gen)
+    if gen._blocks is None:
+        object.__setattr__(gen, "_blocks", superoperator_blocks(M))
+    E = np.zeros(M.shape, dtype=complex)
+    for group in gen._blocks:
+        E[group[:, :, None], group[:, None, :]] = \
+            scipy.linalg.expm(t * _stack(M, group))
+    return E
 
 
 def _entrywise_kernel(gen: LindbladGenerator) -> np.ndarray | None:

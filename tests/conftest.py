@@ -5,6 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qsieve import (
+    LindbladGenerator,
+    davies_model,
+    grw_model,
+    pointer_model,
+    qbm_model,
+)
+from qsieve.liouville import superoperator_blocks
+
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -26,6 +35,36 @@ def basis_state(d: int, k: int) -> np.ndarray:
     psi = np.zeros(d, dtype=complex)
     psi[k] = 1.0
     return psi
+
+
+def unstructured_model() -> LindbladGenerator:
+    """A unital 4-level model (dephasing plus Hermitian hopping) whose
+    superoperator has no block structure: one block."""
+    H = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+    H[0, 1] = H[1, 0] = 0.5
+    H[1, 2], H[2, 1] = 0.3j, -0.3j
+    H[2, 3] = H[3, 2] = 0.2
+    dephase = np.diag([1.0, 0.5, 0.0, -0.5])
+    hop = 0.7 * (np.eye(4, k=1) + np.eye(4, k=-1))
+    return LindbladGenerator(4, H, jump_ops=(dephase, hop))
+
+
+def blocks_of(M: np.ndarray) -> list:
+    """The index arrays of the diagonal blocks of M, one per block."""
+    return [idx for group in superoperator_blocks(M) for idx in group]
+
+
+def block_models() -> dict:
+    """Models whose superoperators split into blocks in different ways, with
+    their block counts: coherence-order sectors (Davies), two parity blocks
+    (QBM), all 1x1 (GRW, pointer) and one block (unstructured)."""
+    return {
+        "davies8": (davies_model(8, 1.0), 15),
+        "qbm8": (qbm_model(8, 0.5), 2),
+        "grw6": (grw_model(np.linspace(-3.0, 3.0, 6), 1.0, 1.0), 36),
+        "pointer4": (pointer_model([0.0, 1.0, 2.5, 3.7]), 16),
+        "unstructured4": (unstructured_model(), 1),
+    }
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+import qsieve.liouville as liouville
 from qsieve.cli import ConfigError, main, parse_config
 
 
@@ -186,6 +187,28 @@ def test_run_classify_json(tmp_path):
     assert res["n_classical"] == 3
     assert res["max_pairwise_overlap"] <= 1e-8
     assert max(res["fixed_point_residuals"]) <= 1e-8
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "evolve"])
+def test_run_assembles_the_superoperator_once(tmp_path, monkeypatch,
+                                              command):
+    # classify once built M in the command and again in classical_states;
+    # evolve once rebuilt it for the steady state and for every new dt
+    calls = []
+    real = liouville._JumpList.matrix
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(liouville._JumpList, "matrix", counting)
+    payload = {"command": command,
+               "model": {"type": "pointer", "energies": [0.0, 1.0, 2.5]}}
+    if command == "evolve":
+        payload["times"] = [0.0, 0.5, 1.5, 2.0]
+    code, _ = run_cli(tmp_path, payload)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_run_decompose_json(tmp_path):

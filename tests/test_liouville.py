@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qsieve import (
     LindbladGenerator,
@@ -27,9 +28,15 @@ from qsieve import (
     qbm_model,
     toy_model,
 )
-from qsieve.liouville import unvec, vec
+from qsieve.liouville import superoperator_blocks, unvec, vec
 
-from conftest import random_density, random_hermitian, random_pure
+from conftest import (
+    block_models,
+    blocks_of,
+    random_density,
+    random_hermitian,
+    random_pure,
+)
 
 
 def _models():
@@ -152,6 +159,57 @@ def test_forms_agree_with_explicit_map(rng):
                           - lambda_gradient(explicit, psi)).max() <= 1e-12
 
 
+def test_superoperator_is_built_once_and_read_only():
+    gen = qbm_model(6, 0.5)
+    M = build_superoperator(gen)
+    assert build_superoperator(gen) is M
+    assert not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# block structure
+
+@pytest.mark.parametrize("name", list(block_models()))
+def test_superoperator_blocks_are_exact(name):
+    gen, count = block_models()[name]
+    M = build_superoperator(gen)
+    groups = superoperator_blocks(M)
+    sizes = [group.shape[1] for group in groups]
+    assert sizes == sorted(set(sizes))
+    blocks = blocks_of(M)
+    assert len(blocks) == count
+    assert all(np.all(np.diff(idx) > 0) for idx in blocks)
+    assert np.array_equal(np.sort(np.concatenate(blocks)),
+                          np.arange(M.shape[0]))
+    inside = np.zeros(M.shape, dtype=bool)
+    for idx in blocks:
+        inside[np.ix_(idx, idx)] = True
+    assert not np.any(M[~inside])
+
+
+def test_block_counts_follow_the_symmetry_sectors():
+    # Davies: one block per coherence order k = m - n, |k| < N; QBM: the x
+    # jump moves k by 0 or +-2, so the parity of k splits M in two.  A
+    # stray non-structural entry would merge blocks and fail this.
+    N = 10
+    assert len(blocks_of(
+        build_superoperator(davies_model(N, 1.0)))) == 2 * N - 1
+    for n_levels in (6, 9, 16):
+        assert len(blocks_of(
+            build_superoperator(qbm_model(n_levels, 0.4)))) == 2
+
+
+@pytest.mark.parametrize("name", list(block_models()))
+def test_propagator_matches_dense_expm(name):
+    gen, _ = block_models()[name]
+    M = build_superoperator(gen)
+    for t in (0.1, 1.0, 5.0):
+        assert np.abs(propagator(gen, t)
+                      - scipy.linalg.expm(t * M)).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # propagation
 
@@ -166,11 +224,10 @@ def test_depolarizing_closed_form(rng):
 
 def test_semigroup_property():
     for gen in [pointer_model([0.0, 1.0, 2.5]), qbm_model(8, 0.3)]:
-        M = build_superoperator(gen)
         for t in (0.1, 1.0, 5.0):
             for s in (0.1, 1.0, 5.0):
-                lhs = propagator(gen, t, M) @ propagator(gen, s, M)
-                rhs = propagator(gen, t + s, M)
+                lhs = propagator(gen, t) @ propagator(gen, s)
+                rhs = propagator(gen, t + s)
                 assert np.abs(lhs - rhs).max() <= 1e-8
 
 
