@@ -57,7 +57,6 @@ from .decomposition import (
 )
 from .models import (
     DiscQuadrature,
-    davies_jump_tensor,
     davies_model,
     disc_quadrature,
     grw_model,

@@ -52,6 +52,7 @@ from .models import (
 from .operators import (
     DegenerateInputError,
     ValidationError,
+    is_hermitian,
     linear_entropy,
     normalize_state,
     random_pure_state,
@@ -74,7 +75,7 @@ class ConfigError(ValidationError):
 # ---------------------------------------------------------------------------
 # schema helpers
 
-def _check_keys(obj: dict, path: str, required: dict, optional: dict) -> None:
+def _check_keys(obj: dict, path: str, required, optional) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected a JSON object")
     allowed = set(required) | set(optional)
@@ -141,6 +142,13 @@ def _complex_vector(value, path: str) -> list:
     return [_complex_entry(c, f"{path}[{i}]") for i, c in enumerate(value)]
 
 
+def _hermitian(H: list, path: str) -> list:
+    """H, checked Hermitian at the tolerance LindbladGenerator applies."""
+    if not is_hermitian(_to_complex(H), tol=1e-12):
+        raise ConfigError(path, "must be Hermitian")
+    return H
+
+
 def _to_complex(pairs) -> np.ndarray:
     """[re, im]-pair nesting (vector or matrix) -> complex ndarray."""
     arr = np.asarray(pairs, dtype=float)
@@ -158,31 +166,29 @@ def _validate_model(model, path: str = "model") -> dict:
         raise ConfigError(f"{path}.type",
                           f"unknown model type {mtype!r} "
                           f"(options: {sorted(MODEL_SCHEMAS)})")
+    # a trailing "?" marks an optional key of the schema
+    schema = MODEL_SCHEMAS[mtype]
+    _check_keys(model, path,
+                ["type"] + [key for key in schema if not key.endswith("?")],
+                [key[:-1] for key in schema if key.endswith("?")])
     out = {"type": mtype}
     if mtype == "toy":
-        _check_keys(model, path, {"type": None}, {"hamiltonian": None})
         if "hamiltonian" in model:
             H = _complex_matrix(model["hamiltonian"], f"{path}.hamiltonian")
             if len(H) != 2 or len(H[0]) != 2:
                 raise ConfigError(f"{path}.hamiltonian", "must be 2x2")
-            out["hamiltonian"] = H
+            out["hamiltonian"] = _hermitian(H, f"{path}.hamiltonian")
     elif mtype == "pointer":
-        _check_keys(model, path, {"type": None, "energies": None}, {})
         energies = _real_list(model["energies"], f"{path}.energies")
         if len(energies) < 2:
             raise ConfigError(f"{path}.energies", "need at least two levels")
         out["energies"] = energies
     elif mtype == "qbm":
-        _check_keys(model, path, {"type": None, "n_levels": None, "D": None},
-                    {"omega": None})
         out["n_levels"] = _integer(model["n_levels"], f"{path}.n_levels", 2)
         out["D"] = _number(model["D"], f"{path}.D", positive=True)
         out["omega"] = _number(model.get("omega", 1.0), f"{path}.omega",
                                positive=True)
     elif mtype == "grw":
-        _check_keys(model, path,
-                    {"type": None, "grid": None, "kappa": None, "alpha": None},
-                    {})
         grid = _real_list(model["grid"], f"{path}.grid")
         if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"{path}.grid",
@@ -191,8 +197,6 @@ def _validate_model(model, path: str = "model") -> dict:
         out["kappa"] = _number(model["kappa"], f"{path}.kappa", positive=True)
         out["alpha"] = _number(model["alpha"], f"{path}.alpha", positive=True)
     elif mtype == "davies":
-        _check_keys(model, path, {"type": None, "kappa": None},
-                    {"n_levels": None, "energies": None, "quadrature": None})
         out["kappa"] = _number(model["kappa"], f"{path}.kappa", positive=True)
         out["n_levels"] = _integer(model.get("n_levels", 40),
                                    f"{path}.n_levels", 2)
@@ -203,8 +207,8 @@ def _validate_model(model, path: str = "model") -> dict:
                                   "length must equal n_levels")
             out["energies"] = energies
         quad = model.get("quadrature", {})
-        _check_keys(quad, f"{path}.quadrature", {},
-                    {"r_max": None, "n_r": None, "n_theta": None})
+        _check_keys(quad, f"{path}.quadrature", (),
+                    ("r_max", "n_r", "n_theta"))
         q = {"r_max": _number(quad.get("r_max", 1.0 - 1e-9),
                               f"{path}.quadrature.r_max", positive=True),
              "n_r": _integer(quad.get("n_r", 64),
@@ -215,12 +219,10 @@ def _validate_model(model, path: str = "model") -> dict:
             raise ConfigError(f"{path}.quadrature.r_max", "must be < 1")
         out["quadrature"] = q
     elif mtype == "custom":
-        _check_keys(model, path, {"type": None, "hamiltonian": None},
-                    {"jump_ops": None})
         H = _complex_matrix(model["hamiltonian"], f"{path}.hamiltonian")
         if len(H) != len(H[0]):
             raise ConfigError(f"{path}.hamiltonian", "must be square")
-        out["hamiltonian"] = H
+        out["hamiltonian"] = _hermitian(H, f"{path}.hamiltonian")
         jump_ops = model.get("jump_ops", [])
         if not isinstance(jump_ops, list):
             raise ConfigError(f"{path}.jump_ops",

@@ -23,9 +23,12 @@ given in four ways:
                    SU(1,1) coherent states, compressed to the lowest d Fock
                    levels, plus a diagonal trace compensator; held matrix
                    free through the selection rule m + q = n + p, so G and
-                   lambda never touch a d^2 x d^2 array
+                   lambda never touch a d^2 x d^2 array, and mat(Phi) is
+                   scattered from its O(d^3) allowed entries
 
-A purely Hamiltonian generator is a jump list with no operators.
+A purely Hamiltonian generator is a jump list with no operators.  The
+environment-induced-semigroup check (eis_check) reads the Choi matrix of
+exp(tL) off its superoperator matrix by a reshuffle of entries.
 """
 from __future__ import annotations
 
@@ -39,11 +42,9 @@ from .operators import (
     DimensionMismatchError,
     ValidationError,
     is_hermitian,
-    operator_norm,
     projector,
     random_density_matrix,
     random_hermitian,
-    trace_norm,
     validate_density_matrix,
 )
 
@@ -175,34 +176,19 @@ class _ExplicitCP(_Form):
         return self.S
 
 
-def davies_jump_tensor(N: int, kappa: float) -> np.ndarray:
-    """Exact Fock-basis tensor of the coherent-projector jump integral.
-
-    T[m, n, p, q] is the matrix element of rho -> kappa int dmu(zeta)
-    e_zeta rho e_zeta compressed to the lowest N levels.  The angular
-    integral forces m + q = n + p and the radial one is a Beta integral:
-    int_0^1 (1-u)^2 u^s du = 2 / ((s+1)(s+2)(s+3)) with s = m + q.
-    """
-    idx = np.arange(N, dtype=float)
-    m = idx[:, None, None, None]
-    n = idx[None, :, None, None]
-    p = idx[None, None, :, None]
-    q = idx[None, None, None, :]
-    s = m + q
-    coef = (np.sqrt((m + 1) * (n + 1) * (p + 1) * (q + 1))
-            * 2.0 / ((s + 1) * (s + 2) * (s + 3)))
-    return kappa * np.where(m + q == n + p, coef, 0.0)
-
-
 class _CoherentMeasure:
-    """Phi = Phi_J + Phi_C: the jump integral of davies_jump_tensor plus the
-    trace compensator Phi_C(X) = diag(plan^T diag X).
+    """Phi = Phi_J + Phi_C: the jump integral X -> kappa int dmu(zeta)
+    e_zeta X e_zeta compressed to the lowest N levels, plus the trace
+    compensator Phi_C(X) = diag(plan^T diag X).
 
-    With r_n = sqrt(n+1) and w_s = 2 kappa / ((s+1)(s+2)(s+3)) for
-    s < 2N - 1, the selection rule m + q = n + p gives
-    Phi_J(X)[m, n] = r_m r_n sum_s w_s (rXr)[s-n, s-m]; Phi_J is real and
-    self-adjoint.  On e = |psi><psi|, with a = r psi and its self-convolution
-    c = a * a, <psi|Phi_J(e)|psi> = sum_s w_s |c_s|^2 and
+    In the Fock basis Phi_J(X)[m, n] = sum_pq T[m, n, p, q] X[p, q].  The
+    angular integral forces m + q = n + p and the radial one is the Beta
+    integral int_0^1 (1-u)^2 u^s du = 2 / ((s+1)(s+2)(s+3)), s = m + q, so
+    T = r_m r_n r_p r_q w_s on its O(N^3) allowed entries, with
+    r_n = sqrt(n+1) and w_s = 2 kappa / ((s+1)(s+2)(s+3)) for s < 2N - 1.
+    Hence Phi_J(X)[m, n] = r_m r_n sum_s w_s (rXr)[s-n, s-m]; Phi_J is real
+    and self-adjoint.  On e = |psi><psi|, with a = r psi and its
+    self-convolution c = a * a, <psi|Phi_J(e)|psi> = sum_s w_s |c_s|^2 and
     Phi_J(e) psi = r (w c correlated with a): O(N^2) per evaluation.
     """
 
@@ -222,7 +208,6 @@ class _CoherentMeasure:
         self._diag_in = (rows >= 0) & (rows < dim)
         self._diag_rows = np.clip(rows, 0, dim - 1)
         self._diag_offset = n[:, None] - n[None, :] + dim - 1
-        self._S = None
 
     def _jump(self, X: np.ndarray) -> np.ndarray:
         n = np.arange(self.dim)
@@ -252,18 +237,23 @@ class _CoherentMeasure:
                 + (self.plan_sym @ p) * psi)
 
     def matrix(self) -> np.ndarray:
-        """Dense mat(Phi), built on first use and kept on the form."""
-        if self._S is None:
-            N = self.dim
-            # vec is column stacked: entry (m, n) sits at index n*N + m, so
-            # the slot for output (m, n) from input (p, q) is [nN+m, qN+p]
-            S = davies_jump_tensor(N, self.kappa).transpose(
-                1, 0, 3, 2).reshape(N * N, N * N)
-            diag_idx = np.arange(N) * (N + 1)
-            S[np.ix_(diag_idx, diag_idx)] += self.plan.T
-            S.setflags(write=False)
-            self._S = S
-        return self._S
+        """Dense mat(Phi), real: the allowed entries of T scattered into
+        place, plus the compensator on the population block."""
+        N = self.dim
+        m, n, p = np.indices((N, N, N)).reshape(3, -1)
+        q = n + p - m
+        keep = (q >= 0) & (q < N)
+        m, n, p, q = m[keep], n[keep], p[keep], q[keep]
+        s = m + q
+        S = np.zeros((N * N, N * N))
+        # vec is column stacked: entry (m, n) sits at index n*N + m, so the
+        # slot for output (m, n) from input (p, q) is [nN+m, qN+p]
+        S[n * N + m, q * N + p] = self.kappa * (
+            np.sqrt((m + 1) * (n + 1) * (p + 1) * (q + 1))
+            * 2.0 / ((s + 1) * (s + 2) * (s + 3)))
+        diag_idx = np.arange(N) * (N + 1)
+        S[np.ix_(diag_idx, diag_idx)] += self.plan.T
+        return S
 
 
 @dataclass(frozen=True)
@@ -498,15 +488,14 @@ def evolve(gen: LindbladGenerator, rho, t: float) -> np.ndarray:
     return validate_density_matrix(out)
 
 
-def choi_matrix(apply_map, dim: int) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) Map(|i><j|), normalized by 1/dim."""
-    C = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            E = np.zeros((dim, dim), dtype=complex)
-            E[i, j] = 1.0
-            C[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = apply_map(E)
-    return C / dim
+def choi_matrix(P: np.ndarray) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) Map(|i><j|) / d of the map with d^2 x d^2
+    superoperator matrix P: as Map(|i><j|)[a, b] = P[b*d + a, j*d + i], a
+    reshuffle of the entries of P (Choi, Linear Algebra Appl. 10, 285 (1975)).
+    """
+    d = int(round(np.sqrt(P.shape[0])))
+    return P.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(
+        d * d, d * d) / d
 
 
 @dataclass(frozen=True)
@@ -562,27 +551,33 @@ class EisReport:
 
 def eis_check(gen: LindbladGenerator, n_samples: int = 10,
               times=(0.1, 1.0, 5.0), seed: int = 0) -> EisReport:
-    """Verify CP, trace preservation and both norm contractions numerically."""
+    """Verify CP, trace preservation and both norm contractions numerically.
+
+    Each time takes one propagator P: the Choi matrix is a reshuffle of P,
+    and one product with P maps every sample state and Hermitian operator.
+    """
     rng = np.random.default_rng(seed)
-    d = gen.dim
-    rhos = [random_density_matrix(d, rng) for _ in range(n_samples)]
-    herms = [random_hermitian(d, rng) for _ in range(n_samples)]
+    d, n = gen.dim, n_samples
+    rhos = [random_density_matrix(d, rng) for _ in range(n)]
+    herms = [random_hermitian(d, rng) for _ in range(n)]
+    A = np.array(rhos + herms, dtype=complex).reshape(2 * n, d, d)
+    X = A.transpose(2, 1, 0).reshape(d * d, 2 * n)  # column k is vec(A[k])
 
     min_choi = np.inf
-    max_trace_dev = 0.0
-    max_tn_growth = -np.inf
-    max_on_growth = -np.inf
-    for t in times:
-        T = channel_applier(gen, t)
-        choi = choi_matrix(T, d)
-        min_choi = min(min_choi, float(np.linalg.eigvalsh(choi).min()))
-        for rho in rhos:
-            out = T(rho)
-            max_trace_dev = max(max_trace_dev, abs(out.trace().real - 1.0))
-        for A in herms:
-            out = T(A)
-            max_tn_growth = max(max_tn_growth, trace_norm(out) - trace_norm(A))
-            max_on_growth = max(max_on_growth,
-                                operator_norm(out) - operator_norm(A))
-    return EisReport(min_choi, max_trace_dev, max_tn_growth, max_on_growth,
-                     tuple(times))
+    outs = np.empty((len(times), 2 * n, d, d), dtype=complex)
+    for i, t in enumerate(times):
+        P = propagator(gen, t)
+        min_choi = min(min_choi,
+                       float(np.linalg.eigvalsh(choi_matrix(P)).min()))
+        outs[i] = (P @ X).reshape(d, d, 2 * n).transpose(2, 1, 0)
+    traces = np.trace(outs[:, :n], axis1=2, axis2=3).real
+    # singular values of the Hermitian operators, then of their images
+    sv = np.linalg.svd(np.concatenate([A[None, n:], outs[:, n:]]),
+                       compute_uv=False)
+    trace_norms, operator_norms = sv.sum(axis=-1), sv[..., 0]
+    return EisReport(
+        min_choi,
+        float(np.abs(traces - 1.0).max(initial=0.0)),
+        float((trace_norms[1:] - trace_norms[0]).max(initial=-np.inf)),
+        float((operator_norms[1:] - operator_norms[0]).max(initial=-np.inf)),
+        tuple(times))

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .liouville import LindbladGenerator, davies_jump_tensor
+from .liouville import LindbladGenerator
 from .operators import ValidationError, normalize_state
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "qbm_model",
     "grw_model",
     "davies_model",
-    "davies_jump_tensor",
     "ladder_operator",
     "position_operator",
     "squeezed_vacuum",
@@ -220,8 +219,8 @@ def grw_model(grid, kappa: float, alpha: float) -> LindbladGenerator:
 
 
 def _davies_jump_diagonal(N: int, kappa: float) -> np.ndarray:
-    """T[m, m, p, p] of davies_jump_tensor, the population-to-population
-    part of the jump integral, without forming the N^4 tensor."""
+    """The population block T[m, m, p, p] of the jump integral's Fock
+    coefficients (see the coherent-measure form in liouville)."""
     idx = np.arange(N, dtype=float)
     m = idx[:, None]
     p = idx[None, :]
@@ -267,19 +266,20 @@ def davies_model(N: int, kappa: float, energies=None,
     + kappa int dmu(zeta) e_zeta rho e_zeta - 1/2 {kappa int dmu e_zeta, rho}.
 
     The jump integral over the disc is evaluated in closed form in the Fock
-    basis (Beta integrals, see davies_jump_tensor), so lambda is exact on the
-    truncated space.  Compressing the jump output to N levels loses the trace
+    basis (Beta integrals under the selection rule m + q = n + p, see the
+    coherent-measure form in liouville), so lambda is exact on the truncated
+    space.  Compressing the jump output to N levels loses the trace
     that leaks above the cutoff; a completely positive compensator channel
     restores it, routing each level's deficit to levels far from it so that
     low-lying states -- in particular every coherent state resolvable at this
     cutoff -- are unaffected.  The result is exactly trace preserving and
     unital, hence contractive in both norms.
 
-    The generator carries the map matrix free (the coherent-measure form in
-    liouville): the per-level deficits come from the O(N^2) population block
-    of the jump tensor, lambda and its gradient are O(N^2) self-convolutions,
-    and the dense N^2 x N^2 map is built only when a superoperator is asked
-    for (evolve, decompose, classify).
+    The generator carries the map matrix free: the per-level deficits come
+    from the O(N^2) population block of the jump integral, lambda and its
+    gradient are O(N^2) self-convolutions, and the dense N^2 x N^2 map is
+    scattered from its O(N^3) nonzero entries only when a superoperator is
+    asked for (evolve, decompose, classify).
 
     Construction validates the disc-quadrature moments and the process
     compatibility relation tr[J(D, e_psi)] = kappa on random states.
@@ -305,7 +305,7 @@ def davies_model(N: int, kappa: float, energies=None,
                             label="davies")
 
     # compatibility check through the quadrature itself, independent of the
-    # closed-form tensor: tr[J(D, e_psi)] = kappa sum_j w_j |<zeta_j|psi>|^2
+    # closed form: tr[J(D, e_psi)] = kappa sum_j w_j |<zeta_j|psi>|^2
     n = np.arange(N)
     V = ((1 - np.abs(quad.nodes) ** 2)[None, :]
          * np.sqrt(n + 1.0)[:, None] * quad.nodes[None, :] ** n[:, None])

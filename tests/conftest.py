@@ -37,6 +37,40 @@ def basis_state(d: int, k: int) -> np.ndarray:
     return psi
 
 
+def davies_jump_tensor(N: int, kappa: float) -> np.ndarray:
+    """Exact Fock-basis tensor of the coherent-projector jump integral.
+
+    T[m, n, p, q] is the matrix element of rho -> kappa int dmu(zeta)
+    e_zeta rho e_zeta compressed to the lowest N levels.  The angular
+    integral forces m + q = n + p and the radial one is a Beta integral:
+    int_0^1 (1-u)^2 u^s du = 2 / ((s+1)(s+2)(s+3)) with s = m + q.
+    The N^4 reference for the Davies map that the package scatters from
+    the allowed entries alone.
+    """
+    idx = np.arange(N, dtype=float)
+    m = idx[:, None, None, None]
+    n = idx[None, :, None, None]
+    p = idx[None, None, :, None]
+    q = idx[None, None, None, :]
+    s = m + q
+    coef = (np.sqrt((m + 1) * (n + 1) * (p + 1) * (q + 1))
+            * 2.0 / ((s + 1) * (s + 2) * (s + 3)))
+    return kappa * np.where(m + q == n + p, coef, 0.0)
+
+
+def davies_map_from_tensor(N: int, kappa: float,
+                           plan: np.ndarray) -> np.ndarray:
+    """Dense mat(Phi) of the Davies map built from the N^4 tensor: the
+    jump integral plus the compensator diag(plan^T diag X)."""
+    # vec is column stacked: entry (m, n) sits at index n*N + m, so the
+    # slot for output (m, n) from input (p, q) is [nN+m, qN+p]
+    S = davies_jump_tensor(N, kappa).transpose(1, 0, 3, 2).reshape(
+        N * N, N * N)
+    diag_idx = np.arange(N) * (N + 1)
+    S[np.ix_(diag_idx, diag_idx)] += plan.T
+    return S
+
+
 def unstructured_model() -> LindbladGenerator:
     """A unital 4-level model (dephasing plus Hermitian hopping) whose
     superoperator has no block structure: one block."""

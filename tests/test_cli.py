@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qsieve.liouville as liouville
-from qsieve.cli import ConfigError, main, parse_config
+from qsieve.cli import MODEL_SCHEMAS, ConfigError, main, parse_config
 
 
 def write_config(tmp_path, name, payload):
@@ -115,6 +115,68 @@ def test_custom_jump_ops_must_be_an_array(jump_ops):
                                        [[0.0, 0.0], [1.0, 0.0]]],
                        "jump_ops": jump_ops}}))
     assert exc.value.path == "model.jump_ops"
+
+
+# every key of every model schema, with valid values
+FULL_MODELS = {
+    "toy": {"type": "toy",
+            "hamiltonian": [[[0.0, 0.0], [0.5, 0.0]],
+                            [[0.5, 0.0], [1.0, 0.0]]]},
+    "pointer": {"type": "pointer", "energies": [0.0, 1.0]},
+    "qbm": {"type": "qbm", "n_levels": 4, "D": 0.5, "omega": 1.5},
+    "grw": {"type": "grw", "grid": [0.0, 1.0, 2.0], "kappa": 1.0,
+            "alpha": 0.5},
+    "davies": {"type": "davies", "kappa": 1.0, "n_levels": 3,
+               "energies": [0.0, 1.0, 2.0],
+               "quadrature": {"r_max": 0.999, "n_r": 16, "n_theta": 32}},
+    "custom": {"type": "custom",
+               "hamiltonian": [[[0.0, 0.0], [0.0, -1.0]],
+                               [[0.0, 1.0], [1.0, 0.0]]],
+               "jump_ops": [[[[1.0, 0.0], [0.0, 0.0]],
+                             [[0.0, 0.0], [-1.0, 0.0]]]]},
+}
+
+
+def _parse_model(model):
+    return parse_config(json.dumps({"command": "lambda", "model": model}))
+
+
+@pytest.mark.parametrize("mtype", sorted(MODEL_SCHEMAS))
+def test_model_keys_follow_the_schema(mtype):
+    schema = MODEL_SCHEMAS[mtype]
+    full = FULL_MODELS[mtype]
+    assert set(full) == {"type"} | {key.rstrip("?") for key in schema}
+    assert _parse_model(full)["model"]["type"] == mtype
+    for key in schema:
+        if key.endswith("?"):
+            continue
+        model = {k: v for k, v in full.items() if k != key}
+        with pytest.raises(ConfigError) as exc:
+            _parse_model(model)
+        assert exc.value.path == f"model.{key}"
+        assert str(exc.value) == f"model.{key}: missing required key"
+    with pytest.raises(ConfigError) as exc:
+        _parse_model(dict(full, bogus=1))
+    assert exc.value.path == "model.bogus"
+
+
+NON_HERMITIAN = [[[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("mtype", ["toy", "custom"])
+def test_non_hermitian_hamiltonian_is_a_config_error(tmp_path, capsys,
+                                                     mtype):
+    # validate once accepted it and run then failed without a path
+    payload = {"command": "lambda", "states": "random:2",
+               "model": {"type": mtype, "hamiltonian": NON_HERMITIAN}}
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["validate", "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["path"] == "model.hamiltonian"
+    code, _ = run_cli(tmp_path, payload)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["path"] == "model.hamiltonian"
 
 
 # ---------------------------------------------------------------------------

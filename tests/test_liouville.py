@@ -13,7 +13,6 @@ from qsieve import (
     apply_generator,
     apply_generator_adjoint,
     build_superoperator,
-    davies_jump_tensor,
     davies_model,
     eis_check,
     lambda_gradient,
@@ -28,14 +27,29 @@ from qsieve import (
     qbm_model,
     toy_model,
 )
-from qsieve.liouville import superoperator_blocks, unvec, vec
+from qsieve.liouville import (
+    EisReport,
+    channel_applier,
+    choi_matrix,
+    superoperator_blocks,
+    unvec,
+    vec,
+)
+from qsieve.operators import (
+    operator_norm,
+    random_density_matrix,
+    trace_norm,
+)
+from qsieve.operators import random_hermitian as random_hermitian_operator
 
 from conftest import (
     block_models,
     blocks_of,
+    davies_jump_tensor,
     random_density,
     random_hermitian,
     random_pure,
+    unstructured_model,
 )
 
 
@@ -288,3 +302,86 @@ def test_eis_check_passes_on_all_models():
         assert report.max_trace_norm_growth <= 1e-9
         assert report.max_operator_norm_growth <= 1e-9
         assert report.passed
+
+
+# The matrix-unit Choi loop and the per-sample check that eis_check
+# replaced, kept as references.
+
+def loop_choi_matrix(apply_map, dim: int) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) Map(|i><j|), normalized by 1/dim."""
+    C = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            E = np.zeros((dim, dim), dtype=complex)
+            E[i, j] = 1.0
+            C[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = apply_map(E)
+    return C / dim
+
+
+def loop_eis_check(gen, n_samples: int = 10, times=(0.1, 1.0, 5.0),
+                   seed: int = 0) -> EisReport:
+    rng = np.random.default_rng(seed)
+    d = gen.dim
+    rhos = [random_density_matrix(d, rng) for _ in range(n_samples)]
+    herms = [random_hermitian_operator(d, rng) for _ in range(n_samples)]
+
+    min_choi = np.inf
+    max_trace_dev = 0.0
+    max_tn_growth = -np.inf
+    max_on_growth = -np.inf
+    for t in times:
+        T = channel_applier(gen, t)
+        choi = loop_choi_matrix(T, d)
+        min_choi = min(min_choi, float(np.linalg.eigvalsh(choi).min()))
+        for rho in rhos:
+            out = T(rho)
+            max_trace_dev = max(max_trace_dev, abs(out.trace().real - 1.0))
+        for A in herms:
+            out = T(A)
+            max_tn_growth = max(max_tn_growth, trace_norm(out) - trace_norm(A))
+            max_on_growth = max(max_on_growth,
+                                operator_norm(out) - operator_norm(A))
+    return EisReport(min_choi, max_trace_dev, max_tn_growth, max_on_growth,
+                     tuple(times))
+
+
+def _transpose_semigroup(d: int) -> LindbladGenerator:
+    """Phi = the transpose map: positive and trace preserving, not CP, so
+    exp(tL) = e^-t (cosh t id + sinh t transpose) fails the Choi test."""
+    S = np.zeros((d * d, d * d))
+    i, j = np.indices((d, d)).reshape(2, -1)
+    S[j * d + i, i * d + j] = 1.0
+    return LindbladGenerator(d, np.zeros((d, d)), cp_superop=S)
+
+
+def _eis_models():
+    return _models() + [unstructured_model(),
+                        grw_model(np.linspace(-3.0, 3.0, 16), 1.0, 1.0),
+                        davies_model(12, 1.0), _transpose_semigroup(3)]
+
+
+def test_choi_matrix_is_the_matrix_unit_loop():
+    for gen in _eis_models():
+        for t in (0.1, 1.0, 5.0):
+            assert np.array_equal(
+                choi_matrix(propagator(gen, t)),
+                loop_choi_matrix(channel_applier(gen, t), gen.dim))
+
+
+def test_eis_check_matches_the_per_sample_loop():
+    figures = ("min_choi_eigenvalue", "max_trace_deviation",
+               "max_trace_norm_growth", "max_operator_norm_growth")
+    for gen in _eis_models():
+        report, reference = eis_check(gen), loop_eis_check(gen)
+        for name in figures:
+            assert getattr(report, name) == pytest.approx(
+                getattr(reference, name), abs=1e-12), name
+        assert report.passed == reference.passed
+
+
+def test_eis_check_rejects_a_map_that_is_not_completely_positive():
+    report = eis_check(_transpose_semigroup(3))
+    assert report.min_choi_eigenvalue < -1e-3
+    assert not report.completely_positive
+    assert report.trace_preserving
+    assert not report.passed

@@ -11,7 +11,6 @@ import pytest
 
 from qsieve import (
     ValidationError,
-    davies_jump_tensor,
     davies_model,
     disc_quadrature,
     evolve,
@@ -29,7 +28,12 @@ from qsieve import (
 )
 from qsieve.models import coherent_moment
 
-from conftest import basis_state, random_pure
+from conftest import (
+    basis_state,
+    davies_jump_tensor,
+    davies_map_from_tensor,
+    random_pure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +188,26 @@ def test_davies_jump_tensor_structure():
     # rotational selection rule: nonzero only when m + q = n + p
     m, n, p, q = np.indices(T.shape)
     assert np.abs(T[m + q != n + p]).max() == 0.0
+    # the map scattered from the allowed entries is the tensor's, bit for bit
+    for N in (2, 6, 12, 24):
+        for kappa in (1.0, 1.3):
+            gen = davies_model(N, kappa)
+            _, plan = gen.coherent_measure
+            assert np.array_equal(gen._phi.matrix(),
+                                  davies_map_from_tensor(N, kappa, plan))
+
+
+def test_davies_map_scatter_stays_near_the_map_size():
+    # the N^4 tensor route peaked at 43.5 MB at N=40; the map is 20.5 MB
+    gen = davies_model(40, 1.0)
+    tracemalloc.start()
+    try:
+        S = gen._phi.matrix()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert S.nbytes == 1600 * 1600 * 8
+    assert peak <= 25e6
 
 
 # N=100 is out of reach of a dense map (a 1.6 GB superoperator); the
@@ -222,7 +246,8 @@ def test_davies_lambda_path_builds_no_dense_map(rng):
     minimize_lambda(gen, n_starts=2, seed=3)
     lambda_gradient(gen, random_pure(12, rng))
     assert gen.cp_superop is None
-    assert gen._phi._S is None  # the dense map is built only on demand
+    assert gen._M is None  # the dense map is built only on demand
+    assert not hasattr(gen._phi, "_S")  # and never kept on the form
     # at N=60 the N^4 jump tensor alone would take 104 MB
     tracemalloc.start()
     try:
