@@ -18,6 +18,7 @@ import scipy.linalg
 
 from .liouville import (
     LindbladGenerator,
+    _check_dim,
     _stack,
     apply_generator,
     build_superoperator,
@@ -26,7 +27,13 @@ from .liouville import (
     unvec,
     vec,
 )
-from .operators import ValidationError, hs_norm, join_projectors, projector
+from .operators import (
+    DimensionMismatchError,
+    ValidationError,
+    hs_norm,
+    join_projectors,
+    projector,
+)
 
 __all__ = [
     "SpectralSplit",
@@ -54,10 +61,12 @@ class DefectivePeripheralSpectrumError(RuntimeError):
 class SpectralSplit:
     iso_basis: np.ndarray        # (k, d, d), HS-orthonormal
     sweep_basis: np.ndarray      # (d^2 - k, d, d), HS-orthonormal
-    iso_projection: np.ndarray   # d^2 x d^2, projects onto iso along sweep
     peripheral_eigenvalues: np.ndarray
     spectral_gap: float          # min |Re lambda| over the swept spectrum
     tol: float
+    groups: tuple        # superoperator_blocks of the M it was computed on
+    projections: tuple   # per group, (m, s, s): onto iso along sweep
+    block_bases: tuple   # per group, (m, s, s): [iso | sweep] columns
 
     @property
     def dim(self) -> int:
@@ -72,6 +81,11 @@ class SpectralSplit:
     def sweep_dim(self) -> int:
         return self.sweep_basis.shape[0]
 
+    def project(self, X: np.ndarray) -> np.ndarray:
+        """The projection onto iso along sweep of the columns of the
+        d^2 x m matrix X, one stack of blocks at a time."""
+        return _block_apply(self.groups, self.projections, X)
+
 
 def _vec_columns(ops: np.ndarray) -> np.ndarray:
     """vec of each operator in a (m, d, d) stack, as the columns of a
@@ -83,14 +97,6 @@ def _vec_columns(ops: np.ndarray) -> np.ndarray:
 def _unvec_columns(X: np.ndarray, d: int) -> np.ndarray:
     """The columns of a d^2 x m matrix as a (m, d, d) stack of operators."""
     return np.ascontiguousarray(X.T.reshape(-1, d, d).transpose(0, 2, 1))
-
-
-def _embed(n: int, idx: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """n-row matrix holding the rows of part at the rows idx, zero
-    elsewhere: block vectors written in the whole space."""
-    out = np.zeros((n, part.shape[1]), dtype=complex)
-    out[idx] = part
-    return out
 
 
 def _block_apply(groups: tuple, stacks: list, X: np.ndarray) -> np.ndarray:
@@ -106,48 +112,68 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     """Split vectorized operator space into peripheral (isometric) and decaying
     (sweeping) invariant subspaces of the Liouvillian matrix M."""
     M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
+    n = M.shape[0] if M.ndim == 2 else 0
+    d = int(round(np.sqrt(n)))
+    if n == 0 or M.shape != (d * d, d * d):
+        raise ValidationError(f"M has shape {M.shape}, not d^2 x d^2")
     groups = superoperator_blocks(M)
     stacks = [_stack(M, group) for group in groups]
     evs = np.concatenate([np.linalg.eigvals(S).ravel() for S in stacks])
     if tol is None:
-        scale = max(np.abs(evs.real).max(), 1e-30)
-        tol = 1e-9 * scale
+        tol = 1e-9 * max(np.abs(evs.real).max(), 1e-30)
 
     is_peripheral = lambda z: abs(z.real) <= tol
-    blocks = [idx for group in groups for idx in group]
-    schurs = []
-    for B in (B for S in stacks for B in S):
-        T, Q, k = scipy.linalg.schur(B, output="complex", sort=is_peripheral)
-        schurs.append((T, Q, int(k)))
-    periph = np.concatenate([np.diag(T)[:k] for T, _, k in schurs])
+    schurs = [[scipy.linalg.schur(B, output="complex", sort=is_peripheral)
+               for B in S] for S in stacks]  # (T, Q, k) per block
+    periph = np.concatenate([np.diag(T)[:k] for blocks in schurs
+                             for T, _, k in blocks])
     periph_scale = max(np.abs(periph).max(initial=0.0), 1.0)
 
-    P = np.zeros((n, n), dtype=complex)
-    iso_cols, sweep_cols = [], []
-    for idx, (T, Q, k) in zip(blocks, schurs):
-        s = idx.size
-        _check_semisimple(T[:k, :k], np.diag(T)[:k], tol, periph_scale)
-        if 0 < k < s:
-            # spectral projector from the 2x2 block Schur form
-            R = scipy.linalg.solve_sylvester(T[:k, :k], -T[k:, k:], T[:k, k:])
-            top = np.hstack([np.eye(k), R])
-            P[np.ix_(idx, idx)] = Q[:, :k] @ top @ Q.conj().T
-            sweep_q, _ = np.linalg.qr(Q[:, :k] @ (-R) + Q[:, k:])
-        elif k == s:
-            P[idx, idx] = 1.0
-            sweep_q = np.zeros((s, 0), dtype=complex)
-        else:
-            sweep_q = np.eye(s, dtype=complex)
-        iso_cols.append(_embed(n, idx, Q[:, :k]))
-        sweep_cols.append(_embed(n, idx, sweep_q))
+    projections, bases, iso_masks = [], [], []
+    for (m, s), blocks in zip((g.shape for g in groups), schurs):
+        P = np.zeros((m, s, s), dtype=complex)
+        basis = np.empty_like(P)
+        for b, (T, Q, k) in enumerate(blocks):
+            _check_semisimple(T[:k, :k], np.diag(T)[:k], tol, periph_scale)
+            if 0 < k < s:
+                # spectral projector from the 2x2 block Schur form
+                R = scipy.linalg.solve_sylvester(T[:k, :k], -T[k:, k:],
+                                                 T[:k, k:])
+                P[b] = Q[:, :k] @ np.hstack([np.eye(k), R]) @ Q.conj().T
+                basis[b, :, k:], _ = np.linalg.qr(Q[:, :k] @ (-R) + Q[:, k:])
+            elif k:
+                P[b] = np.eye(k)
+            else:
+                basis[b] = np.eye(s)
+            basis[b, :, :k] = Q[:, :k]
+        projections.append(P)
+        bases.append(basis)
+        # the first k columns of a block's basis span its part of iso
+        iso_masks.append(np.arange(s) < np.array([k for *_, k in blocks])
+                         [:, None])
 
-    d = int(round(np.sqrt(n)))
-    iso_basis = _unvec_columns(np.hstack(iso_cols), d)
-    sweep_basis = _unvec_columns(np.hstack(sweep_cols), d)
     swept_res = np.abs(evs.real)[np.abs(evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
-    return SpectralSplit(iso_basis, sweep_basis, P, periph, gap, tol)
+    return SpectralSplit(
+        _operators(groups, bases, iso_masks, d),
+        _operators(groups, bases, [~mask for mask in iso_masks], d),
+        periph, gap, tol, groups, tuple(projections), tuple(bases))
+
+
+def _operators(groups: tuple, bases: list, masks: list, d: int) -> np.ndarray:
+    """The block basis columns that masks select, block by block in order, as
+    one (count, d, d) stack of operators."""
+    ops = np.zeros((sum(int(mask.sum()) for mask in masks), d, d),
+                   dtype=complex)
+    start = 0
+    for group, basis, mask in zip(groups, bases, masks):
+        # the entries of each selected column sit at the indices of its block;
+        # vec is column stacked, so index i holds the entry (i % d, i // d)
+        idx = np.repeat(group, mask.sum(axis=1), axis=0)
+        rows = np.arange(start, start + idx.shape[0])[:, None]
+        ops[rows, idx % d, idx // d] = basis.transpose(0, 2, 1)[mask]
+        start += idx.shape[0]
+    return ops
 
 
 def _check_semisimple(T11: np.ndarray, periph: np.ndarray, tol: float,
@@ -173,8 +199,11 @@ def iso_membership(split: SpectralSplit, e) -> float:
     """HS norm of the swept component of a rank-1 projector; ~0 certifies
     membership of the robust set."""
     e = np.asarray(e, dtype=complex)
-    x = vec(e)
-    return float(np.linalg.norm(x - split.iso_projection @ x))
+    if e.shape != (split.dim, split.dim):
+        raise DimensionMismatchError(
+            f"operator shape {e.shape} does not match split dim {split.dim}")
+    x = vec(e)[:, None]
+    return float(np.linalg.norm(x - split.project(x)))
 
 
 #: entries of SplitVerification.residuals that are health figures, not
@@ -207,26 +236,24 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     product closure, and join closure for rank-1 projectors in iso.
 
     exp(tM), one stack of equal-size blocks of M at a time, and the
-    projection, restricted to its nonzero rows and columns, act on whole
-    stacks of vectors; the blocks are those of M, whatever split is given."""
+    projection, one stack of the split's blocks at a time, act on whole
+    stacks of vectors; exp(tM) takes the blocks of M, whatever split is
+    given."""
     rng = np.random.default_rng(seed)
     M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
+    n = split.dim ** 2
+    if M.shape != (n, n):
+        raise DimensionMismatchError(
+            f"superoperator shape {M.shape} does not match split dim "
+            f"{split.dim}")
+    times = tuple(times)
+    if not times or min(times) < 0:
+        raise ValidationError(
+            "verification needs at least one time, each t >= 0")
     groups = superoperator_blocks(M)
-    P = split.iso_projection
-    rows = np.flatnonzero(P.any(axis=1))
-    cols = np.flatnonzero(P.any(axis=0))
-    P_nonzero = P[np.ix_(rows, cols)]
-
-    def project(X: np.ndarray) -> np.ndarray:
-        out = np.zeros(X.shape, dtype=complex)
-        out[rows] = P_nonzero @ X[cols]
-        return out
-
-    swept_norm = lambda X: float(np.linalg.norm(X - project(X), axis=0)
+    swept_norm = lambda X: float(np.linalg.norm(X - split.project(X), axis=0)
                                  .max(initial=0.0))
-    iso = split.iso_basis
-    sweep = split.sweep_basis
+    iso, sweep = split.iso_basis, split.sweep_basis
     sweep_vecs = _vec_columns(sweep)
     res: dict[str, float | None] = {}
 
@@ -234,7 +261,8 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     adj = lambda ops: _vec_columns(ops.conj().transpose(0, 2, 1))
     res["a_star_invariance"] = max(
         swept_norm(adj(iso)),
-        float(np.linalg.norm(project(adj(sweep)), axis=0).max(initial=0.0)))
+        float(np.linalg.norm(split.project(adj(sweep)), axis=0)
+              .max(initial=0.0)))
 
     # (b) trace orthogonality tr(phi1 phi2) = 0; the rows of the reshaped
     # iso stack are vec(phi1^T), and tr(phi1 phi2) = vec(phi1^T) . vec(phi2)
@@ -244,7 +272,8 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     # (c) completeness of the direct sum
     res["c_completeness"] = float(split.iso_dim + split.sweep_dim != n)
     if split.iso_dim and split.sweep_dim:
-        sv = _singular_values(np.hstack([_vec_columns(iso), sweep_vecs]))
+        sv = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel()
+                             for B in split.block_bases])
         res["c_basis_conditioning"] = float(sv.min() / sv.max())
     else:
         res["c_basis_conditioning"] = 1.0
@@ -252,8 +281,7 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     # (d) HS isometry + multiplicativity of the flow on iso
     expms = {t: [scipy.linalg.expm(t * _stack(M, group)) for group in groups]
              for t in times}
-    iso_norm = 0.0
-    iso_mult = 0.0
+    iso_norm = iso_mult = 0.0
     for t in (times if split.iso_dim else ()):
         phis = []
         for _ in range(2 * n_samples):
@@ -294,32 +322,6 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     return SplitVerification(res)
 
 
-def _singular_values(B: np.ndarray) -> np.ndarray:
-    """Singular values of B, one SVD per connected component of its sparsity
-    pattern (row i and column j joined wherever B[i, j] is nonzero), stacked
-    over components of one shape.  Exact for any B; a basis whose vectors
-    each lie in one block of M splits into one small SVD per block."""
-    r, c = B.shape
-    nz = B != 0
-    pattern = np.block([[np.zeros((r, r), dtype=bool), nz],
-                        [nz.T, np.zeros((c, c), dtype=bool)]])
-    sv = [np.zeros(0)]
-    for group in superoperator_blocks(pattern):
-        # each component lists its rows (indices < r) before its columns
-        n_rows = np.count_nonzero(group < r, axis=1)
-        for k in np.unique(n_rows):
-            comps = group[n_rows == k]
-            rows, cols = comps[:, :k], comps[:, k:] - r
-            # a component with more columns than rows adds zero singular
-            # values
-            sv.append(np.zeros(comps.shape[0]
-                               * max(cols.shape[1] - k, 0)))
-            if k and cols.shape[1]:
-                sv.append(np.linalg.svd(B[rows[:, :, None], cols[:, None, :]],
-                                        compute_uv=False).ravel())
-    return np.concatenate(sv)
-
-
 def _rank1_projectors_in(basis: np.ndarray, tol: float = 1e-8) -> list:
     """Basis elements that are scalar multiples of rank-1 projectors."""
     out = []
@@ -328,13 +330,10 @@ def _rank1_projectors_in(basis: np.ndarray, tol: float = 1e-8) -> list:
         if abs(tr) < tol:
             continue
         cand = B / tr
-        if hs_norm(cand - cand.conj().T) > tol:
-            continue
-        if hs_norm(cand @ cand - cand) > tol:
-            continue
-        if abs(cand.trace().real - 1.0) > tol:
-            continue
-        out.append(cand)
+        if (hs_norm(cand - cand.conj().T) <= tol
+                and hs_norm(cand @ cand - cand) <= tol
+                and abs(cand.trace().real - 1.0) <= tol):
+            out.append(cand)
     return out
 
 
@@ -444,7 +443,9 @@ def _null_space(M: np.ndarray, groups: tuple) -> np.ndarray:
     for group, (_, s, vh) in zip(groups, svds):
         for idx, s_b, vh_b in zip(group, s, vh):
             null = vh_b[np.count_nonzero(s_b > cutoff):].conj().T
-            cols.append(_embed(n, idx, null))
+            col = np.zeros((n, null.shape[1]), dtype=complex)
+            col[idx] = null  # the block's null vectors in the whole space
+            cols.append(col)
     return np.hstack(cols)
 
 
@@ -457,7 +458,7 @@ def _pair_stays_in_iso(split: SpectralSplit, u: np.ndarray, v: np.ndarray,
     the balanced state at that phase is tested against tol."""
     X = np.stack([vec(np.outer(u, v.conj())), vec(np.outer(v, u.conj()))],
                  axis=1)
-    R = X - split.iso_projection @ X
+    R = X - split.project(X)
     z = np.vdot(R[:, 0], R[:, 1])
     phase = np.sqrt(-np.conj(z) / abs(z)) if abs(z) > 0 else 1.0
     psi = (u + phase * v) / np.sqrt(2.0)
@@ -471,8 +472,7 @@ def _hermitian_kernel_basis(kernel: np.ndarray, tol: float = 1e-10) -> list:
         B = unvec(kernel[:, i])
         mats.append(0.5 * (B + B.conj().T))
         mats.append(0.5j * (B - B.conj().T))
-    basis = []
-    stacked = []
+    basis, stacked = [], []
     for B in mats:
         if hs_norm(B) < tol:
             continue
@@ -504,12 +504,11 @@ def robustness_probe(gen: LindbladGenerator, e, times,
                      split: SpectralSplit | None = None) -> RobustnessReport:
     """Max linear entropy of T_t e and T*_t e over sampled times, cross-checked
     against the spectral membership residual."""
-    e = np.asarray(e, dtype=complex)
+    e = _check_dim(gen, e)
     if split is None:
         split = spectral_split(build_superoperator(gen))
     x = vec(e)
-    fwd = 0.0
-    adj = 0.0
+    fwd = adj = 0.0
     for t in times:
         if t < 0:
             raise ValidationError("probe times must be nonnegative")

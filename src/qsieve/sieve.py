@@ -244,11 +244,10 @@ def superposition_grid(e, f, n_ratio: int = 24, n_phase: int = 16) -> list:
     return states
 
 
-def _excludes(gen: LindbladGenerator, e, f, threshold: float,
-              n_ratio: int = 24, n_phase: int = 16) -> bool:
-    """True iff every sampled superposition of e and f has lambda above the
-    threshold."""
-    for psi in superposition_grid(e, f, n_ratio, n_phase):
+def _excludes(gen: LindbladGenerator, e, f, threshold: float) -> bool:
+    """True iff every superposition of e and f on the default grid has lambda
+    above the threshold."""
+    for psi in superposition_grid(e, f):
         if lambda_pure(gen, psi) <= threshold:
             return False
     return True

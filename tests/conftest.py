@@ -88,6 +88,17 @@ def blocks_of(M: np.ndarray) -> list:
     return [idx for group in superoperator_blocks(M) for idx in group]
 
 
+def dense_projection(split) -> np.ndarray:
+    """The d^2 x d^2 projection onto iso along sweep, scattered from the
+    split's block projections."""
+    n = split.dim ** 2
+    P = np.zeros((n, n), dtype=complex)
+    for group, stack in zip(split.groups, split.projections):
+        for idx, block in zip(group, stack):
+            P[np.ix_(idx, idx)] = block
+    return P
+
+
 def block_models() -> dict:
     """Models whose superoperators split into blocks in different ways, with
     their block counts: coherence-order sectors (Davies), two parity blocks

@@ -3,6 +3,8 @@ verification report, and enumeration of the pointer ("classical") states."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,10 +12,13 @@ from scipy.optimize import linear_sum_assignment
 
 from qsieve import (
     DefectivePeripheralSpectrumError,
+    DimensionMismatchError,
     LindbladGenerator,
     SpectralSplit,
+    ValidationError,
     build_superoperator,
     classical_states,
+    davies_model,
     evolve,
     fidelity,
     grw_model,
@@ -35,7 +40,13 @@ import qsieve.decomposition as decomposition
 from qsieve.decomposition import _fixed_point_candidates, _null_space
 from qsieve.liouville import superoperator_blocks, unvec, vec
 
-from conftest import basis_state, block_models, blocks_of, random_pure
+from conftest import (
+    basis_state,
+    block_models,
+    blocks_of,
+    dense_projection,
+    random_pure,
+)
 
 
 def hamiltonian_only(d: int = 3) -> LindbladGenerator:
@@ -77,7 +88,7 @@ def test_split_projection_is_idempotent_and_commutes():
     for gen in [pointer_model([0.0, 0.4, -1.0]), toy_model()]:
         M = build_superoperator(gen)
         split = spectral_split(M)
-        P = split.iso_projection
+        P = dense_projection(split)
         assert np.abs(P @ P - P).max() <= 1e-9
         assert np.abs(P @ M - M @ P).max() <= 1e-9
 
@@ -110,12 +121,31 @@ def test_defective_peripheral_spectrum_raises():
         spectral_split(M)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3), (4,), (0, 0)])
+def test_split_rejects_a_matrix_that_is_not_d2_square(shape):
+    with pytest.raises(ValidationError):
+        spectral_split(np.zeros(shape))
+
+
+def test_split_holds_no_dense_projection():
+    # the block projections and bases hold sum s^2 entries over the blocks;
+    # the iso and sweep bases hold d^4, as many as M
+    M = build_superoperator(davies_model(30, 1.0))
+    split = spectral_split(M)
+    held = 0
+    for f in fields(split):
+        value = getattr(split, f.name)
+        for array in (value if isinstance(value, tuple) else (value,)):
+            held += getattr(array, "nbytes", 0)
+    assert held <= 1.1 * M.nbytes
+
+
 # ---------------------------------------------------------------------------
 # block-by-block split against the dense one
 
 def dense_spectral_split(M, tol=None) -> SpectralSplit:
     """Reference: the split computed on the whole of M, one dense eigvals,
-    Schur form, Sylvester solve and QR."""
+    Schur form, Sylvester solve and QR: the one-block split."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     evs = np.linalg.eigvals(M)
@@ -150,7 +180,9 @@ def dense_spectral_split(M, tol=None) -> SpectralSplit:
                             for i in range(n - k)]).reshape(n - k, d, d)
     swept_res = np.abs(evs.real)[np.abs(evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
-    return SpectralSplit(iso_basis, sweep_basis, P, periph.copy(), gap, tol)
+    return SpectralSplit(iso_basis, sweep_basis, periph.copy(), gap, tol,
+                         (np.arange(n)[None],), (P[None],),
+                         (np.hstack([Q[:, :k], sweep_q])[None],))
 
 
 def assert_same_multiset(a, b, tol):
@@ -175,7 +207,8 @@ def test_block_split_matches_dense_split(name):
     assert split.sweep_dim == dense.sweep_dim
     assert_same_multiset(split.peripheral_eigenvalues,
                          dense.peripheral_eigenvalues, 1e-10)
-    assert np.abs(split.iso_projection - dense.iso_projection).max() <= 1e-10
+    assert np.abs(dense_projection(split)
+                  - dense_projection(dense)).max() <= 1e-10
     assert split.spectral_gap == pytest.approx(dense.spectral_gap, rel=1e-9)
     report = verify_split_properties(M, split)
     assert report.max_residual <= 1e-7
@@ -198,7 +231,7 @@ def loop_verify_split_properties(M, split, times=(1.0, 5.0, 20.0),
     one matvec of the dense projection per basis element."""
     rng = np.random.default_rng(seed)
     n = M.shape[0]
-    P = split.iso_projection
+    P = dense_projection(split)
     iso = split.iso_basis
     sweep = split.sweep_basis
     res = {}
@@ -315,6 +348,22 @@ def test_verification_reports_a_split_of_another_matrix(split_from,
     assert report.max_residual >= mismatch
 
 
+def test_split_and_verification_search_the_blocks_once_each(monkeypatch):
+    # the verification reads the conditioning off the split's own block
+    # bases; it searches only for the blocks of the M it is given
+    calls = []
+    real = decomposition.superoperator_blocks
+
+    def counting(M):
+        calls.append(1)
+        return real(M)
+
+    monkeypatch.setattr(decomposition, "superoperator_blocks", counting)
+    M = build_superoperator(block_models()["davies8"][0])
+    verify_split_properties(M, spectral_split(M))
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("name", list(block_models()))
 def test_block_kernel_spans_the_null_space(name):
     gen, _ = block_models()[name]
@@ -344,6 +393,30 @@ def test_iso_membership_superposition_is_half_sqrt2():
     plus = projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
     assert iso_membership(split, plus) == pytest.approx(np.sqrt(2.0) / 2.0,
                                                         abs=1e-9)
+
+
+@pytest.mark.parametrize("e", [np.eye(4) / 4, np.eye(2) / 2, np.ones(9)],
+                         ids=["d4", "d2", "flat"])
+def test_iso_membership_rejects_an_operator_of_another_dim(e):
+    split = spectral_split(build_superoperator(pointer_model([0.0, 1.0, 2.5])))
+    with pytest.raises(DimensionMismatchError):
+        iso_membership(split, e)
+
+
+@pytest.mark.parametrize("name", list(block_models()))
+def test_iso_membership_block_split_matches_one_block_split(name):
+    gen, _ = block_models()[name]
+    M = build_superoperator(gen)
+    split = spectral_split(M)
+    dense = dense_spectral_split(M)
+    d = gen.dim
+    states = [basis_state(d, k) for k in range(d)]
+    states += [(states[j] + states[k]) / np.sqrt(2.0)
+               for j in range(d) for k in range(j + 1, d)]
+    for psi in states:
+        e = projector(psi)
+        assert abs(iso_membership(split, e)
+                   - iso_membership(dense, e)) <= 1e-12
 
 
 def test_iso_membership_unitary_case(rng):
@@ -381,6 +454,21 @@ def test_verify_split_depolarizing_sweep_decay():
     M = build_superoperator(gen)
     report = verify_split_properties(M, spectral_split(M), times=(1.0, 5.0, 20.0))
     assert report.residuals["e_sweep_decay"] <= np.exp(-2.0 * 20.0) + 1e-9
+
+
+def test_verify_split_rejects_a_superoperator_of_another_dim():
+    split = spectral_split(build_superoperator(pointer_model([0.0, 1.0, 2.5])))
+    M = build_superoperator(pointer_model([0.0, 1.0, 2.5, 3.7]))
+    with pytest.raises(DimensionMismatchError):
+        verify_split_properties(M, split)
+
+
+@pytest.mark.parametrize("times", [(), (1.0, -5.0)], ids=["empty", "negative"])
+def test_verify_split_rejects_bad_times(times):
+    # the semigroup is defined for t >= 0 only
+    M = build_superoperator(pointer_model([0.0, 1.0, 2.5]))
+    with pytest.raises(ValidationError):
+        verify_split_properties(M, spectral_split(M), times=times)
 
 
 def test_verify_split_unitary_sweep_vacuous():
@@ -530,6 +618,12 @@ def test_robustness_probe_matches_dense_semigroups(rng):
               for t in times)
     assert report.max_forward_entropy == pytest.approx(fwd, abs=1e-12)
     assert report.max_adjoint_entropy == pytest.approx(adj, abs=1e-12)
+
+
+def test_robustness_probe_rejects_an_operator_of_another_dim():
+    gen = pointer_model([0.0, 1.0, 2.5])
+    with pytest.raises(DimensionMismatchError):
+        robustness_probe(gen, np.eye(2) / 2, times=(1.0,))
 
 
 def test_robustness_matches_membership_on_superpositions(rng):
