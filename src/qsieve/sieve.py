@@ -4,7 +4,12 @@ superposition-exclusion test for quasi-classical states.
 
 For a rank-1 projector e the form is lambda(e) = -Re tr(e L(e)), i.e. half the
 initial rate of linear-entropy production.  Minimization runs multi-start
-projected gradient descent with backtracking on the unit sphere modulo phase.
+Riemannian gradient descent with Barzilai-Borwein steps and backtracking on
+the unit sphere; lambda and its gradient are blind to the global phase, so
+the iterates carry whatever phase the steps give them and only the returned
+minimizer is phase-fixed.  Superposition exclusion is decided exactly: on the
+span of two states lambda is a quadratic form in the Bloch vector, minimized
+in closed form over the band of superpositions the grid would sample.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from .operators import (
     ValidationError,
     combine_states,
     fidelity,
+    fix_phase,
     is_hermitian,
     normalize_state,
     projector,
@@ -94,7 +100,8 @@ class SieveReport:
     failed_starts: int
     seed: int
     n_starts: int
-    #: the exclusion tests sample S(e, f) on a finite grid
+    #: True iff the exclusion tests only sampled the superpositions on a
+    #: finite grid; minimize_lambda decides them exactly (False)
     sampled_universality: bool = True
 
     def as_dict(self) -> dict:
@@ -116,29 +123,39 @@ class SieveReport:
 
 def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
              max_iter: int):
-    """Projected gradient descent with Armijo backtracking; returns
-    (psi, lambda, converged)."""
-    psi = normalize_state(psi0)
+    """Riemannian gradient descent with Armijo backtracking; returns
+    (psi, lambda, converged) with psi phase-fixed.
+
+    Steps retract by renormalization alone: re-fixing the phase of each
+    iterate would make psi - prev_psi an O(1) phase jump wherever the
+    anchoring amplitude is small, and spoil the Barzilai-Borwein step."""
+    psi = psi0 / np.linalg.norm(psi0)
     val, grad = _lambda_and_grad(gen, psi)
     step = 1.0
     prev_psi = prev_grad = None
-    for _ in range(max_iter):
+    for it in range(max_iter):
         gnorm = np.linalg.norm(grad)
         scale = max(abs(val), 1.0)
         if gnorm <= tol * scale:
-            return psi, val, True
+            return fix_phase(psi), val, True
         if prev_grad is not None:
-            # Barzilai-Borwein step, essential on nearly flat valleys
+            # Barzilai-Borwein steps, essential on nearly flat valleys: the
+            # long (s.s / s.y) and short (s.y / y.y) ones in turn; where the
+            # curvature along s is not positive neither exists, and the step
+            # grows instead of keeping a stale short one
             s = psi - prev_psi
             y = grad - prev_grad
-            yy = float(np.real(np.vdot(y, y)))
-            if yy > 0.0:
-                bb = float(np.real(np.vdot(s, y))) / yy
-                if bb > 0.0:
-                    step = min(bb, 1e3)
+            sy = float(np.real(np.vdot(s, y)))
+            if sy > 0.0:
+                bb = (float(np.real(np.vdot(s, s))) / sy if it % 2 else
+                      sy / float(np.real(np.vdot(y, y))))
+                step = min(bb, 1e3)
+            else:
+                step = min(2.0 * step, 1e3)
         accepted = False
         for _ in range(40):
-            trial = normalize_state(psi - step * grad)
+            trial = psi - step * grad
+            trial = trial / np.linalg.norm(trial)
             tval, tgrad = _lambda_and_grad(gen, trial)
             if tval <= val - 1e-4 * step * gnorm ** 2:
                 prev_psi, prev_grad = psi, grad
@@ -151,11 +168,11 @@ def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
             # value has stagnated well below tolerance; in a flat valley the
             # gradient norm alone can take thousands of iterations to settle
             if np.linalg.norm(grad) <= tol ** 0.75 * scale:
-                return psi, val, True
+                return fix_phase(psi), val, True
         if not accepted:
             # line search stalled at machine precision: treat as converged
-            return psi, val, gnorm <= np.sqrt(tol) * scale
-    return psi, val, False
+            return fix_phase(psi), val, gnorm <= np.sqrt(tol) * scale
+    return fix_phase(psi), val, False
 
 
 def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
@@ -165,16 +182,18 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
     """Multi-start minimization of lambda over pure states.
 
     Deterministic for a fixed seed: each start draws from its own spawned
-    bit generator, so the result is independent of execution order.
+    bit generator, so the result is independent of execution order.  Each
+    unordered pair of distinct minimizers is tested once, exactly (see
+    _excludes), and a pair whose members are both already rejected is
+    skipped.
     """
     if n_starts < 1:
         raise ValidationError("n_starts must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn(n_starts)
+    starts = [random_pure_state(gen.dim, np.random.default_rng(ss))
+              for ss in np.random.SeedSequence(seed).spawn(n_starts)]
     results = []
     failed = 0
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        psi0 = random_pure_state(gen.dim, rng)
+    for psi0 in starts:
         psi, val, ok = _descend(gen, psi0, tol, max_iter)
         if ok:
             results.append((psi, val))
@@ -191,8 +210,7 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
     eps = max(1e-6, 1e-3 * abs(a0)) if epsilon is None else epsilon
 
     # flat landscape: every start ends (and starts) at the same value
-    start_vals = [lambda_pure(gen, random_pure_state(
-        gen.dim, np.random.default_rng(ss))) for ss in seeds]
+    start_vals = [lambda_pure(gen, psi0) for psi0 in starts]
     spread = max(lambdas.max() - a0, max(start_vals) - min(start_vals))
     flat = spread <= max(1e-9, 1e-6 * max(abs(a0), 1.0))
 
@@ -208,24 +226,18 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
                 minimizers.append(psi)
                 min_lams.append(v)
 
-    flags = []
-    if flat or len(minimizers) < 2:
-        flags = [False] * len(minimizers)
-    else:
-        for i, psi in enumerate(minimizers):
-            e = projector(psi)
-            ok = True
-            for j, phi in enumerate(minimizers):
-                if i == j:
-                    continue
-                if not _excludes(gen, e, projector(phi), a0 + eps):
-                    ok = False
-                    break
-            flags.append(ok)
+    m = len(minimizers)
+    flags = [not flat and m >= 2] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if (flags[i] or flags[j]) and not _excludes(
+                    gen, projector(minimizers[i]), projector(minimizers[j]),
+                    a0 + eps):
+                flags[i] = flags[j] = False
 
     return SieveReport(a0, eps, tuple(minimizers), tuple(min_lams),
                        tuple(float(v) for v in lambdas), tuple(flags), flat,
-                       failed, seed, n_starts)
+                       failed, seed, n_starts, sampled_universality=False)
 
 
 def superposition_grid(e, f, n_ratio: int = 24, n_phase: int = 16) -> list:
@@ -244,22 +256,128 @@ def superposition_grid(e, f, n_ratio: int = 24, n_phase: int = 16) -> list:
     return states
 
 
+#: Pauli basis (I, sigma_x, sigma_y, sigma_z) of the 2x2 Hermitian matrices
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+#: the modulus ratios |z2/z1| = tan(theta) at the ends of the default
+#: superposition_grid's theta range [pi/50, 12 pi/25]: the exclusion band
+_BAND_RATIOS = np.tan(np.pi / 2 * np.array([1.0, 24.0]) / 25)
+
+
+def _pauli_coords(X: np.ndarray) -> np.ndarray:
+    """tr(sigma_mu X) for mu = 0..3, real for Hermitian X."""
+    return np.einsum("mji,ij->m", _PAULI, X).real
+
+
+def _pair_form(gen: LindbladGenerator, u: np.ndarray,
+               w: np.ndarray) -> np.ndarray:
+    """Real symmetric 4x4 Q with lambda(psi) = n~^T Q n~ for every unit psi
+    in the span of orthonormal u, w, where n~ = (1, n) and n is the Bloch
+    vector of psi's coordinates x in (u, w), |x><x| = (I + n.sigma) / 2.
+
+    With S_mu = W sigma_mu W^dag, W = [u w], the projector is
+    e = sum_mu n~_mu S_mu / 2 and lambda(e) = tr(G e) - tr(e Phi(e)); Phi
+    enters through its images of the four matrix units w_a w_b^dag.
+    """
+    W = np.stack([u, w], axis=1)
+    Wh = W.conj().T
+    C = np.array([Wh @ gen._phi.apply(np.outer(W[:, a], Wh[b])) @ W
+                  for a in range(2) for b in range(2)]).reshape(2, 2, 2, 2)
+    # T[mu, nu] = tr(S_mu Phi(S_nu)) = sum_ab sigma_nu[a, b] tr(sigma_mu C_ab)
+    T = np.einsum("vab,mji,abij->mv", _PAULI, _PAULI, C).real
+    g = 0.25 * _pauli_coords(Wh @ gen._G @ W)
+    Q = -0.125 * (T + T.T)
+    Q[0] += g
+    Q[:, 0] += g
+    return Q
+
+
+def _band_minimum(Q: np.ndarray, c: complex, s: float) -> float:
+    """Minimum of n~^T Q n~ over the Bloch vectors of the states
+    z1 u + z2 v, v = c u + s w, with |z2/z1| in the closed exclusion band.
+
+    In (u, w) coordinates x = (x1, x2), z2 = x2 / s and z1 = x1 - c z2, so
+    |z2/z1| = t is the circle |x2|^2 = t^2 |s x1 - c x2|^2: a plane section
+    of the Bloch sphere, and the band lies between the two circles of
+    _BAND_RATIOS.  The minimum is attained at a stationary point of the
+    quadratic on the sphere inside the band, or at one on a boundary circle.
+    """
+    ell = np.array([s, -c])
+    # plane[k] . n~ >= 0 iff |z2/z1| >= t_k
+    planes = [_pauli_coords(np.diag([0.0, 1.0])
+                            - t * t * np.outer(ell.conj(), ell))
+              for t in _BAND_RATIOS]
+    A, q = Q[1:, 1:], Q[0, 1:]
+    scale = max(np.abs(Q).max(), 1.0)
+    tol = 1e-6 * scale
+
+    # interior: A n + q = mu n on |n| = 1.  With y = (A - mu)^{-2} q the
+    # multipliers are the real eigenvalues of (A - mu)^2 y = q q^T y,
+    # linearised to 6x6, and n = -(A - mu) y.  Where mu meets an eigenvalue
+    # of A, n is completed along that eigenvector to unit length.
+    lin = np.block([[np.zeros((3, 3)), np.eye(3)],
+                    [np.outer(q, q) - A @ A, 2.0 * A]])
+    mus = np.linalg.eigvals(lin)
+    evals, evecs = np.linalg.eigh(A)
+    qe = evecs.T @ q
+    points = []
+    for mu in mus[np.abs(mus.imag) <= tol].real:
+        gap = evals - mu
+        near = np.abs(gap) <= tol
+        n0 = evecs @ np.where(near, 0.0, -qe / np.where(near, 1.0, gap))
+        norm0 = np.linalg.norm(n0)
+        if norm0 > 0.0:
+            points.append(n0 / norm0)
+        rest = np.sqrt(max(1.0 - norm0 ** 2, 0.0))
+        for k in np.flatnonzero(near):
+            points += [n0 + rest * evecs[:, k], n0 - rest * evecs[:, k]]
+    candidates = []
+    for n in points:
+        nt = np.concatenate([[1.0], n])
+        if planes[0] @ nt >= 0.0 >= planes[1] @ nt:
+            candidates.append(nt)
+
+    # boundary circles n = p + r (cos tau e1 + sin tau e2): there lambda is
+    # a0 + a1 cos tau + b1 sin tau + a2 cos 2 tau + b2 sin 2 tau, stationary
+    # at the unit roots z = e^{i tau} of a quartic
+    for plane in planes:
+        h = plane[1:]
+        p = -plane[0] * h / (h @ h)
+        r = np.sqrt(max(1.0 - p @ p, 0.0))
+        e1, e2 = np.linalg.svd(h[None, :])[2][1:]
+        P0 = np.concatenate([[1.0], p])
+        P1 = np.concatenate([[0.0], r * e1])
+        P2 = np.concatenate([[0.0], r * e2])
+        a1, b1 = 2.0 * P0 @ Q @ P1, 2.0 * P0 @ Q @ P2
+        a2 = 0.5 * (P1 @ Q @ P1 - P2 @ Q @ P2)
+        b2 = P1 @ Q @ P2
+        roots = np.roots([b2 + 1j * a2, 0.5 * (b1 + 1j * a1), 0.0,
+                          0.5 * (b1 - 1j * a1), b2 - 1j * a2])
+        taus = np.concatenate([[0.0], np.angle(roots)])
+        candidates += list(P0 + np.cos(taus)[:, None] * P1
+                           + np.sin(taus)[:, None] * P2)
+    nt = np.array(candidates)
+    return float(np.einsum("ki,ij,kj->k", nt, Q, nt).min())
+
+
 def _excludes(gen: LindbladGenerator, e, f, threshold: float) -> bool:
-    """True iff every superposition of e and f on the default grid has lambda
-    above the threshold."""
-    for psi in superposition_grid(e, f):
-        if lambda_pure(gen, psi) <= threshold:
-            return False
-    return True
+    """True iff every superposition of e and f in the band the default
+    superposition_grid samples (|z2/z1| = tan theta, theta in
+    [pi/50, 12 pi/25], any relative phase) has lambda above the threshold.
+    Decided exactly, and symmetric in e and f."""
+    u, v = superposition_basis(e, f)
+    c = np.vdot(u, v)
+    w = v - c * u
+    s = np.linalg.norm(w)
+    return not _band_minimum(_pair_form(gen, u, w / s), c, s) <= threshold
 
 
 def quasi_classical_test(gen: LindbladGenerator, report: SieveReport,
                          e, f) -> bool:
-    """Do all grid superpositions of two most-stable states leave the stability
-    band?  (Sampled universality; see SieveReport.sampled_universality.)"""
-    u, v = superposition_basis(e, f)
-    return _excludes(gen, projector(u), projector(v),
-                     report.a0 + report.epsilon)
+    """Do all superpositions of two most-stable states in the exclusion band
+    leave the stability band [a0, a0 + epsilon]?  Decided exactly."""
+    return _excludes(gen, e, f, report.a0 + report.epsilon)
 
 
 def level_set_probe(gen: LindbladGenerator, a: float, band: float,

@@ -7,8 +7,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from qsieve import (
+    LindbladGenerator,
     ValidationError,
     davies_model,
     evolve,
@@ -26,6 +28,14 @@ from qsieve import (
     superposition,
     superposition_grid,
     toy_model,
+)
+from qsieve.operators import superposition_basis
+from qsieve.sieve import (
+    _BAND_RATIOS,
+    _PAULI,
+    _band_minimum,
+    _excludes,
+    _pair_form,
 )
 
 from conftest import basis_state, random_pure
@@ -156,6 +166,20 @@ def test_minimize_pointer_finds_basis_states():
         assert report.a0 - 1e-9 <= lam <= report.a0 + report.epsilon
 
 
+def test_descent_keeps_every_pointer_state():
+    # re-fixing the phase at each retraction turned the Barzilai-Borwein
+    # difference psi - prev_psi into an O(1) phase jump near a basis state:
+    # 4 of these 8 starts ran to max_iter and only 2 of the 5 states were
+    # found
+    d = 5
+    report = minimize_lambda(pointer_model([0.0, 1.0, 2.5, 3.7, 5.2]),
+                             n_starts=8, seed=0)
+    assert report.failed_starts == 0
+    found = {int(np.argmax(np.abs(psi))) for psi in report.minimizers
+             if np.abs(psi).max() ** 2 >= 1.0 - 1e-6}
+    assert found == set(range(d))
+
+
 def test_minimize_is_deterministic():
     gen = pointer_model([0.0, 1.0, 2.5])
     r1 = minimize_lambda(gen, n_starts=6, seed=11)
@@ -227,3 +251,163 @@ def test_quasi_classical_pointer_true_depolarizing_false():
     g1 = projector(basis_state(2, 0))
     g2 = projector(basis_state(2, 1))
     assert not quasi_classical_test(flat, flat_report, g1, g2)
+
+
+# ---------------------------------------------------------------------------
+# exact exclusion: lambda on the span of a pair is a quadratic form in the
+# Bloch vector, minimized in closed form over the band the grid samples
+
+def _explicit_cp_model():
+    H = np.diag([0.0, 0.7, -1.3]).astype(complex)
+    V = (np.diag([1.0, 1.0], 1) + 0.5j * np.diag([1.0, -1.0, 0.3])
+         + 0.2 * np.ones((3, 3)))
+    W = np.diag([0.4, 0.0], -1).astype(complex)
+    S = np.kron(V.conj(), V) + np.kron(W.conj(), W)
+    return LindbladGenerator(3, H, cp_superop=S)
+
+
+def _form_models():
+    """One generator per form of Phi."""
+    return [
+        pointer_model([0.0, 1.0, 2.5, 3.7, 5.2]),          # jump list
+        qbm_model(10, 0.4),                                # jump list
+        grw_model(np.linspace(-2, 2, 12), 1.0, 2.0),       # Hadamard kernel
+        davies_model(10, 1.0),                             # coherent measure
+        _explicit_cp_model(),                              # explicit d^2 x d^2
+    ]
+
+
+def _pair_coordinates(e, f):
+    """(u, w, c, s): f's representative is v = c u + s w, u and w
+    orthonormal, as _excludes sees the pair."""
+    u, v = superposition_basis(e, f)
+    c = np.vdot(u, v)
+    w = v - c * u
+    s = np.linalg.norm(w)
+    return u, w / s, c, s
+
+
+def _exact_minimum(gen, e, f) -> float:
+    u, w, c, s = _pair_coordinates(e, f)
+    return _band_minimum(_pair_form(gen, u, w), c, s)
+
+
+def _band_lambda(gen, e, f):
+    """lambda at the normalized cos t u + sin t e^{i phi} v, as a function of
+    (t, phi); the band is t in [pi/50, 12 pi/25]."""
+    u, v = superposition_basis(e, f)
+
+    def lam(x):
+        psi = np.cos(x[0]) * u + np.sin(x[0]) * np.exp(1j * x[1]) * v
+        return lambda_pure(gen, psi / np.linalg.norm(psi))
+    return lam
+
+
+def _grid_excludes(gen, e, f, threshold):
+    return all(lambda_pure(gen, psi) > threshold
+               for psi in superposition_grid(e, f))
+
+
+def test_band_is_the_grid_theta_range():
+    e = projector(basis_state(2, 0))
+    f = projector(basis_state(2, 1))
+    grid = superposition_grid(e, f)
+    ratios = [abs(psi[1] / psi[0]) for psi in grid]
+    assert min(ratios) == pytest.approx(_BAND_RATIOS[0], rel=1e-12)
+    assert max(ratios) == pytest.approx(_BAND_RATIOS[1], rel=1e-12)
+    assert _BAND_RATIOS[0] * _BAND_RATIOS[1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_pair_form_reproduces_lambda_on_the_span(rng):
+    for gen in _form_models():
+        e = projector(random_pure(gen.dim, rng))
+        f = projector(random_pure(gen.dim, rng))
+        u, w, _, _ = _pair_coordinates(e, f)
+        Q = _pair_form(gen, u, w)
+        assert np.array_equal(Q, Q.T)
+        for _ in range(10):
+            x = random_pure(2, rng)
+            nt = np.array([np.vdot(x, P @ x).real for P in _PAULI])
+            assert abs(nt @ Q @ nt - lambda_pure(gen, x[0] * u + x[1] * w)) \
+                <= 1e-12
+
+
+def test_band_minimum_is_below_the_grid_and_fine_sampling(rng):
+    lo, hi = np.arctan(_BAND_RATIOS)
+    points = [(t, phi) for t in np.linspace(lo, hi, 49)
+              for phi in np.linspace(0.0, 2 * np.pi, 48, endpoint=False)]
+    for gen in _form_models():
+        for _ in range(2):
+            e = projector(random_pure(gen.dim, rng))
+            f = projector(random_pure(gen.dim, rng))
+            exact = _exact_minimum(gen, e, f)
+            grid = min(lambda_pure(gen, psi)
+                       for psi in superposition_grid(e, f))
+            lam = _band_lambda(gen, e, f)
+            fine = sorted((lam(x), x) for x in points)
+            # rounding only: each sampled state lies in the band
+            assert exact <= grid + 1e-12
+            assert exact <= fine[0][0] + 1e-12
+            # and the minimum is attained: refining the best samples
+            # inside the band reaches it
+            refined = min(
+                minimize(lam, x, method="L-BFGS-B",
+                         bounds=[(lo, hi), (None, None)],
+                         options={"ftol": 1e-15, "gtol": 1e-12}).fun
+                for _, x in fine[:3])
+            assert exact <= refined + 1e-12
+            assert refined - exact <= 1e-9
+
+
+def test_band_minimum_on_a_degenerate_pair():
+    # lambda = 2 |a|^2 |b|^2 on span(|0>, |1>) of the pointer model does not
+    # depend on the relative phase; its band minimum sits on the edge
+    # theta = pi/50, where it is sin^2(2 theta) / 2
+    gen = pointer_model([0.0, 1.0, 2.5])
+    e = projector(basis_state(3, 0))
+    f = projector(basis_state(3, 1))
+    exact = _exact_minimum(gen, e, f)
+    assert exact == pytest.approx(0.5 * np.sin(np.pi / 25) ** 2, abs=1e-14)
+
+
+def test_exact_test_rejects_a_dip_between_grid_points():
+    # v = (|0> + |1>)/sqrt 2: the superposition u - sqrt2 v = -|1> has
+    # |z2/z1| = sqrt 2, inside the band, and lambda = 0 there; tan(theta) =
+    # sqrt 2 falls between the grid's theta = 15 pi/50 and 16 pi/50, so the
+    # grid sees no lower value than about 1.5e-3
+    gen = pointer_model([0.0, 1.0, 2.5, 3.7, 5.2])
+    e = projector(basis_state(5, 0))
+    f = projector((basis_state(5, 0) + basis_state(5, 1)) / np.sqrt(2.0))
+    exact = _exact_minimum(gen, e, f)
+    grid = min(lambda_pure(gen, psi) for psi in superposition_grid(e, f))
+    assert abs(exact) <= 1e-12
+    assert grid >= 1e-3
+    threshold = 0.5 * (exact + grid)
+    assert _grid_excludes(gen, e, f, threshold)
+    assert not _excludes(gen, e, f, threshold)
+
+
+def test_exact_test_is_symmetric(rng):
+    for gen in _form_models():
+        e = projector(random_pure(gen.dim, rng))
+        f = projector(random_pure(gen.dim, rng))
+        assert _exact_minimum(gen, e, f) == pytest.approx(
+            _exact_minimum(gen, f, e), abs=1e-12)
+
+
+@pytest.mark.parametrize("gen, n_starts", [
+    (pointer_model([0.0, 1.0, 2.5, 3.7, 5.2]), 8),
+    (grw_model(np.linspace(-3, 3, 16), 1.0, 1.0), 8),
+    (qbm_model(16, 0.5), 4),
+], ids=["pointer", "grw", "qbm"])
+def test_sieve_flags_agree_with_the_grid(gen, n_starts):
+    report = minimize_lambda(gen, n_starts=n_starts, seed=0)
+    assert not report.sampled_universality
+    assert len(report.minimizers) >= 2
+    threshold = report.a0 + report.epsilon
+    projs = [projector(psi) for psi in report.minimizers]
+    grid_flags = tuple(
+        all(_grid_excludes(gen, e, f, threshold)
+            for j, f in enumerate(projs) if j != i)
+        for i, e in enumerate(projs))
+    assert report.quasi_classical_flags == grid_flags
