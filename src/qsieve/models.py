@@ -10,7 +10,9 @@ that coherent states have position variance 1/2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -40,13 +42,18 @@ def coherent_moment(n: int) -> float:
     return (n + 1) / ((2 * n + 1) * (2 * n + 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscQuadrature:
     """Nodes and weights for the SU(1,1)-invariant measure on the unit disc.
 
     The measure dmu = (1/pi) dA / (1 - |zeta|^2)^2 is infinite; the weights
     carry the singular factor, so sums are finite exactly when the integrand
     decays like (1 - |zeta|^2)^2, which every trace polynomial in e_zeta does.
+
+    The arrays are read-only copies and instances compare and hash by
+    identity: a rule is shared by every model built on it, so the figures
+    that depend only on the rule (its moment errors, the Gram matrix of its
+    coherent states) are computed once per instance and kept on it.
     """
 
     nodes: np.ndarray        # complex, |zeta_j| < 1
@@ -54,18 +61,54 @@ class DiscQuadrature:
     r_max: float
     n_r: int
     n_theta: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name, dtype in (("nodes", complex), ("weights", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.real(np.dot(self.weights, values)))
 
     def moment_errors(self, ns=(0, 1, 2)) -> dict[int, float]:
         """Deviation of the quadrature from the exact coherent moments."""
-        u = np.abs(self.nodes) ** 2
         errs = {}
         for n in ns:
-            integrand = (1 - u) ** 4 * (n + 1) ** 2 * u ** (2 * n)
-            errs[n] = abs(self.integrate(integrand) - coherent_moment(n))
+            key = ("moment", n)
+            if key not in self._memo:
+                u = np.abs(self.nodes) ** 2
+                integrand = (1 - u) ** 4 * (n + 1) ** 2 * u ** (2 * n)
+                self._memo[key] = abs(self.integrate(integrand)
+                                      - coherent_moment(n))
+            errs[n] = self._memo[key]
         return errs
+
+    def gram(self, N: int) -> np.ndarray:
+        """G = sum_j w_j |zeta_j><zeta_j| over the N-level coherent states
+        (1-|zeta|^2) sum_n sqrt(n+1) zeta^n |n>, so that the quadrature sum
+        sum_j w_j |<zeta_j|psi>|^2 is psi^dag G psi. Read-only, kept per N."""
+        key = ("gram", N)
+        if key not in self._memo:
+            G = _coherent_gram(self, N)
+            G.flags.writeable = False
+            self._memo[key] = G
+        return self._memo[key]
+
+
+def _coherent_gram(quad: DiscQuadrature, N: int) -> np.ndarray:
+    # V[n, j] = (1 - |zeta_j|^2) sqrt(n+1) zeta_j^n, built in place: the
+    # only other N x nodes array is V^dag, taken before V is weighted
+    z = quad.nodes
+    V = np.empty((N, z.size), dtype=complex)
+    V[0] = 1 - np.abs(z) ** 2
+    for n in range(1, N):
+        np.multiply(V[n - 1], z, out=V[n])
+    V *= np.sqrt(np.arange(1.0, N + 1.0))[:, None]
+    Vh = V.conj().T
+    V *= quad.weights
+    return V @ Vh
 
 
 def disc_quadrature(r_max: float = 1.0 - 1e-9, n_r: int = 64,
@@ -73,9 +116,20 @@ def disc_quadrature(r_max: float = 1.0 - 1e-9, n_r: int = 64,
     """Product rule: Gauss-Legendre in u = r^2 on [0, r_max^2], trapezoid in
     angle; the 1/(1-u)^2 weight is folded into the radial weights so the rule
     is exact for integrands of the form (1-u)^2 * polynomial(u) restricted to
-    angular modes below n_theta."""
+    angular modes below n_theta.
+
+    Equal arguments return the same (read-only) instance."""
     if not 0.0 < r_max < 1.0:
         raise ValidationError("r_max must lie in (0, 1)")
+    for name, n in (("n_r", n_r), ("n_theta", n_theta)):
+        if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                or n < 1):
+            raise ValidationError(f"{name} must be a positive integer")
+    return _disc_quadrature(float(r_max), int(n_r), int(n_theta))
+
+
+@functools.lru_cache(maxsize=8)
+def _disc_quadrature(r_max: float, n_r: int, n_theta: int) -> DiscQuadrature:
     x, w = np.polynomial.legendre.leggauss(n_r)
     u_max = r_max ** 2
     u = 0.5 * u_max * (x + 1.0)
@@ -218,6 +272,17 @@ def grw_model(grid, kappa: float, alpha: float) -> LindbladGenerator:
                              kernel=C, label="grw")
 
 
+def _compatibility_sums(quad: DiscQuadrature, N: int,
+                        seed: int) -> np.ndarray:
+    """sum_j w_j |<zeta_j|psi>|^2 = psi^dag G psi for each of the ten seeded
+    random states of the Davies compatibility check; 1 for an exact rule."""
+    rng = np.random.default_rng(seed)
+    psi = np.column_stack([
+        normalize_state(rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        for _ in range(10)])
+    return np.real(np.sum(psi.conj() * (quad.gram(N) @ psi), axis=0))
+
+
 def _davies_jump_diagonal(N: int, kappa: float) -> np.ndarray:
     """The population block T[m, m, p, p] of the jump integral's Fock
     coefficients (see the coherent-measure form in liouville)."""
@@ -306,18 +371,8 @@ def davies_model(N: int, kappa: float, energies=None,
 
     # compatibility check through the quadrature itself, independent of the
     # closed form: tr[J(D, e_psi)] = kappa sum_j w_j |<zeta_j|psi>|^2
-    n = np.arange(N)
-    V = ((1 - np.abs(quad.nodes) ** 2)[None, :]
-         * np.sqrt(n + 1.0)[:, None] * quad.nodes[None, :] ** n[:, None])
-    Vh = V.conj().T
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(10):
-        psi = normalize_state(rng.standard_normal(N)
-                              + 1j * rng.standard_normal(N))
-        overlaps = np.abs(Vh @ psi) ** 2
-        jd = kappa * float(np.dot(quad.weights, overlaps))
-        worst = max(worst, abs(jd - kappa) / kappa)
+    # = kappa psi^dag G psi
+    worst = float(np.max(np.abs(_compatibility_sums(quad, N, seed) - 1.0)))
     if worst > consistency_tol:
         raise ValidationError(
             f"Davies compatibility tr[J(D, e_psi)] = kappa violated by "

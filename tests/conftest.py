@@ -13,6 +13,7 @@ from qsieve import (
     qbm_model,
 )
 from qsieve.liouville import superoperator_blocks
+from qsieve.operators import normalize_state
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -69,6 +70,22 @@ def davies_map_from_tensor(N: int, kappa: float,
     diag_idx = np.arange(N) * (N + 1)
     S[np.ix_(diag_idx, diag_idx)] += plan.T
     return S
+
+
+def loop_compatibility_sums(quad, N: int, seed: int) -> np.ndarray:
+    """sum_j w_j |<zeta_j|psi>|^2 node by node for the ten seeded states
+    of the Davies compatibility check: the reference for its Gram form."""
+    n = np.arange(N)
+    V = ((1 - np.abs(quad.nodes) ** 2)[None, :]
+         * np.sqrt(n + 1.0)[:, None] * quad.nodes[None, :] ** n[:, None])
+    Vh = V.conj().T
+    rng = np.random.default_rng(seed)
+    sums = []
+    for _ in range(10):
+        psi = normalize_state(rng.standard_normal(N)
+                              + 1j * rng.standard_normal(N))
+        sums.append(float(np.dot(quad.weights, np.abs(Vh @ psi) ** 2)))
+    return np.array(sums)
 
 
 def unstructured_model() -> LindbladGenerator:

@@ -182,6 +182,24 @@ def test_non_hermitian_hamiltonian_is_a_config_error(tmp_path, capsys,
 # ---------------------------------------------------------------------------
 # run outputs
 
+def test_davies_quadratures_in_one_process_are_checked_each(tmp_path,
+                                                            capsys):
+    # the quadrature and its figures are shared within a process; the
+    # eight-angle rule must still fail its compatibility check at N=10
+    def davies(n_theta):
+        return {"command": "lambda", "states": "random:2",
+                "model": {"type": "davies", "kappa": 1.0, "n_levels": 10,
+                          "quadrature": {"n_theta": n_theta}}}
+
+    assert run_cli(tmp_path, davies(180))[0] == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert run_cli(tmp_path, davies(8))[0] == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError"
+        assert "compatibility" in err["message"]
+
+
 def test_run_lambda_csv(tmp_path, capsys):
     code, out = run_cli(tmp_path,
                         {"command": "lambda", "seed": 4,

@@ -5,6 +5,7 @@ averaging semigroup with its coherent-state family."""
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ from qsieve import (
     su11_coherent_state,
     toy_model,
 )
+import qsieve.models as models
 from qsieve.models import coherent_moment
 
 from conftest import (
     basis_state,
     davies_jump_tensor,
     davies_map_from_tensor,
+    loop_compatibility_sums,
     random_pure,
 )
 
@@ -139,6 +142,62 @@ def test_disc_quadrature_nodes_and_weights():
     quad = disc_quadrature()
     assert np.abs(quad.nodes).max() <= quad.r_max < 1.0
     assert quad.weights.min() > 0.0
+
+
+BAD_SIZES = [{"n_r": 0}, {"n_theta": 0}, {"n_theta": -3}, {"n_r": 2.5},
+             {"n_theta": 8.0}, {"n_r": True}, {"n_theta": "8"}]
+
+
+@pytest.mark.parametrize("kwargs", BAD_SIZES,
+                         ids=[repr(k) for k in BAD_SIZES])
+def test_disc_quadrature_rejects_bad_sizes(kwargs):
+    # n_theta=0 once built an empty rule with a divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            disc_quadrature(**kwargs)
+
+
+def test_disc_quadrature_is_shared_and_read_only():
+    quad = disc_quadrature()
+    assert disc_quadrature() is quad
+    assert disc_quadrature(1.0 - 1e-9, np.int64(64), 180) is quad
+    other = disc_quadrature(n_theta=90)
+    assert other is not quad and other.n_theta == 90
+    assert len({quad, other, disc_quadrature()}) == 2  # hashed by identity
+    for arr in (quad.nodes, quad.weights, quad.gram(6)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # a rule built by hand keeps its own copies
+    nodes = np.array([0.5 + 0.0j])
+    hand = models.DiscQuadrature(nodes, np.array([1.0]), 0.5, 1, 1)
+    nodes[0] = 0.0
+    assert hand.nodes[0] == 0.5 and not hand.nodes.flags.writeable
+
+
+def test_davies_builds_compute_the_gram_matrix_once(monkeypatch):
+    calls = []
+    build = models._coherent_gram
+
+    def counting(quad, N):
+        calls.append(N)
+        return build(quad, N)
+
+    monkeypatch.setattr(models, "_coherent_gram", counting)
+    models._disc_quadrature.cache_clear()
+    for seed in (0, 0, 1, 2):
+        davies_model(6, 1.0, seed=seed)
+    davies_model(8, 1.0)
+    assert calls == [6, 8]
+
+
+@pytest.mark.parametrize("N", [6, 24, 40, 60])
+def test_compatibility_gram_form_matches_the_node_sum(N):
+    quad = disc_quadrature()
+    sums = models._compatibility_sums(quad, N, 0)
+    reference = loop_compatibility_sums(quad, N, 0)
+    assert np.abs(sums - reference).max() <= 1e-12
+    assert np.abs(sums - 1.0).max() <= 1e-6
 
 
 def test_disc_quadrature_moments():
@@ -270,5 +329,22 @@ def test_davies_consistency_validation_runs():
     bad = DiscQuadrature(nodes=np.array([0.1 + 0.0j]),
                          weights=np.array([1.0]),
                          r_max=0.1, n_r=1, n_theta=1)
-    with pytest.raises(ValidationError):
-        davies_model(10, 1.0, quadrature=bad)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="coherent-moment"):
+            davies_model(10, 1.0, quadrature=bad)
+    # weights of either sign enter the check as they are
+    quad = disc_quadrature()
+    flipped = DiscQuadrature(quad.nodes, -quad.weights, quad.r_max,
+                             quad.n_r, quad.n_theta)
+    with pytest.raises(ValidationError, match="compatibility"):
+        davies_model(6, 1.0, quadrature=flipped, moment_tol=10.0)
+    # four angles integrate the moments exactly but not the compatibility
+    # relation at N=10 (off by 0.57); no cached figure may let it pass,
+    # also after the default rule passed at the same N
+    few = disc_quadrature(n_theta=4)
+    assert max(few.moment_errors().values()) <= 1e-12
+    davies_model(10, 1.0)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="compatibility") as exc:
+            davies_model(10, 1.0, quadrature=few)
+        assert "5.737e-01" in str(exc.value)
