@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from qsieve import grw_model, lambda_pure
+from qsieve import grw_model, lambda_pure, normalize_state
 
 
 def main() -> None:
@@ -32,11 +32,11 @@ def main() -> None:
     print(f"point mass: lambda = {lambda_pure(gen, psi):.3e} (exact 0)")
 
     print(f"\n{'width':>8}  {'lambda':>14}  (kappa = {args.kappa})")
+    widths = np.linspace(0.1, 3.0, 15)
+    packets = normalize_state(np.exp(-(grid**2)
+                                     / (4.0 * widths[:, None] ** 2)))
     prev = -np.inf
-    for w in np.linspace(0.1, 3.0, 15):
-        amp = np.exp(-(grid**2) / (4.0 * w**2))
-        psi = (amp / np.linalg.norm(amp)).astype(complex)
-        lam = lambda_pure(gen, psi)
+    for w, lam in zip(widths, lambda_pure(gen, packets)):
         marker = "" if lam > prev else "  <- NOT monotone"
         print(f"{w:>8.2f}  {lam:>14.9f}{marker}")
         prev = lam

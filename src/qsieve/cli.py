@@ -257,19 +257,30 @@ MODEL_SCHEMAS = {
 COMMANDS = ("evolve", "lambda", "sieve", "decompose", "classify")
 
 
+def _state_vector(value, path: str) -> list:
+    """An amplitude vector of nonzero finite norm, checked as run's
+    normalize_state checks it, so that validate rejects what run would."""
+    amps = _complex_vector(value, path)
+    try:
+        normalize_state(_to_complex(amps))
+    except ValidationError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    return amps
+
+
 def _validate_states(value, path: str):
-    """'random:<k>' or an array of amplitude vectors."""
+    """'random:<k>', k in ASCII digits, or an array of amplitude vectors."""
     if isinstance(value, str):
         head, sep, count = value.partition(":")
-        if head != "random" or not sep or not count.isdigit() \
-                or int(count) < 1:
+        if head != "random" or not sep or not count.isascii() \
+                or not count.isdigit() or int(count) < 1:
             raise ConfigError(path, "expected 'random:<count>' or an array "
                                     "of amplitude vectors")
         return value
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "expected 'random:<count>' or an array "
                                 "of amplitude vectors")
-    return [_complex_vector(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [_state_vector(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _validate_command_params(config: dict, command: str) -> dict:
@@ -284,7 +295,7 @@ def _validate_command_params(config: dict, command: str) -> dict:
         params["times"] = times
         state = config.get("state", "random")
         if state != "random":
-            state = _complex_vector(state, "state")
+            state = _state_vector(state, "state")
         params["state"] = state
     elif command == "lambda":
         params["states"] = _validate_states(config.get("states", "random:100"),
@@ -409,19 +420,30 @@ def _header(config: dict) -> dict:
     }
 
 
-def _states_from_config(spec, dim: int, seed: int):
-    if isinstance(spec, str):
-        count = int(spec.partition(":")[2])
-        rng = np.random.default_rng(seed)
-        return [random_pure_state(dim, rng) for _ in range(count)]
-    states = []
+#: amplitudes the lambda command draws and scores at once: 'random:<count>'
+#: states go in chunks of _CHUNK_AMPLITUDES // dim, so that memory stays
+#: bounded whatever the count
+_CHUNK_AMPLITUDES = 2 ** 14
+
+
+def _random_state_chunks(dim: int, count: int, seed: int):
+    """The states of 'random:<count>' as (m, dim) stacks of at most
+    _CHUNK_AMPLITUDES // dim states, drawn from the seed's generator: the
+    stream of count sequential random_pure_state calls."""
+    rng = np.random.default_rng(seed)
+    size = max(1, _CHUNK_AMPLITUDES // dim)
+    for start in range(0, count, size):
+        yield random_pure_state(dim, rng, min(size, count - start))
+
+
+def _config_states(spec: list, dim: int) -> np.ndarray:
+    """The states of an amplitude-vector list, normalized, as one stack."""
     for i, amps in enumerate(spec):
         if len(amps) != dim:
             raise ConfigError(f"states[{i}]",
                               f"length {len(amps)} does not match model "
                               f"dimension {dim}")
-        states.append(normalize_state(_to_complex(amps)))
-    return states
+    return normalize_state(_to_complex(spec))
 
 
 def _fmt(x: float) -> str:
@@ -461,9 +483,16 @@ def _cmd_evolve(gen: LindbladGenerator, config: dict):
 
 
 def _cmd_lambda(gen: LindbladGenerator, config: dict):
-    states = _states_from_config(config["states"], gen.dim, config["seed"])
-    rows = [(i, lambda_pure(gen, psi)) for i, psi in enumerate(states)]
-    return {"columns": ["state_index", "lambda"], "rows": rows}
+    spec = config["states"]
+    if isinstance(spec, str):
+        count = int(spec.partition(":")[2])
+        lams = []
+        for chunk in _random_state_chunks(gen.dim, count, config["seed"]):
+            lams.extend(lambda_pure(gen, chunk).tolist())
+    else:
+        lams = lambda_pure(gen, _config_states(spec, gen.dim)).tolist()
+    return {"columns": ["state_index", "lambda"],
+            "rows": list(enumerate(lams))}
 
 
 def _cmd_sieve(gen: LindbladGenerator, config: dict):

@@ -87,16 +87,10 @@ def _frozen_array(a, dtype=complex) -> np.ndarray:
 # (mat Phi) on general operators.  The sieve only ever feeds Phi a projector
 # e = |psi><psi|, so each form also answers its two questions about one:
 # rank1_expectation (<psi|Phi(e)|psi>, for lambda) and rank1_sym_action
-# ((Phi + Phi*)(e) psi, for its gradient).
+# ((Phi + Phi*)(e) psi, for its gradient).  rank1_expectation takes a state
+# (d,) or a stack of states (m, d) and returns one value per state.
 
-class _Form:
-    """rank1_expectation through apply, for forms with no cheaper route."""
-
-    def rank1_expectation(self, psi: np.ndarray) -> float:
-        return np.vdot(psi, self.apply(projector(psi)) @ psi).real
-
-
-class _JumpList(_Form):
+class _JumpList:
     """Phi(X) = sum_k V_k X V_k^dag."""
 
     def __init__(self, dim: int, ops: tuple):
@@ -116,6 +110,13 @@ class _JumpList(_Form):
             out += Vh @ X @ V
         return out
 
+    def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
+        """sum_k |<psi|V_k|psi>|^2."""
+        out = np.zeros(psi.shape[:-1])
+        for V in self.ops:
+            out += np.abs(np.vecdot(psi, psi @ V.T)) ** 2
+        return out
+
     def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
         e = projector(psi)
         return (self.apply(e) + self.apply_adjoint(e)) @ psi
@@ -128,19 +129,25 @@ class _JumpList(_Form):
         return M
 
 
-class _HadamardKernel(_Form):
+class _HadamardKernel:
     """Phi(X) = C * X entrywise."""
 
     def __init__(self, C: np.ndarray):
         self.C = C
         self.C_conj = C.conj()
         self.C_sym = C + self.C_conj
+        self.C_real = np.ascontiguousarray(C.real)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return self.C * X
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         return self.C_conj * X
+
+    def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
+        """p^T Re(C) p with p = |psi|^2; Re(C) is symmetric."""
+        p = np.abs(psi) ** 2
+        return np.vecdot(p, p @ self.C_real)
 
     def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
         return (self.C_sym * projector(psi)) @ psi
@@ -149,7 +156,7 @@ class _HadamardKernel(_Form):
         return np.diag(vec(self.C))
 
 
-class _ExplicitCP(_Form):
+class _ExplicitCP:
     """Phi given by its d^2 x d^2 matrix S: vec(Phi(X)) = S vec(X)."""
 
     def __init__(self, S: np.ndarray):
@@ -168,6 +175,13 @@ class _ExplicitCP(_Form):
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         # S^dag x = conj(x^dag S); avoids a conjugated d^2 x d^2 copy of S
         return unvec((vec(X).conj() @ self.S).conj())
+
+    def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
+        """vec(e)^dag S vec(e), with vec(e)[n d + m] = psi_m conj(psi_n)."""
+        d = psi.shape[-1]
+        x = (psi.conj()[..., :, None] * psi[..., None, :]).reshape(
+            psi.shape[:-1] + (d * d,))
+        return np.vecdot(x, x @ self.S.T).real
 
     def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
         return unvec(self.sym @ vec(projector(psi))) @ psi
@@ -223,11 +237,13 @@ class _CoherentMeasure:
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         return self._jump(X) + np.diag(self.plan @ np.diag(X))
 
-    def rank1_expectation(self, psi: np.ndarray) -> float:
-        a = self.r * psi
-        c = np.convolve(a, a)
+    def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
+        # the self-convolution c = a * a of every row: a cyclic one of
+        # length 2N >= 2N - 1 is the linear one, one FFT pair for the stack
+        N = self.dim
+        c = np.fft.ifft(np.fft.fft(self.r * psi, 2 * N) ** 2)[..., :2 * N - 1]
         p = np.abs(psi) ** 2
-        return float(self.w @ np.abs(c) ** 2 + p @ self.plan @ p)
+        return np.abs(c) ** 2 @ self.w + np.vecdot(p, p @ self.plan.T)
 
     def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
         a = self.r * psi

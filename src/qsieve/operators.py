@@ -1,8 +1,9 @@
 """Dense finite-dimensional operator and pure-state primitives.
 
 Everything here works on plain complex numpy arrays: square matrices for
-operators, 1-d arrays for state vectors.  All functions are pure; nothing
-mutates its inputs.
+operators, 1-d arrays for state vectors.  fix_phase, normalize_state and
+random_pure_state also take or give (m, d) stacks of states, one per row.
+All functions are pure; nothing mutates its inputs.
 """
 from __future__ import annotations
 
@@ -121,21 +122,32 @@ def operator_norm(A) -> float:
 
 
 def fix_phase(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Gauge-fix the global phase: first nonzero amplitude made real-positive."""
+    """Gauge-fix the global phase: first nonzero amplitude made real-positive.
+
+    Works along the last axis, so a (m, d) stack fixes each row alone."""
     psi = np.asarray(psi, dtype=complex)
-    idx = np.flatnonzero(np.abs(psi) > tol * max(np.abs(psi).max(), 1.0))
-    if idx.size == 0:
+    mag = np.abs(psi)
+    nonzero = mag > tol * np.maximum(mag.max(axis=-1, keepdims=True), 1.0)
+    if not nonzero.any(axis=-1).all():
         raise ValidationError("zero vector has no phase representative")
-    a = psi[idx[0]]
-    return psi * (abs(a) / a)
+    a = np.take_along_axis(psi, nonzero.argmax(axis=-1)[..., None], axis=-1)
+    # |a| by hypot, as abs() takes it of one complex number: np.abs of a
+    # complex array can differ from it in the last bit
+    return psi * (np.hypot(a.real, a.imag) / a)
 
 
 def normalize_state(psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).ravel()
-    n = np.linalg.norm(psi)
-    if n == 0.0:
-        raise ValidationError("cannot normalize the zero vector")
-    return fix_phase(psi / n)
+    """Unit, phase-fixed copy of a state (d,) or of each row of a stack (m, d).
+
+    The squared norm is the dot product of the real and imaginary parts with
+    themselves, as np.linalg.norm computes it for one vector, so a state
+    normalizes to the same bits alone and inside a stack."""
+    psi = np.asarray(psi, dtype=complex)
+    n = np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))
+    if not np.all((n > 0.0) & (n < np.inf)):
+        raise ValidationError(
+            "cannot normalize a vector of zero or non-finite norm")
+    return fix_phase(psi / n[..., None])
 
 
 def projector(psi) -> np.ndarray:
@@ -210,9 +222,13 @@ def combine_states(u: np.ndarray, v: np.ndarray, z1: complex,
     return normalize_state(psi)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return normalize_state(psi)
+def random_pure_state(dim: int, rng: np.random.Generator,
+                      count: int | None = None) -> np.ndarray:
+    """A random unit vector (dim,), or a (count, dim) stack of them drawn
+    from the same stream as count calls without it."""
+    shape = (2, dim) if count is None else (count, 2, dim)
+    x = rng.standard_normal(shape)
+    return normalize_state(x[..., 0, :] + 1j * x[..., 1, :])
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

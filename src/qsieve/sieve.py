@@ -55,12 +55,16 @@ def lambda_form(gen: LindbladGenerator, e) -> float:
     return float(val.real)
 
 
-def lambda_pure(gen: LindbladGenerator, psi) -> float:
+def lambda_pure(gen: LindbladGenerator, psi):
     """lambda on the projector e of a unit vector: <G> - <psi|Phi(e)|psi>
-    with G = Phi*(I); the Hamiltonian drops out."""
+    with G = Phi*(I); the Hamiltonian drops out.
+
+    psi is one state (d,), giving a float, or a stack (m, d), giving an (m,)
+    array of the rows' values."""
     psi = np.asarray(psi, dtype=complex)
-    g_mean = np.vdot(psi, gen._G @ psi).real
-    return float(g_mean - gen._phi.rank1_expectation(psi))
+    g_mean = np.vecdot(psi, psi @ gen._G.T).real
+    lam = g_mean - gen._phi.rank1_expectation(psi)
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def _lambda_and_grad(gen: LindbladGenerator, psi: np.ndarray):
@@ -210,8 +214,8 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
     eps = max(1e-6, 1e-3 * abs(a0)) if epsilon is None else epsilon
 
     # flat landscape: every start ends (and starts) at the same value
-    start_vals = [lambda_pure(gen, psi0) for psi0 in starts]
-    spread = max(lambdas.max() - a0, max(start_vals) - min(start_vals))
+    start_vals = lambda_pure(gen, np.array(starts))
+    spread = max(lambdas.max() - a0, start_vals.max() - start_vals.min())
     flat = spread <= max(1e-9, 1e-6 * max(abs(a0), 1.0))
 
     in_band = [(psi, v) for psi, v in results if v <= a0 + eps]

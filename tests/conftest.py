@@ -12,7 +12,7 @@ from qsieve import (
     pointer_model,
     qbm_model,
 )
-from qsieve.liouville import superoperator_blocks
+from qsieve.liouville import _CoherentMeasure, superoperator_blocks
 from qsieve.operators import normalize_state
 
 
@@ -86,6 +86,22 @@ def loop_compatibility_sums(quad, N: int, seed: int) -> np.ndarray:
                               + 1j * rng.standard_normal(N))
         sums.append(float(np.dot(quad.weights, np.abs(Vh @ psi) ** 2)))
     return np.array(sums)
+
+
+def loop_lambda(gen: LindbladGenerator, psi: np.ndarray) -> float:
+    """lambda of one unit vector as the per-state code computed it:
+    <psi|G|psi> - <psi|Phi(e)|psi>, the second term by one np.convolve for
+    the coherent measure and through Phi's apply otherwise.  The reference
+    for lambda_pure on stacks."""
+    phi = gen._phi
+    g_mean = np.vdot(psi, gen._G @ psi).real
+    if isinstance(phi, _CoherentMeasure):
+        a = phi.r * psi
+        p = np.abs(psi) ** 2
+        expect = phi.w @ np.abs(np.convolve(a, a)) ** 2 + p @ phi.plan @ p
+    else:
+        expect = np.vdot(psi, phi.apply(np.outer(psi, psi.conj())) @ psi).real
+    return float(g_mean - expect)
 
 
 def unstructured_model() -> LindbladGenerator:

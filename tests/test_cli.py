@@ -4,12 +4,18 @@ exit codes."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qsieve.cli as cli
 import qsieve.liouville as liouville
+from qsieve import davies_model
 from qsieve.cli import MODEL_SCHEMAS, ConfigError, main, parse_config
+from qsieve.operators import random_pure_state
+
+from conftest import loop_lambda
 
 
 def write_config(tmp_path, name, payload):
@@ -179,8 +185,83 @@ def test_non_hermitian_hamiltonian_is_a_config_error(tmp_path, capsys,
     assert err["error"]["path"] == "model.hamiltonian"
 
 
+def _rejected_in_validate_and_run(tmp_path, capsys, payload, path):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["validate", "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["type"], err["path"]) == ("ConfigError", path)
+    code, _ = run_cli(tmp_path, payload)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["type"], err["path"]) == ("ConfigError", path)
+
+
+@pytest.mark.parametrize("count", ["\u00b2", "\u0663", "1\u0660"])
+def test_random_state_count_takes_ascii_digits_only(tmp_path, capsys, count):
+    # all pass str.isdigit: int() raised on the superscript two, and read
+    # the Arabic-Indic digits as 3 and 10
+    _rejected_in_validate_and_run(
+        tmp_path, capsys, {"command": "lambda", "model": {"type": "toy"},
+                           "states": f"random:{count}"}, "states")
+
+
+ZERO = [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("command, key, value, path", [
+    ("lambda", "states", [[[1.0, 0.0], [0.0, 1.0]], ZERO], "states[1]"),
+    ("lambda", "states", [[[float("nan"), 0.0], [1.0, 0.0]]], "states[0]"),
+    ("evolve", "state", ZERO, "state"),
+])
+def test_state_vectors_that_cannot_be_normalized_are_config_errors(
+        tmp_path, capsys, command, key, value, path):
+    # validate once accepted them and run then failed without a path
+    _rejected_in_validate_and_run(
+        tmp_path, capsys, {"command": command, "model": {"type": "toy"},
+                           key: value}, path)
+
+
 # ---------------------------------------------------------------------------
 # run outputs
+
+def test_random_states_are_drawn_in_chunks_from_the_seed_stream():
+    dim = 40
+    size = cli._CHUNK_AMPLITUDES // dim
+    for count in (1, size - 1, size, size + 1, 2 * size + 3):
+        chunks = list(cli._random_state_chunks(dim, count, 11))
+        assert all(1 <= len(chunk) <= size for chunk in chunks)
+        rng = np.random.default_rng(11)
+        ref = np.array([random_pure_state(dim, rng) for _ in range(count)])
+        drawn = np.concatenate(chunks)
+        assert drawn.shape == ref.shape
+        assert np.abs(drawn - ref).max() <= 1e-15
+
+
+def test_lambda_command_peaks_below_the_per_state_path():
+    # the chunked command holds one chunk of states at a time; the
+    # per-state path drew every state before scoring them one by one
+    gen = davies_model(40, 1.0)
+    config = {"states": "random:4000", "seed": 5}
+
+    def per_state():
+        rng = np.random.default_rng(5)
+        states = [random_pure_state(40, rng) for _ in range(4000)]
+        return [(i, loop_lambda(gen, psi)) for i, psi in enumerate(states)]
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ref, ref_peak = traced_peak(per_state)
+    rows, peak = traced_peak(lambda: cli._cmd_lambda(gen, config)["rows"])
+    assert peak <= ref_peak
+    assert [i for i, _ in rows] == list(range(4000))
+    lams, ref_lams = np.array(rows)[:, 1], np.array(ref)[:, 1]
+    assert np.all(np.abs(lams - ref_lams)
+                  <= 1e-12 * np.maximum(1.0, np.abs(ref_lams)))
 
 def test_davies_quadratures_in_one_process_are_checked_each(tmp_path,
                                                             capsys):

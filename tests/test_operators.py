@@ -22,6 +22,7 @@ from qsieve import (
     trace_norm,
     validate_density_matrix,
 )
+from qsieve.operators import fix_phase, random_pure_state
 
 from conftest import basis_state, random_density, random_pure
 
@@ -164,3 +165,29 @@ def test_validate_density_matrix_accepts_and_rejects(rng):
 def test_normalize_state_rejects_zero():
     with pytest.raises(ValidationError):
         normalize_state(np.zeros(3))
+    stack = np.ones((3, 4), dtype=complex)
+    stack[1] = 0.0
+    with pytest.raises(ValidationError):
+        normalize_state(stack)
+
+
+def test_a_stack_normalizes_to_the_bits_of_its_rows(rng):
+    # one implementation for a state and a stack: each row of a stack gets
+    # the bits the row gets alone, zero leading amplitudes included
+    stack = rng.standard_normal((40, 7)) + 1j * rng.standard_normal((40, 7))
+    stack[::5, :2] = 0.0
+    stack *= 10.0 ** rng.integers(-6, 6, size=(40, 1))
+    for fn in (normalize_state, fix_phase):
+        out = fn(stack)
+        assert out.shape == stack.shape
+        for row, psi in zip(out, stack):
+            assert np.array_equal(row, fn(psi))
+    assert np.allclose(np.linalg.norm(normalize_state(stack), axis=1), 1.0)
+
+
+def test_random_states_draw_as_a_stack_or_one_at_a_time():
+    stack = random_pure_state(5, np.random.default_rng(3), count=9)
+    rng = np.random.default_rng(3)
+    assert stack.shape == (9, 5)
+    for psi in stack:
+        assert np.array_equal(psi, random_pure_state(5, rng))

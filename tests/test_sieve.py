@@ -38,7 +38,7 @@ from qsieve.sieve import (
     _pair_form,
 )
 
-from conftest import basis_state, random_pure
+from conftest import basis_state, loop_lambda, random_pure, unstructured_model
 
 
 def _sample_models():
@@ -52,6 +52,43 @@ def _sample_models():
 
 # ---------------------------------------------------------------------------
 # the form itself
+
+def _stack_models():
+    """One generator per form of Phi and per model type, with a
+    pure-Hamiltonian one (an empty jump list) and an explicit CP map."""
+    rng = np.random.default_rng(7)
+    V = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    H = np.diag([0.0, 0.7, -1.3]).astype(complex)
+    H[0, 2] = H[2, 0] = 0.4
+    return {
+        "toy": toy_model(),
+        "pointer": pointer_model([0.0, 1.0, 2.5, 3.7]),
+        "qbm": qbm_model(12, 0.4),
+        "grw": grw_model(np.linspace(-3, 3, 16), 1.0, 2.0),
+        "davies6": davies_model(6, 1.0),
+        "davies40": davies_model(40, 1.0),
+        "custom": unstructured_model(),
+        "hamiltonian": LindbladGenerator(3, H),
+        "explicit_cp": LindbladGenerator(3, H,
+                                         cp_superop=np.kron(V.conj(), V)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_stack_models()))
+def test_lambda_on_a_stack_matches_the_per_state_formula(name):
+    gen = _stack_models()[name]
+    rng = np.random.default_rng(11)
+    states = np.array([random_pure(gen.dim, rng) for _ in range(25)])
+    ref = np.array([loop_lambda(gen, psi) for psi in states])
+    lams = lambda_pure(gen, states)
+    assert lams.shape == (25,)
+    assert np.all(np.abs(lams - ref) <= 1e-12 * np.maximum(1.0, abs(ref)))
+    # a single state goes through the same code and gives a float
+    single = lambda_pure(gen, states[3])
+    assert type(single) is float
+    assert abs(single - ref[3]) <= 1e-12 * max(1.0, abs(ref[3]))
+    if name == "hamiltonian":
+        assert np.all(np.abs(lams) <= 1e-12)
 
 def test_lambda_flat_on_depolarizing(rng):
     gen = toy_model()
