@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -88,12 +89,26 @@ def _check_keys(obj: dict, path: str, required, optional) -> None:
             raise ConfigError(f"{path}.{key}", "missing required key")
 
 
-def _number(value, path: str, positive: bool = False) -> float:
+def _real(value, path: str, finite: bool = True) -> float:
+    """A JSON number as a float.  json.loads reads the literals NaN, Infinity
+    and -Infinity, and an integer literal can exceed the float range; unless
+    finite is False, such a number is a ConfigError at its path."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, "expected a number")
-    if positive and value <= 0:
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if finite and not math.isfinite(x):
+        raise ConfigError(path, "expected a finite number")
+    return x
+
+
+def _number(value, path: str, positive: bool = False) -> float:
+    x = _real(value, path)
+    if positive and x <= 0:
         raise ConfigError(path, "must be > 0")
-    return float(value)
+    return x
 
 
 def _integer(value, path: str, minimum: int | None = None) -> int:
@@ -110,12 +125,12 @@ def _real_list(value, path: str):
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _complex_entry(value, path: str) -> list:
+def _complex_entry(value, path: str, finite: bool = True) -> list:
     if (not isinstance(value, list) or len(value) != 2
             or any(isinstance(v, bool) or not isinstance(v, (int, float))
                    for v in value)):
         raise ConfigError(path, "expected a [re, im] pair")
-    return [float(value[0]), float(value[1])]
+    return [_real(v, f"{path}[{i}]", finite) for i, v in enumerate(value)]
 
 
 def _complex_matrix(value, path: str) -> list:
@@ -137,9 +152,12 @@ def _complex_matrix(value, path: str) -> list:
 
 
 def _complex_vector(value, path: str) -> list:
+    """Amplitudes, not checked finite: a non-finite one leaves the vector
+    with no norm, which _state_vector reports at the vector's path."""
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "expected a non-empty array of [re, im] pairs")
-    return [_complex_entry(c, f"{path}[{i}]") for i, c in enumerate(value)]
+    return [_complex_entry(c, f"{path}[{i}]", finite=False)
+            for i, c in enumerate(value)]
 
 
 def _hermitian(H: list, path: str) -> list:

@@ -11,6 +11,7 @@ zeros, so this is exact.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,12 @@ import scipy.linalg
 from .liouville import (
     LindbladGenerator,
     _check_dim,
+    _expm,
+    _gemm,
+    _gemv,
     _stack,
+    _stacked_gemm,
+    _svdvals,
     apply_generator,
     build_superoperator,
     propagator,
@@ -104,7 +110,7 @@ def _block_apply(groups: tuple, stacks: list, X: np.ndarray) -> np.ndarray:
     blocks (one per group of superoperator_blocks) to the columns of X."""
     out = np.zeros(X.shape, dtype=complex)
     for group, A in zip(groups, stacks):
-        out[group] = A @ X[group]
+        out[group] = _stacked_gemm(A, X[group])
     return out
 
 
@@ -117,14 +123,16 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     if n == 0 or M.shape != (d * d, d * d):
         raise ValidationError(f"M has shape {M.shape}, not d^2 x d^2")
     groups = superoperator_blocks(M)
-    stacks = [_stack(M, group) for group in groups]
-    evs = np.concatenate([np.linalg.eigvals(S).ravel() for S in stacks])
+    # one Schur form per block; its diagonal holds the block's eigenvalues
+    schurs = [[scipy.linalg.schur(B, output="complex") for B in
+               _stack(M, group)] for group in groups]
+    evs = np.concatenate([np.diag(T) for blocks in schurs
+                          for T, _ in blocks])
     if tol is None:
         tol = 1e-9 * max(np.abs(evs.real).max(), 1e-30)
 
-    is_peripheral = lambda z: abs(z.real) <= tol
-    schurs = [[scipy.linalg.schur(B, output="complex", sort=is_peripheral)
-               for B in S] for S in stacks]  # (T, Q, k) per block
+    schurs = [[_reorder(T, Q, np.abs(np.diag(T).real) <= tol)
+               for T, Q in blocks] for blocks in schurs]  # (T, Q, k)
     periph = np.concatenate([np.diag(T)[:k] for blocks in schurs
                              for T, _, k in blocks])
     periph_scale = max(np.abs(periph).max(initial=0.0), 1.0)
@@ -139,8 +147,10 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
                 # spectral projector from the 2x2 block Schur form
                 R = scipy.linalg.solve_sylvester(T[:k, :k], -T[k:, k:],
                                                  T[:k, k:])
-                P[b] = Q[:, :k] @ np.hstack([np.eye(k), R]) @ Q.conj().T
-                basis[b, :, k:], _ = np.linalg.qr(Q[:, :k] @ (-R) + Q[:, k:])
+                P[b] = _gemm(_gemm(Q[:, :k], np.hstack([np.eye(k), R])),
+                             Q.conj().T)
+                basis[b, :, k:] = scipy.linalg.qr(
+                    _gemm(Q[:, :k], -R) + Q[:, k:], mode="economic")[0]
             elif k:
                 P[b] = np.eye(k)
             else:
@@ -176,6 +186,21 @@ def _operators(groups: tuple, bases: list, masks: list, d: int) -> np.ndarray:
     return ops
 
 
+def _reorder(T: np.ndarray, Q: np.ndarray, select: np.ndarray) -> tuple:
+    """The Schur form (T, Q) reordered so that the selected eigenvalues lead,
+    and their count: LAPACK ztrsen, the reordering schur(..., sort=...)
+    applies inside zgees, so the result is sorted schur's, bit for bit."""
+    k = int(np.count_nonzero(select))
+    if select[:k].all():  # already in order: ztrsen would swap nothing
+        return T, Q, k
+    T, Q, _, k, _, _, info = scipy.linalg.lapack.ztrsen(
+        select, T, Q, job="N", overwrite_t=True, overwrite_q=True)
+    if info:
+        raise np.linalg.LinAlgError(
+            "eigenvalues could not be separated for reordering")
+    return T, Q, k
+
+
 def _check_semisimple(T11: np.ndarray, periph: np.ndarray, tol: float,
                       scale: float) -> None:
     """Raise unless every peripheral eigenvalue of one block is semisimple;
@@ -187,7 +212,7 @@ def _check_semisimple(T11: np.ndarray, periph: np.ndarray, tol: float,
         lam = remaining[0]
         cluster = [z for z in remaining if abs(z - lam) <= 10 * tol * scale]
         remaining = [z for z in remaining if abs(z - lam) > 10 * tol * scale]
-        sv = np.linalg.svd(T11 - lam * np.eye(k), compute_uv=False)
+        sv = _svdvals(T11 - lam * np.eye(k))
         geo = int(np.sum(sv <= max(10 * tol, 1e-10) * scale))
         if geo < len(cluster):
             raise DefectivePeripheralSpectrumError(
@@ -235,10 +260,10 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     multiplicativity of the peripheral flow, sweep decay at the final time,
     product closure, and join closure for rank-1 projectors in iso.
 
-    exp(tM), one stack of equal-size blocks of M at a time, and the
-    projection, one stack of the split's blocks at a time, act on whole
-    stacks of vectors; exp(tM) takes the blocks of M, whatever split is
-    given."""
+    exp(tM) and the projection act one stack of equal-size blocks at a
+    time.  Checks (a), (b) and (e) stay inside the blocks, on the split's
+    own block bases; a split whose blocks are not those of M, or are not
+    carried onto one another by X -> X^T, is checked as one block."""
     rng = np.random.default_rng(seed)
     M = np.asarray(M, dtype=complex)
     n = split.dim ** 2
@@ -250,37 +275,37 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     if not times or min(times) < 0:
         raise ValidationError(
             "verification needs at least one time, each t >= 0")
-    groups = superoperator_blocks(M)
     swept_norm = lambda X: float(np.linalg.norm(X - split.project(X), axis=0)
                                  .max(initial=0.0))
-    iso, sweep = split.iso_basis, split.sweep_basis
-    sweep_vecs = _vec_columns(sweep)
+    iso = split.iso_basis
     res: dict[str, float | None] = {}
 
+    blocked, groups = split, superoperator_blocks(M)
+    rows = _transpose_rows(groups, split.dim) \
+        if _same_groups(groups, split.groups) else None
+    if rows is None:
+        blocked = _one_block(split)
+        groups = blocked.groups
+        rows = _transpose_rows(groups, split.dim)
+    expms = {t: [_expm(t * _stack(M, group)) for group in groups]
+             for t in times}
+    star, ortho, decay = _blockwise_residuals(blocked, rows,
+                                              expms[max(times)])
     # (a) *-invariance of iso (and of sweep, which is equivalent here)
-    adj = lambda ops: _vec_columns(ops.conj().transpose(0, 2, 1))
-    res["a_star_invariance"] = max(
-        swept_norm(adj(iso)),
-        float(np.linalg.norm(split.project(adj(sweep)), axis=0)
-              .max(initial=0.0)))
-
-    # (b) trace orthogonality tr(phi1 phi2) = 0; the rows of the reshaped
-    # iso stack are vec(phi1^T), and tr(phi1 phi2) = vec(phi1^T) . vec(phi2)
-    res["b_trace_orthogonality"] = float(
-        np.abs(iso.reshape(split.iso_dim, n) @ sweep_vecs).max(initial=0.0))
+    res["a_star_invariance"] = star
+    # (b) trace orthogonality tr(phi1 phi2) = 0
+    res["b_trace_orthogonality"] = ortho
 
     # (c) completeness of the direct sum
     res["c_completeness"] = float(split.iso_dim + split.sweep_dim != n)
     if split.iso_dim and split.sweep_dim:
-        sv = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel()
+        sv = np.concatenate([_svdvals(B).ravel()
                              for B in split.block_bases])
         res["c_basis_conditioning"] = float(sv.min() / sv.max())
     else:
         res["c_basis_conditioning"] = 1.0
 
     # (d) HS isometry + multiplicativity of the flow on iso
-    expms = {t: [scipy.linalg.expm(t * _stack(M, group)) for group in groups]
-             for t in times}
     iso_norm = iso_mult = 0.0
     for t in (times if split.iso_dim else ()):
         phis = []
@@ -302,12 +327,8 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     res["d_iso_isometry"] = iso_norm
     res["d_iso_multiplicativity"] = iso_mult
 
-    # (e) sweeping decay at the largest time
-    if split.sweep_dim:
-        res["e_sweep_decay"] = float(np.abs(
-            _block_apply(groups, expms[max(times)], sweep_vecs)).max())
-    else:
-        res["e_sweep_decay"] = None  # vacuous: no sweeping part
+    # (e) sweeping decay at the largest time; vacuous with no sweeping part
+    res["e_sweep_decay"] = decay if split.sweep_dim else None
 
     # (i) product closure of iso, one stack of products B1 B2 per B1
     res["i_product_closure"] = max(
@@ -320,6 +341,82 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     res["ii_join_closure"] = swept_norm(_vec_columns(np.array(joins))) \
         if joins else None
     return SplitVerification(res)
+
+
+def _blockwise_residuals(split: SpectralSplit, rows: list,
+                         expms: list) -> tuple:
+    """Checks (a), (b) and (e) of verify_split_properties, one group of the
+    split's blocks at a time: the largest *-invariance residual, the largest
+    trace overlap of iso with sweep and the largest entry of exp(tM) on
+    sweep.  rows are _transpose_rows of the split's groups, and expms the
+    stacks of exp(tM) on the same groups."""
+    star = ortho = decay = 0.0
+    for P, W, where, E in zip(split.projections, split.block_bases, rows,
+                              expms):
+        m, s, _ = W.shape
+        # the first k columns of a block's basis span its part of iso, and
+        # k is the rank, so the trace, of the block's projection
+        iso_cols = np.arange(s) < np.rint(
+            np.trace(P, axis1=1, axis2=2).real)[:, None]
+        # Wt[c][:, j] is vec(w^T) for the column w = W[b][:, j] of the block
+        # b that X -> X^T carries onto block c
+        Wt = np.empty_like(W)
+        Wt.reshape(m * s, s)[where.ravel()] = W.reshape(m * s, s)
+        iso_t = np.empty_like(iso_cols)
+        iso_t[where[:, 0] // s] = iso_cols
+
+        # (a) X^dag = conj(X^T): that of iso must stay in iso, of sweep in
+        # sweep
+        Wd = Wt.conj()
+        PWd = _stacked_gemm(P, Wd)
+        star = max(star,
+                   np.linalg.norm(PWd - Wd, axis=1)[iso_t].max(initial=0.0),
+                   np.linalg.norm(PWd, axis=1)[~iso_t].max(initial=0.0))
+        # (b) tr(phi1 phi2) = vec(phi1^T) . vec(phi2)
+        overlaps = _stacked_gemm(Wt.transpose(0, 2, 1), W)
+        ortho = max(ortho, np.abs(overlaps[
+            iso_t[:, :, None] & ~iso_cols[:, None, :]]).max(initial=0.0))
+        # (e)
+        decay = max(decay, np.abs(_stacked_gemm(E, W)).max(axis=1)
+                    [~iso_cols].max(initial=0.0))
+    return float(star), float(ortho), float(decay)
+
+
+def _same_groups(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(map(np.array_equal, a, b))
+
+
+def _transpose_rows(groups: tuple, d: int) -> list | None:
+    """Per group of blocks (m, s): where X -> X^T carries each entry, as its
+    row in the group's blocks stacked into m*s rows; None unless every
+    block is carried onto one block of its group.  For a Hermiticity
+    preserving L, M[pi i, pi j] = conj(M[i, j]) with pi the index of the
+    transposed entry, so its blocks are."""
+    rows = []
+    for group in groups:
+        s = group.shape[1]
+        where = np.full(d * d, -1)
+        where[group.ravel()] = np.arange(group.size)
+        # vec index i holds the entry (i % d, i // d)
+        to = where[(group % d) * d + group // d]
+        if (to < 0).any() or (to // s != to[:, :1] // s).any():
+            return None
+        rows.append(to)
+    return rows
+
+
+def _one_block(split: SpectralSplit) -> SpectralSplit:
+    """The split with its projection and bases as one block of all d^2
+    indices."""
+    n = split.dim ** 2
+    P = np.zeros((n, n), dtype=complex)
+    for group, stack in zip(split.groups, split.projections):
+        P[group[:, :, None], group[:, None, :]] = stack
+    basis = np.hstack([_vec_columns(split.iso_basis),
+                       _vec_columns(split.sweep_basis)])
+    return dataclasses.replace(split, groups=(np.arange(n)[None],),
+                               projections=(P[None],),
+                               block_bases=(basis[None],))
 
 
 def _rank1_projectors_in(basis: np.ndarray, tol: float = 1e-8) -> list:
@@ -432,20 +529,26 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
 
 
 def _null_space(M: np.ndarray, groups: tuple) -> np.ndarray:
-    """Orthonormal basis of ker M from one stacked SVD per group of equal
-    diagonal blocks.  The rank is decided for M as a whole, as
-    scipy.linalg.null_space(M) decides it: singular values above d^2 eps
-    times the largest one count."""
+    """Orthonormal basis of ker M from one SVD per diagonal block.  The rank
+    is decided for M as a whole, as scipy.linalg.null_space(M) decides it:
+    singular values above d^2 eps times the largest one count."""
     n = M.shape[0]
-    svds = [np.linalg.svd(_stack(M, group)) for group in groups]
+    svds = []
+    for group in groups:
+        S = _stack(M, group)
+        if group.shape[1] == 1:  # [a] has the singular value |a|, V = [1]
+            svds += [(idx, np.abs(B[0]), np.ones((1, 1))) for idx, B
+                     in zip(group, S)]
+        else:
+            svds += [(idx, *scipy.linalg.svd(B)[1:]) for idx, B
+                     in zip(group, S)]
     cutoff = n * np.finfo(float).eps * max(s.max() for _, s, _ in svds)
     cols = []
-    for group, (_, s, vh) in zip(groups, svds):
-        for idx, s_b, vh_b in zip(group, s, vh):
-            null = vh_b[np.count_nonzero(s_b > cutoff):].conj().T
-            col = np.zeros((n, null.shape[1]), dtype=complex)
-            col[idx] = null  # the block's null vectors in the whole space
-            cols.append(col)
+    for idx, s_b, vh_b in svds:
+        null = vh_b[np.count_nonzero(s_b > cutoff):].conj().T
+        col = np.zeros((n, null.shape[1]), dtype=complex)
+        col[idx] = null  # the block's null vectors in the whole space
+        cols.append(col)
     return np.hstack(cols)
 
 
@@ -479,7 +582,7 @@ def _hermitian_kernel_basis(kernel: np.ndarray, tol: float = 1e-10) -> list:
         x = vec(B)
         if stacked:
             Q = np.stack(stacked, axis=1)
-            x_perp = x - Q @ (Q.conj().T @ x)
+            x_perp = x - _gemv(Q, _gemv(Q.conj().T, x))
         else:
             x_perp = x
         if np.linalg.norm(x_perp) > tol:
@@ -514,8 +617,8 @@ def robustness_probe(gen: LindbladGenerator, e, times,
             raise ValidationError("probe times must be nonnegative")
         # exp(tM^dag) = exp(tM)^dag: one propagator serves both semigroups
         E = propagator(gen, t)
-        fwd = max(fwd, _entropy_loose(unvec(E @ x)))
-        adj = max(adj, _entropy_loose(unvec(E.conj().T @ x)))
+        fwd = max(fwd, _entropy_loose(unvec(_gemv(E, x))))
+        adj = max(adj, _entropy_loose(unvec(_gemv(E.conj().T, x))))
     return RobustnessReport(fwd, adj, iso_membership(split, e))
 
 

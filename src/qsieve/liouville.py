@@ -29,6 +29,10 @@ given in four ways:
 A purely Hamiltonian generator is a jump list with no operators.  The
 environment-induced-semigroup check (eis_check) reads the Choi matrix of
 exp(tL) off its superoperator matrix by a reshuffle of entries.
+
+Products and factorisations of superoperator-sized matrices (M, its blocks,
+exp(tL)) run on scipy's BLAS and LAPACK (_gemm, _gemv, _svdvals, _expm), so
+that such a run wakes one BLAS thread pool, not numpy's as well.
 """
 from __future__ import annotations
 
@@ -435,6 +439,91 @@ def adjoint_semigroup(gen: LindbladGenerator) -> np.ndarray:
     return build_superoperator(gen).conj().T
 
 
+def _gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B on scipy's BLAS.  zgemm on the transposes is the column-major
+    call that numpy's row-major matmul makes, so the bits are numpy's; like
+    numpy, a B of one column takes a matrix-vector product."""
+    if B.shape[1] == 1:
+        return _gemv(A, B[:, 0])[:, None]
+    return scipy.linalg.blas.zgemm(1.0, B.T, A.T).T
+
+
+def _gemv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x on scipy's BLAS, in the orientation numpy takes for A's memory
+    layout (see _gemm)."""
+    if A.flags.f_contiguous and not A.flags.c_contiguous:
+        return scipy.linalg.blas.zgemv(1.0, A, x)
+    return scipy.linalg.blas.zgemv(1.0, A.T, x, trans=1)
+
+
+#: multiply-adds of a complex matrix product up to which OpenBLAS stays on
+#: the calling thread: 32 x 32 x 32 products never woke a pool in
+#: measurements on a 2-core machine (OpenBLAS 0.3.30 and 0.3.31), 40 x 40 x
+#: 40 ones sometimes did.  Below it a product wakes no pool in either
+#: library, and one stacked numpy matmul costs less than a BLAS call per
+#: slice.
+_UNTHREADED_MACS = 32 ** 3
+
+
+def _stacked_gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for an (m, s, s) and an (m, s, c) stack: one zgemm per slice,
+    or one numpy matmul for slices below _UNTHREADED_MACS."""
+    if A.shape[-1] ** 2 * B.shape[-1] <= _UNTHREADED_MACS:
+        return A @ B
+    return np.stack([_gemm(a, b) for a, b in zip(A, B)])
+
+
+def _svdvals(A: np.ndarray) -> np.ndarray:
+    """Singular values of each slice of a (..., s, s) stack: LAPACK zgesdd,
+    which np.linalg.svd calls, on scipy's library, with one workspace query
+    for the stack."""
+    s = A.shape[-1]
+    work, _ = scipy.linalg.lapack.zgesdd_lwork(s, s, compute_uv=0)
+    out = np.empty(A.shape[:-1])
+    for B, sv in zip(A.reshape(-1, s, s), out.reshape(-1, s)):
+        _, sv[:], _, info = scipy.linalg.lapack.zgesdd(
+            B, compute_uv=0, lwork=int(work.real))
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+    return out
+
+
+#: theta_13 of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+#: (2009): the 1-norm up to which the [13/13] Pade approximant of exp needs
+#: no scaling in double precision
+_THETA_13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp of each slice of an (m, s, s) stack.
+
+    scipy.linalg.expm scales a slice by 2^-j and squares its Pade
+    approximant j times with numpy's matmul, which wakes numpy's BLAS pool.
+    Here each slice is scaled by 2^-j first, j from its 1-norm, and the
+    squarings run on scipy's BLAS.  scipy takes j from the norms of powers
+    of the slice, which the 1-norm bounds.  Where it arrives at the same j,
+    or at a larger one and squares the rest itself, the bits are those of
+    scipy.linalg.expm(A); where at a smaller one, the result differs from
+    scipy's by rounding.  Triangular slices, which scipy squares by a path
+    of its own, and slices whose squarings stay below _UNTHREADED_MACS go
+    to scipy unscaled.
+    """
+    if A.shape[-1] ** 3 <= _UNTHREADED_MACS:
+        return scipy.linalg.expm(A)
+    norms = np.abs(A).sum(axis=1).max(axis=1)
+    with np.errstate(divide="ignore"):
+        j = np.ceil(np.log2(norms / _THETA_13))
+    j = np.where(j > 0, j, 0).astype(int)
+    for i in np.flatnonzero(j):
+        if 0 in scipy.linalg.bandwidth(A[i]):
+            j[i] = 0
+    E = scipy.linalg.expm(A * np.ldexp(1.0, -j)[:, None, None])
+    for i in np.flatnonzero(j):
+        for _ in range(j[i]):
+            E[i] = _gemm(E[i], E[i])
+    return E
+
+
 def propagator(gen: LindbladGenerator, t: float) -> np.ndarray:
     """Superoperator matrix of T_t = exp(tL) (scaling-and-squaring Pade, one
     stack of equal-size blocks of M at a time)."""
@@ -446,7 +535,7 @@ def propagator(gen: LindbladGenerator, t: float) -> np.ndarray:
     E = np.zeros(M.shape, dtype=complex)
     for group in gen._blocks:
         E[group[:, :, None], group[:, None, :]] = \
-            scipy.linalg.expm(t * _stack(M, group))
+            _expm(t * _stack(M, group))
     return E
 
 
@@ -472,7 +561,7 @@ def channel_applier(gen: LindbladGenerator, t: float):
         E = np.exp(t * C)
         return lambda A: E * np.asarray(A, dtype=complex)
     P = propagator(gen, t)
-    return lambda A: unvec(P @ vec(A))
+    return lambda A: unvec(_gemv(P, vec(A)))
 
 
 def steady_state(gen: LindbladGenerator, rho: np.ndarray,
@@ -488,7 +577,7 @@ def steady_state(gen: LindbladGenerator, rho: np.ndarray,
     P = propagator(gen, t_ref)
     v = vec(rho)
     for _ in range(10_000):
-        nxt = P @ v
+        nxt = _gemv(P, v)
         if np.linalg.norm(nxt - v) <= 1e-13:
             return unvec(nxt)
         v = nxt
@@ -583,13 +672,13 @@ def eis_check(gen: LindbladGenerator, n_samples: int = 10,
     outs = np.empty((len(times), 2 * n, d, d), dtype=complex)
     for i, t in enumerate(times):
         P = propagator(gen, t)
-        min_choi = min(min_choi,
-                       float(np.linalg.eigvalsh(choi_matrix(P)).min()))
-        outs[i] = (P @ X).reshape(d, d, 2 * n).transpose(2, 1, 0)
+        # zheevd, the LAPACK routine numpy's eigvalsh calls
+        min_choi = min(min_choi, float(scipy.linalg.eigh(
+            choi_matrix(P), eigvals_only=True, driver="evd").min()))
+        outs[i] = _gemm(P, X).reshape(d, d, 2 * n).transpose(2, 1, 0)
     traces = np.trace(outs[:, :n], axis1=2, axis2=3).real
     # singular values of the Hermitian operators, then of their images
-    sv = np.linalg.svd(np.concatenate([A[None, n:], outs[:, n:]]),
-                       compute_uv=False)
+    sv = _svdvals(np.concatenate([A[None, n:], outs[:, n:]]))
     trace_norms, operator_norms = sv.sum(axis=-1), sv[..., 0]
     return EisReport(
         min_choi,

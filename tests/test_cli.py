@@ -221,6 +221,27 @@ def test_state_vectors_that_cannot_be_normalized_are_config_errors(
                            key: value}, path)
 
 
+H_NEG_INF = [[[0.0, 0.0], [float("-inf"), 0.0]],
+             [[float("-inf"), 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("model, path", [
+    ({"type": "davies", "kappa": float("nan"), "n_levels": 6},
+     "model.kappa"),
+    ({"type": "grw", "grid": [0.0, float("inf"), 2.0], "kappa": 1.0,
+      "alpha": 1.0}, "model.grid[1]"),
+    ({"type": "custom", "hamiltonian": H_NEG_INF},
+     "model.hamiltonian[0][1][0]"),
+    # an integer literal beyond the float range
+    ({"type": "qbm", "n_levels": 4, "D": 10 ** 400}, "model.D"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, model, path):
+    # json.loads reads NaN, Infinity and -Infinity; validate once accepted
+    # them, and run then failed on the generator or its spectrum
+    _rejected_in_validate_and_run(
+        tmp_path, capsys, {"command": "decompose", "model": model}, path)
+
+
 # ---------------------------------------------------------------------------
 # run outputs
 

@@ -3,6 +3,7 @@ verification report, and enumeration of the pointer ("classical") states."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -26,6 +27,7 @@ from qsieve import (
     join_projectors,
     pointer_model,
     projector,
+    qbm_model,
     robustness_probe,
     spectral_split,
     state_from_projector,
@@ -38,7 +40,16 @@ from qsieve import (
 
 import qsieve.decomposition as decomposition
 from qsieve.decomposition import _fixed_point_candidates, _null_space
-from qsieve.liouville import superoperator_blocks, unvec, vec
+from qsieve.liouville import (
+    _stack,
+    channel_applier,
+    eis_check,
+    propagator,
+    steady_state,
+    superoperator_blocks,
+    unvec,
+    vec,
+)
 
 from conftest import (
     basis_state,
@@ -362,6 +373,64 @@ def test_split_and_verification_search_the_blocks_once_each(monkeypatch):
     M = build_superoperator(block_models()["davies8"][0])
     verify_split_properties(M, spectral_split(M))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", [*block_models(), "qbm16", "davies24"])
+def test_reordered_schur_forms_are_sorted_schur(name):
+    # ztrsen is the reordering zgees runs when schur is asked to sort, so
+    # an unsorted Schur form reordered afterwards is the sorted one
+    gen = {"qbm16": lambda: qbm_model(16, 0.5),
+           "davies24": lambda: davies_model(24, 1.0)}.get(
+        name, lambda: block_models()[name][0])()
+    M = build_superoperator(gen)
+    tol = spectral_split(M).tol
+    reordered = 0
+    for group in superoperator_blocks(M):
+        for B in _stack(M, group):
+            T0, Q0 = scipy.linalg.schur(B, output="complex")
+            select = np.abs(np.diag(T0).real) <= tol
+            reordered += not select[:np.count_nonzero(select)].all()
+            T, Q, k = decomposition._reorder(T0, Q0, select)
+            T1, Q1, k1 = scipy.linalg.schur(
+                B, output="complex", sort=lambda z: abs(z.real) <= tol)
+            assert np.array_equal(T, T1) and np.array_equal(Q, Q1)
+            assert k == k1
+    if name in ("qbm8", "qbm16", "unstructured4"):
+        assert reordered  # ztrsen ran, not only the in-order shortcut
+
+
+def test_split_verification_and_propagator_call_no_numpy_lapack(monkeypatch):
+    # numpy's LAPACK runs on numpy's own BLAS library; these run on scipy's
+    gen = qbm_model(16, 0.5)
+    M = build_superoperator(gen)
+    rho = np.diag(np.linspace(1.0, 2.0, 16)) / np.linspace(1.0, 2.0, 16).sum()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("eigvals", "qr", "svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    split = spectral_split(M)
+    assert verify_split_properties(M, split).max_residual <= 1e-7
+    propagator(gen, 1.0)
+    channel_applier(gen, 0.5)(rho)
+    steady_state(gen, rho, 10.0)
+    assert eis_check(gen).passed
+
+
+def test_verification_peaks_well_below_the_superoperator():
+    # checks (a), (b) and (e) run on one group of blocks at a time; on the
+    # whole space they formed d^4-entry temporaries, three times M here
+    M = build_superoperator(davies_model(30, 1.0))
+    split = spectral_split(M)
+    tracemalloc.start()
+    try:
+        report = verify_split_properties(M, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.max_residual <= 1e-7
+    assert peak <= M.nbytes / 2
 
 
 @pytest.mark.parametrize("name", list(block_models()))

@@ -27,8 +27,11 @@ from qsieve import (
     qbm_model,
     toy_model,
 )
+import qsieve.liouville as liouville
 from qsieve.liouville import (
     EisReport,
+    _expm,
+    _stack,
     channel_applier,
     choi_matrix,
     superoperator_blocks,
@@ -222,6 +225,46 @@ def test_propagator_matches_dense_expm(name):
     for t in (0.1, 1.0, 5.0):
         assert np.abs(propagator(gen, t)
                       - scipy.linalg.expm(t * M)).max() <= 1e-12
+
+
+def _scaled_expm_model(name: str):
+    extra = {"qbm16": lambda: qbm_model(16, 0.5),
+             "qbm20": lambda: qbm_model(20, 0.5),
+             "davies24": lambda: davies_model(24, 1.0)}
+    return extra[name]() if name in extra else block_models()[name][0]
+
+
+@pytest.mark.parametrize("name", [*block_models(), "qbm16", "qbm20",
+                                  "davies24"])
+def test_scaled_expm_is_scipy_expm_bit_for_bit(name, monkeypatch):
+    # every slice takes the pre-scaled path, small ones included
+    monkeypatch.setattr(liouville, "_UNTHREADED_MACS", 0)
+    M = build_superoperator(_scaled_expm_model(name))
+    for group in superoperator_blocks(M):
+        S = _stack(M, group)
+        for t in (0.0, 0.1, 0.25, 0.5, 1.0, 5.0, 10.0, 20.0):
+            assert np.array_equal(_expm(t * S), scipy.linalg.expm(t * S)), t
+
+
+def test_scaled_expm_hands_scipy_slices_of_norm_at_most_theta_13(
+        monkeypatch):
+    # scipy.linalg.expm squares with numpy's matmul as many times as the
+    # norm of its slice asks for; _expm pre-scales each slice to a 1-norm
+    # of at most theta_13 and does those squarings itself, on scipy's BLAS
+    seen = []
+    real = scipy.linalg.expm
+
+    def recording(A):
+        seen.append(np.abs(A).sum(axis=-2).max(axis=-1))
+        return real(A)
+
+    monkeypatch.setattr(scipy.linalg, "expm", recording)
+    M = build_superoperator(qbm_model(20, 0.5))
+    (group,) = superoperator_blocks(M)
+    S = 10.0 * _stack(M, group)
+    assert np.abs(S).sum(axis=-2).max() > 2 ** 6 * liouville._THETA_13
+    _expm(S)
+    assert np.concatenate(seen).max() <= liouville._THETA_13
 
 
 # ---------------------------------------------------------------------------
