@@ -24,7 +24,6 @@ from .operators import (
 from .liouville import (
     EisReport,
     LindbladGenerator,
-    adjoint_semigroup,
     apply_generator,
     apply_generator_adjoint,
     build_superoperator,

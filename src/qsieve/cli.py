@@ -599,6 +599,7 @@ def _render_json(header: dict, body: dict) -> str:
 
 def run_config(config: dict, out_dir: str) -> str:
     """Execute a validated config; returns the output file path."""
+    os.makedirs(out_dir, exist_ok=True)  # a bad path fails before the run
     gen = build_model(config)
     header = _header(config)
     if config["model"]["type"] == "custom":
@@ -609,7 +610,6 @@ def run_config(config: dict, out_dir: str) -> str:
             "decompose": _cmd_decompose, "classify": _cmd_classify}[command]
     body = impl(gen, config)
 
-    os.makedirs(out_dir, exist_ok=True)
     ext = config["output_format"]
     path = os.path.join(out_dir, f"{command}.{ext}")
     if ext == "csv":
@@ -683,7 +683,7 @@ def main(argv=None) -> int:
         # ValidationError parent
         print(_error_json(exc), file=sys.stderr)
         return 2
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: a bad --out path
         print(_error_json(exc), file=sys.stderr)
         return 1
     elapsed = time.monotonic() - started

@@ -60,7 +60,6 @@ __all__ = [
     "apply_generator_adjoint",
     "build_superoperator",
     "superoperator_blocks",
-    "adjoint_semigroup",
     "propagator",
     "evolve",
     "channel_applier",
@@ -403,18 +402,21 @@ def superoperator_blocks(M: np.ndarray) -> tuple:
     factorisation of M splits exactly into one per block, and blocks of one
     size stack into one call.  A matrix with no such structure is one block.
     """
-    # imported on first use: the sieve and lambda paths never factorise M
-    import scipy.sparse.csgraph
-
-    # the CSR pattern of M, with float weights so that connected_components
-    # takes it without a conversion
+    # labelled in numpy: across each edge joining two roots, the larger root
+    # hooks onto the smallest it meets, and pointer jumping flattens the
+    # trees; roots only move down, so each ends at its block's smallest index
     M = np.asarray(M)
     rows, cols = np.nonzero(M)
-    indptr = np.searchsorted(rows, np.arange(M.shape[0] + 1))
-    graph = scipy.sparse.csr_array((np.ones(rows.size), cols.copy(), indptr),
-                                   shape=M.shape)
-    _, labels = scipy.sparse.csgraph.connected_components(graph,
-                                                          directed=False)
+    root = np.arange(M.shape[0])
+    while True:
+        a, b = root[rows], root[cols]
+        cross = a != b
+        if not cross.any():
+            break
+        np.minimum.at(root, np.maximum(a, b)[cross], np.minimum(a, b)[cross])
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    _, labels = np.unique(root, return_inverse=True)
     # components are labelled in order of their smallest index; the sort by
     # block size, then block, is stable, so each block keeps its indices in
     # increasing order
@@ -432,11 +434,6 @@ def _stack(M: np.ndarray, group: np.ndarray) -> np.ndarray:
     """The diagonal blocks of M indexed by the rows of group, as one
     (m, s, s) stack."""
     return M[group[:, :, None], group[:, None, :]]
-
-
-def adjoint_semigroup(gen: LindbladGenerator) -> np.ndarray:
-    """Superoperator of the HS-adjoint generator (conjugate transpose of M)."""
-    return build_superoperator(gen).conj().T
 
 
 def _gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:

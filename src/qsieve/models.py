@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .liouville import LindbladGenerator
 from .operators import ValidationError, normalize_state
@@ -170,6 +169,9 @@ def su11_coherent_state(N: int, zeta: complex,
 
 def nearest_su11_coherent(psi: np.ndarray) -> tuple[complex, float]:
     """Best-fidelity coherent label for a state: coarse grid + local refine."""
+    # imported at its one use: no command calls this, and scipy.optimize (with
+    # scipy.special, fft, sparse, spatial) adds ~2/3 to a process's start-up
+    import scipy.optimize
     psi = np.asarray(psi, dtype=complex)
     N = psi.size
 

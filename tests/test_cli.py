@@ -4,11 +4,15 @@ exit codes."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qsieve
 import qsieve.cli as cli
 import qsieve.liouville as liouville
 from qsieve import davies_model
@@ -91,6 +95,32 @@ def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "error" in err
+
+
+@pytest.mark.parametrize("target", ["file", "below_a_file"])
+def test_bad_out_path_is_an_error_before_the_model_is_built(
+        tmp_path, capsys, monkeypatch, target):
+    # the output directory was once made after the whole computation, and
+    # FileExistsError escaped main as a traceback
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    out = tmp_path / "taken"
+    if target == "below_a_file":
+        out = out / "sub"
+    built = []
+    real = cli.build_model
+
+    def counting(config):
+        built.append(1)
+        return real(config)
+
+    monkeypatch.setattr(cli, "build_model", counting)
+    cfg = write_config(tmp_path, "config.json",
+                       {"command": "classify",
+                        "model": {"type": "pointer", "energies": [0.0, 1.0]}})
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] in ("FileExistsError", "NotADirectoryError")
+    assert built == []
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):
@@ -454,3 +484,60 @@ def test_seed_flag_overrides_config(tmp_path):
     _, out = run_cli(tmp_path, payload, extra_args=["--seed", "9"])
     doc = json.loads((out / "lambda.json").read_text(encoding="utf-8"))
     assert doc["header"]["config"]["seed"] == 9
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+_IMPORT_GUARD = """
+import json, os, sys, tempfile
+import numpy as np
+import qsieve.cli as cli
+
+configs = [
+    {"command": "evolve", "model": {"type": "toy"}, "times": [0.0, 1.0],
+     "state": [[1.0, 0.0], [0.0, 0.0]]},
+    {"command": "lambda", "model": {"type": "pointer",
+                                    "energies": [0.0, 1.0, 2.5]},
+     "states": "random:4"},
+    {"command": "sieve", "model": {"type": "toy"}, "n_starts": 3},
+    {"command": "decompose", "model": {"type": "pointer",
+                                       "energies": [0.0, 1.0]}},
+    {"command": "classify", "model": {"type": "pointer",
+                                      "energies": [0.0, 1.0, 2.5]}},
+]
+with tempfile.TemporaryDirectory() as out:
+    for i, config in enumerate(configs):
+        cli.run_config(cli.parse_config(json.dumps(config)),
+                       os.path.join(out, str(i)))
+heavy = ("scipy.optimize", "scipy.sparse", "scipy.special", "scipy.fft")
+after_run = [name for name in heavy if name in sys.modules]
+
+from qsieve.models import nearest_su11_coherent, su11_coherent_state
+psi = (su11_coherent_state(24, 0.35 - 0.2j)
+       + 0.1 * su11_coherent_state(24, -0.1 + 0.25j))
+zeta, fid = nearest_su11_coherent(psi / np.linalg.norm(psi))
+print(json.dumps({"after_run": after_run,
+                  "optimize_loaded": "scipy.optimize" in sys.modules,
+                  "zeta": [zeta.real, zeta.imag], "fidelity": fid}))
+"""
+
+
+def test_a_run_loads_no_scipy_module_beyond_linalg():
+    # scipy.optimize pulls in scipy.special, fft, sparse and spatial, and
+    # was once about 40% of a run's start-up; only nearest_su11_coherent
+    # needs it
+    src = os.path.dirname(os.path.dirname(qsieve.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["after_run"] == []
+    assert report["optimize_loaded"] is True
+    # the label and fidelity the module-level import gave
+    assert report["zeta"] == pytest.approx(
+        [0.3232683664743599, -0.18108965050626208], abs=1e-9)
+    assert report["fidelity"] == pytest.approx(0.9977902228565111, abs=1e-12)

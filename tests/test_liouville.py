@@ -9,7 +9,6 @@ import scipy.linalg
 
 from qsieve import (
     LindbladGenerator,
-    adjoint_semigroup,
     apply_generator,
     apply_generator_adjoint,
     build_superoperator,
@@ -218,6 +217,58 @@ def test_block_counts_follow_the_symmetry_sectors():
             build_superoperator(qbm_model(n_levels, 0.4)))) == 2
 
 
+def _csgraph_blocks(M: np.ndarray) -> tuple:
+    """superoperator_blocks by scipy's graph search: the reference for the
+    package's numpy labelling."""
+    import scipy.sparse
+    import scipy.sparse.csgraph
+
+    _, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_array(np.asarray(M) != 0), directed=False)
+    sizes = np.bincount(labels)
+    order = np.lexsort((labels, sizes[labels]))
+    groups, start = [], 0
+    for size in np.unique(sizes):
+        count = np.count_nonzero(sizes == size)
+        groups.append(order[start:start + count * size].reshape(count, size))
+        start += count * size
+    return tuple(groups)
+
+
+def _block_search_cases() -> dict:
+    """The superoperators of every model in this file, and synthetic
+    sparsity patterns."""
+    cases = {f"model{i}": build_superoperator(gen)
+             for i, gen in enumerate(_models())}
+    cases.update({name: build_superoperator(gen)
+                  for name, (gen, _) in block_models().items()})
+    one_way = np.zeros((9, 9))  # M[i, j] != 0 while M[j, i] == 0
+    one_way[0, 5] = one_way[5, 7] = one_way[8, 2] = one_way[3, 4] = 1.0
+    isolated = np.zeros((8, 8), dtype=complex)  # zero rows and columns
+    isolated[np.ix_([1, 4, 6], [1, 4, 6])] = 1.0 + 1.0j
+    isolated[2, 7] = -0.5
+    # a chain through a random permutation is labelled over several hook
+    # rounds; a second chain and a few isolated indices ride along
+    perm = np.random.default_rng(11).permutation(2400)
+    chain = np.zeros((2400, 2400), dtype=bool)
+    chain[perm[:1999], perm[1:2000]] = True
+    chain[perm[2000:2396], perm[2001:2397]] = True
+    cases.update({"one_way": one_way, "isolated": isolated,
+                  "zero": np.zeros((6, 6)), "dense": np.ones((7, 7)),
+                  "chain": chain})
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_block_search_cases()))
+def test_superoperator_blocks_match_the_graph_search(name):
+    M = _block_search_cases()[name]
+    groups = superoperator_blocks(M)
+    reference = _csgraph_blocks(M)
+    assert len(groups) == len(reference)
+    for group, ref in zip(groups, reference):
+        assert np.array_equal(group, ref)
+
+
 @pytest.mark.parametrize("name", list(block_models()))
 def test_propagator_matches_dense_expm(name):
     gen, _ = block_models()[name]
@@ -319,9 +370,13 @@ def test_evolution_preserves_hermiticity(rng):
 def test_adjoint_is_hs_adjoint(rng):
     for gen in _models():
         M = build_superoperator(gen)
-        assert np.allclose(adjoint_semigroup(gen), M.conj().T, atol=1e-12)
         A = random_hermitian(gen.dim, rng)
         B = random_hermitian(gen.dim, rng)
+        # the adjoint generator is M^H on vectorised operators, checked on
+        # an operator that is not Hermitian
+        X = A + 1j * B
+        assert np.allclose(apply_generator_adjoint(gen, X),
+                           unvec(M.conj().T @ vec(X)), atol=1e-12)
         lhs = hs_inner(A, apply_generator(gen, B))
         rhs = hs_inner(apply_generator_adjoint(gen, A), B)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
