@@ -36,8 +36,8 @@ def main() -> None:
     d = gen.dim
     M = build_superoperator(gen)
     split = spectral_split(M)
-    print(f"dimension {d}: iso dim {len(split.iso_basis)}, "
-          f"sweep dim {len(split.sweep_basis)} "
+    print(f"dimension {d}: iso dim {split.iso_dim}, "
+          f"sweep dim {split.sweep_dim} "
           f"(expected {d} and {d * d - d})")
 
     report = verify_split_properties(M, split)

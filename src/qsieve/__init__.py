@@ -34,7 +34,6 @@ from .liouville import (
 )
 from .sieve import (
     SieveReport,
-    lambda_form,
     lambda_gradient,
     lambda_pure,
     level_set_probe,

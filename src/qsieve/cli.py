@@ -36,6 +36,9 @@ from .decomposition import (
     verify_split_properties,
 )
 from .liouville import (
+    CHOI_TOL,
+    CONTRACTION_TOL,
+    TRACE_TOL,
     LindbladGenerator,
     build_superoperator,
     channel_applier,
@@ -51,6 +54,7 @@ from .models import (
     toy_model,
 )
 from .operators import (
+    HERMITICITY_TOL,
     DegenerateInputError,
     ValidationError,
     is_hermitian,
@@ -420,11 +424,11 @@ def build_model(config: dict) -> LindbladGenerator:
 # command implementations
 
 TOLERANCES = {
-    "choi_psd": 1e-8,
-    "trace_preservation": 1e-10,
-    "norm_contraction": 1e-9,
+    "choi_psd": CHOI_TOL,
+    "trace_preservation": TRACE_TOL,
+    "norm_contraction": CONTRACTION_TOL,
     "fixed_point_residual": 1e-8,
-    "hermiticity": 1e-12,
+    "hermiticity": HERMITICITY_TOL,
 }
 
 

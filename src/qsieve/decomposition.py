@@ -12,6 +12,7 @@ zeros, so this is exact.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +66,8 @@ class DefectivePeripheralSpectrumError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralSplit:
-    iso_basis: np.ndarray        # (k, d, d), HS-orthonormal
-    sweep_basis: np.ndarray      # (d^2 - k, d, d), HS-orthonormal
+    """The split in block form.  The first k columns of a block's basis, k
+    the rank of its projection, span its part of iso; the rest, of sweep."""
     peripheral_eigenvalues: np.ndarray
     spectral_gap: float          # min |Re lambda| over the swept spectrum
     tol: float
@@ -76,21 +77,36 @@ class SpectralSplit:
 
     @property
     def dim(self) -> int:
-        return self.iso_basis.shape[1] if self.iso_basis.size else \
-            self.sweep_basis.shape[1]
+        return math.isqrt(sum(group.size for group in self.groups))
 
     @property
     def iso_dim(self) -> int:
-        return self.iso_basis.shape[0]
+        return len(self.peripheral_eigenvalues)
 
     @property
     def sweep_dim(self) -> int:
-        return self.sweep_basis.shape[0]
+        return self.dim ** 2 - self.iso_dim
+
+    @property
+    def iso_basis(self) -> np.ndarray:  # (k, d, d), formed on each read
+        return _operators(self, True)
+
+    @property
+    def sweep_basis(self) -> np.ndarray:  # (d^2 - k, d, d), as large as M
+        return _operators(self, False)
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """The projection onto iso along sweep of the columns of the
         d^2 x m matrix X, one stack of blocks at a time."""
         return _block_apply(self.groups, self.projections, X)
+
+
+def _iso_columns(P: np.ndarray) -> np.ndarray:
+    """(m, s) mask of the iso columns of a stack of blocks with projections
+    P: the first k columns of a block's basis, k the rank, so the trace, of
+    its projection."""
+    m, s, _ = P.shape
+    return np.arange(s) < np.rint(np.trace(P, axis1=1, axis2=2).real)[:, None]
 
 
 def _vec_columns(ops: np.ndarray) -> np.ndarray:
@@ -137,7 +153,7 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
                              for T, _, k in blocks])
     periph_scale = max(np.abs(periph).max(initial=0.0), 1.0)
 
-    projections, bases, iso_masks = [], [], []
+    projections, bases = [], []
     for (m, s), blocks in zip((g.shape for g in groups), schurs):
         P = np.zeros((m, s, s), dtype=complex)
         basis = np.empty_like(P)
@@ -158,25 +174,22 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
             basis[b, :, :k] = Q[:, :k]
         projections.append(P)
         bases.append(basis)
-        # the first k columns of a block's basis span its part of iso
-        iso_masks.append(np.arange(s) < np.array([k for *_, k in blocks])
-                         [:, None])
 
     swept_res = np.abs(evs.real)[np.abs(evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
-    return SpectralSplit(
-        _operators(groups, bases, iso_masks, d),
-        _operators(groups, bases, [~mask for mask in iso_masks], d),
-        periph, gap, tol, groups, tuple(projections), tuple(bases))
+    return SpectralSplit(periph, gap, tol, groups, tuple(projections),
+                         tuple(bases))
 
 
-def _operators(groups: tuple, bases: list, masks: list, d: int) -> np.ndarray:
-    """The block basis columns that masks select, block by block in order, as
-    one (count, d, d) stack of operators."""
+def _operators(split: SpectralSplit, iso: bool) -> np.ndarray:
+    """The iso (or sweep) columns of the split's block bases, block by block
+    in order, as one (count, d, d) stack of operators."""
+    d = split.dim
+    masks = [_iso_columns(P) == iso for P in split.projections]
     ops = np.zeros((sum(int(mask.sum()) for mask in masks), d, d),
                    dtype=complex)
     start = 0
-    for group, basis, mask in zip(groups, bases, masks):
+    for group, basis, mask in zip(split.groups, split.block_bases, masks):
         # the entries of each selected column sit at the indices of its block;
         # vec is column stacked, so index i holds the entry (i % d, i // d)
         idx = np.repeat(group, mask.sum(axis=1), axis=0)
@@ -247,9 +260,6 @@ class SplitVerification:
         vals = [v for k, v in self.residuals.items()
                 if v is not None and k not in HEALTH_FIGURES]
         return max(vals) if vals else 0.0
-
-    def as_dict(self) -> dict:
-        return dict(self.residuals)
 
 
 def verify_split_properties(M: np.ndarray, split: SpectralSplit,
@@ -354,10 +364,7 @@ def _blockwise_residuals(split: SpectralSplit, rows: list,
     for P, W, where, E in zip(split.projections, split.block_bases, rows,
                               expms):
         m, s, _ = W.shape
-        # the first k columns of a block's basis span its part of iso, and
-        # k is the rank, so the trace, of the block's projection
-        iso_cols = np.arange(s) < np.rint(
-            np.trace(P, axis1=1, axis2=2).real)[:, None]
+        iso_cols = _iso_columns(P)
         # Wt[c][:, j] is vec(w^T) for the column w = W[b][:, j] of the block
         # b that X -> X^T carries onto block c
         Wt = np.empty_like(W)

@@ -600,6 +600,12 @@ def choi_matrix(P: np.ndarray) -> np.ndarray:
         d * d, d * d) / d
 
 
+#: EisReport's bounds on -(least Choi eigenvalue), trace error, norm growth
+CHOI_TOL = 1e-8
+TRACE_TOL = 1e-10
+CONTRACTION_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class EisReport:
     """Numeric evidence that exp(tL) is an environment-induced semigroup."""
@@ -610,25 +616,21 @@ class EisReport:
     max_operator_norm_growth: float
     times: tuple
 
-    choi_tol: float = 1e-8
-    trace_tol: float = 1e-10
-    contraction_tol: float = 1e-9
-
     @property
     def completely_positive(self) -> bool:
-        return self.min_choi_eigenvalue >= -self.choi_tol
+        return self.min_choi_eigenvalue >= -CHOI_TOL
 
     @property
     def trace_preserving(self) -> bool:
-        return self.max_trace_deviation <= self.trace_tol
+        return self.max_trace_deviation <= TRACE_TOL
 
     @property
     def trace_norm_contractive(self) -> bool:
-        return self.max_trace_norm_growth <= self.contraction_tol
+        return self.max_trace_norm_growth <= CONTRACTION_TOL
 
     @property
     def operator_norm_contractive(self) -> bool:
-        return self.max_operator_norm_growth <= self.contraction_tol
+        return self.max_operator_norm_growth <= CONTRACTION_TOL
 
     @property
     def passed(self) -> bool:

@@ -17,22 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import LindbladGenerator, apply_generator, channel_applier
+from .liouville import LindbladGenerator, channel_applier
 from .operators import (
     ValidationError,
     combine_states,
     fidelity,
     fix_phase,
-    is_hermitian,
     normalize_state,
-    projector,
     random_pure_state,
     superposition_basis,
 )
 
 __all__ = [
     "SieveReport",
-    "lambda_form",
     "lambda_pure",
     "lambda_gradient",
     "minimize_lambda",
@@ -41,18 +38,6 @@ __all__ = [
     "quasi_classical_test",
     "time_averaged_linear_entropy",
 ]
-
-
-def lambda_form(gen: LindbladGenerator, e) -> float:
-    """Entropy-production form on a rank-1 projector: -tr(e L(e))."""
-    e = np.asarray(e, dtype=complex)
-    if not is_hermitian(e, tol=1e-10):
-        raise ValidationError("lambda is defined on Hermitian projectors")
-    val = -np.trace(e @ apply_generator(gen, e))
-    if abs(val.imag) > 1e-10 * max(abs(val.real), 1.0):
-        raise ValidationError(
-            f"lambda acquired an imaginary part {val.imag:.3e}")
-    return float(val.real)
 
 
 def lambda_pure(gen: LindbladGenerator, psi):
@@ -235,8 +220,7 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
     for i in range(m):
         for j in range(i + 1, m):
             if (flags[i] or flags[j]) and not _excludes(
-                    gen, projector(minimizers[i]), projector(minimizers[j]),
-                    a0 + eps):
+                    gen, minimizers[i], minimizers[j], a0 + eps):
                 flags[i] = flags[j] = False
 
     return SieveReport(a0, eps, tuple(minimizers), tuple(min_lams),
@@ -319,7 +303,7 @@ def _band_minimum(Q: np.ndarray, c: complex, s: float) -> float:
     # interior: A n + q = mu n on |n| = 1.  With y = (A - mu)^{-2} q the
     # multipliers are the real eigenvalues of (A - mu)^2 y = q q^T y,
     # linearised to 6x6, and n = -(A - mu) y.  Where mu meets an eigenvalue
-    # of A, n is completed along that eigenvector to unit length.
+    # of A, n is completed along that eigenvector to unit length if |n| <= 1.
     lin = np.block([[np.zeros((3, 3)), np.eye(3)],
                     [np.outer(q, q) - A @ A, 2.0 * A]])
     mus = np.linalg.eigvals(lin)
@@ -334,7 +318,7 @@ def _band_minimum(Q: np.ndarray, c: complex, s: float) -> float:
         if norm0 > 0.0:
             points.append(n0 / norm0)
         rest = np.sqrt(max(1.0 - norm0 ** 2, 0.0))
-        for k in np.flatnonzero(near):
+        for k in np.flatnonzero(near & (norm0 <= 1.0)):
             points += [n0 + rest * evecs[:, k], n0 - rest * evecs[:, k]]
     candidates = []
     for n in points:
@@ -365,12 +349,11 @@ def _band_minimum(Q: np.ndarray, c: complex, s: float) -> float:
     return float(np.einsum("ki,ij,kj->k", nt, Q, nt).min())
 
 
-def _excludes(gen: LindbladGenerator, e, f, threshold: float) -> bool:
-    """True iff every superposition of e and f in the band the default
-    superposition_grid samples (|z2/z1| = tan theta, theta in
-    [pi/50, 12 pi/25], any relative phase) has lambda above the threshold.
-    Decided exactly, and symmetric in e and f."""
-    u, v = superposition_basis(e, f)
+def _excludes(gen: LindbladGenerator, u, v, threshold: float) -> bool:
+    """True iff every superposition z1 u + z2 v of the unit vectors u and v
+    in the band the default superposition_grid samples (|z2/z1| = tan
+    theta, theta in [pi/50, 12 pi/25], any relative phase) has lambda above
+    the threshold.  Decided exactly, and symmetric in u and v."""
     c = np.vdot(u, v)
     w = v - c * u
     s = np.linalg.norm(w)
@@ -379,9 +362,10 @@ def _excludes(gen: LindbladGenerator, e, f, threshold: float) -> bool:
 
 def quasi_classical_test(gen: LindbladGenerator, report: SieveReport,
                          e, f) -> bool:
-    """Do all superpositions of two most-stable states in the exclusion band
-    leave the stability band [a0, a0 + epsilon]?  Decided exactly."""
-    return _excludes(gen, e, f, report.a0 + report.epsilon)
+    """Do all superpositions of two most-stable states (rank-1 projectors) in
+    the exclusion band leave the stability band [a0, a0 + epsilon]?"""
+    return _excludes(gen, *superposition_basis(e, f),
+                     report.a0 + report.epsilon)
 
 
 def level_set_probe(gen: LindbladGenerator, a: float, band: float,

@@ -7,6 +7,7 @@ import pytest
 
 from qsieve import (
     LindbladGenerator,
+    apply_generator,
     davies_model,
     grw_model,
     pointer_model,
@@ -102,6 +103,15 @@ def loop_lambda(gen: LindbladGenerator, psi: np.ndarray) -> float:
     else:
         expect = np.vdot(psi, phi.apply(np.outer(psi, psi.conj())) @ psi).real
     return float(g_mean - expect)
+
+
+def lambda_form(gen: LindbladGenerator, e: np.ndarray) -> float:
+    """lambda of a rank-1 projector as the paper writes it, -tr(e L(e)), by
+    one full application of the generator.  The reference for lambda_pure,
+    which never forms L(e)."""
+    val = -np.trace(e @ apply_generator(gen, e))
+    assert abs(val.imag) <= 1e-10 * max(abs(val.real), 1.0)
+    return float(val.real)
 
 
 def unstructured_model() -> LindbladGenerator:

@@ -466,15 +466,24 @@ def test_run_custom_model_csv_header_carries_semigroup_check(tmp_path):
     assert header["eis_check"]["passed"] is True
 
 
-def test_run_outputs_are_deterministic(tmp_path):
-    payload = {"command": "sieve", "seed": 7, "n_starts": 6,
-               "model": {"type": "pointer", "energies": [0.0, 0.8, 2.0]}}
-    code1, out1 = run_cli(tmp_path, payload)
-    first = (out1 / "sieve.json").read_bytes()
-    code2, out2 = run_cli(tmp_path, payload)
-    second = (out2 / "sieve.json").read_bytes()
-    assert code1 == code2 == 0
-    assert first == second
+@pytest.mark.parametrize("payload", [
+    {"command": "evolve", "seed": 7, "times": [0.0, 0.5, 1.0, 2.0],
+     "model": FULL_MODELS["qbm"]},
+    {"command": "lambda", "seed": 7, "states": "random:50",
+     "model": {"type": "davies", "n_levels": 6, "kappa": 1.0}},
+    {"command": "sieve", "seed": 7, "n_starts": 6,
+     "model": {"type": "pointer", "energies": [0.0, 0.8, 2.0]}},
+    {"command": "decompose", "seed": 7, "model": FULL_MODELS["custom"]},
+    {"command": "classify", "seed": 7, "model": FULL_MODELS["grw"]},
+], ids=lambda payload: payload["command"])
+def test_run_outputs_are_deterministic(tmp_path, payload):
+    runs = []
+    for _ in range(2):
+        code, out = run_cli(tmp_path, payload)
+        assert code == 0
+        [path] = out.glob(f"{payload['command']}.*")
+        runs.append(path.read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_seed_flag_overrides_config(tmp_path):

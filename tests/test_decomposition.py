@@ -139,8 +139,8 @@ def test_split_rejects_a_matrix_that_is_not_d2_square(shape):
 
 
 def test_split_holds_no_dense_projection():
-    # the block projections and bases hold sum s^2 entries over the blocks;
-    # the iso and sweep bases hold d^4, as many as M
+    # the block projections and bases hold sum s^2 entries over the blocks,
+    # a small part of M's d^4; the iso and sweep stacks are not held
     M = build_superoperator(davies_model(30, 1.0))
     split = spectral_split(M)
     held = 0
@@ -148,7 +148,46 @@ def test_split_holds_no_dense_projection():
         value = getattr(split, f.name)
         for array in (value if isinstance(value, tuple) else (value,)):
             held += getattr(array, "nbytes", 0)
-    assert held <= 1.1 * M.nbytes
+    assert held <= M.nbytes / 10
+
+
+def test_split_peaks_well_below_the_superoperator():
+    # the split forms no array of d^4 entries; M is the only one
+    M = build_superoperator(davies_model(30, 1.0))
+    tracemalloc.start()
+    try:
+        split = spectral_split(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split.iso_dim + split.sweep_dim == M.shape[0]
+    assert peak <= M.nbytes / 2
+
+
+@pytest.mark.parametrize("name", list(block_models()))
+def test_dense_bases_are_the_block_columns(name):
+    # iso_basis and sweep_basis stack the iso and sweep columns of the block
+    # bases, block by block in order, each in the whole space
+    gen, _ = block_models()[name]
+    M = build_superoperator(gen)
+    split = spectral_split(M)
+    iso, sweep = split.iso_basis, split.sweep_basis
+    assert iso.shape == (split.iso_dim, split.dim, split.dim)
+    assert sweep.shape == (split.sweep_dim, split.dim, split.dim)
+    iso_cols, sweep_cols = [], []
+    for group, P, W in zip(split.groups, split.projections,
+                           split.block_bases):
+        for idx, block, basis in zip(group, P, W):
+            k = int(round(np.trace(block).real))
+            for j in range(basis.shape[1]):
+                col = np.zeros(M.shape[0], dtype=complex)
+                col[idx] = basis[:, j]
+                (iso_cols if j < k else sweep_cols).append(col)
+    assert np.array_equal(np.array([vec(B) for B in iso]).reshape(
+        split.iso_dim, -1), np.array(iso_cols).reshape(split.iso_dim, -1))
+    assert np.array_equal(np.array([vec(B) for B in sweep]).reshape(
+        split.sweep_dim, -1), np.array(sweep_cols).reshape(
+            split.sweep_dim, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +224,10 @@ def dense_spectral_split(M, tol=None) -> SpectralSplit:
         P = np.zeros((n, n), dtype=complex)
         sweep_q = np.eye(n, dtype=complex)
 
-    d = int(round(np.sqrt(n)))
-    iso_basis = np.array([unvec(Q[:, i]) for i in range(k)]).reshape(k, d, d)
-    sweep_basis = np.array([unvec(sweep_q[:, i])
-                            for i in range(n - k)]).reshape(n - k, d, d)
     swept_res = np.abs(evs.real)[np.abs(evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
-    return SpectralSplit(iso_basis, sweep_basis, periph.copy(), gap, tol,
-                         (np.arange(n)[None],), (P[None],),
-                         (np.hstack([Q[:, :k], sweep_q])[None],))
+    return SpectralSplit(periph.copy(), gap, tol, (np.arange(n)[None],),
+                         (P[None],), (np.hstack([Q[:, :k], sweep_q])[None],))
 
 
 def assert_same_multiset(a, b, tol):
