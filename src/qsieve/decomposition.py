@@ -160,9 +160,15 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
         for b, (T, Q, k) in enumerate(blocks):
             _check_semisimple(T[:k, :k], np.diag(T)[:k], tol, periph_scale)
             if 0 < k < s:
-                # spectral projector from the 2x2 block Schur form
-                R = scipy.linalg.solve_sylvester(T[:k, :k], -T[k:, k:],
-                                                 T[:k, k:])
+                # spectral projector from the 2x2 block Schur form, with R
+                # solving T11 R - R T22 = T12 on the triangular blocks; info
+                # = 1 (close eigenvalues, perturbed to solve) is accepted
+                R, scale, info = scipy.linalg.lapack.ztrsyl(
+                    T[:k, :k], T[k:, k:], T[:k, k:], isgn=-1)
+                if info < 0:
+                    raise np.linalg.LinAlgError(
+                        f"illegal ztrsyl argument {-info}")
+                R /= scale
                 P[b] = _gemm(_gemm(Q[:, :k], np.hstack([np.eye(k), R])),
                              Q.conj().T)
                 basis[b, :, k:] = scipy.linalg.qr(
@@ -306,14 +312,13 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     # (b) trace orthogonality tr(phi1 phi2) = 0
     res["b_trace_orthogonality"] = ortho
 
-    # (c) completeness of the direct sum
-    res["c_completeness"] = float(split.iso_dim + split.sweep_dim != n)
-    if split.iso_dim and split.sweep_dim:
-        sv = np.concatenate([_svdvals(B).ravel()
-                             for B in split.block_bases])
-        res["c_basis_conditioning"] = float(sv.min() / sv.max())
-    else:
-        res["c_basis_conditioning"] = 1.0
+    # (c) completeness: the block-basis singular values at the rounding
+    # floor, one per direction iso and sweep share; none if either is empty
+    sv = np.concatenate([_svdvals(B).ravel() for B in split.block_bases]) \
+        if split.iso_dim and split.sweep_dim else np.ones(1)
+    res["c_completeness"] = float(np.count_nonzero(
+        sv <= n * np.finfo(float).eps * sv.max()))
+    res["c_basis_conditioning"] = float(sv.min() / sv.max())
 
     # (d) HS isometry + multiplicativity of the flow on iso
     iso_norm = iso_mult = 0.0

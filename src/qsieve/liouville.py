@@ -41,6 +41,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+# scipy.linalg.expm's own kernels, loaded with scipy.linalg; a private module
+# whose signatures test_scaled_expm_is_scipy_expm_bit_for_bit guards
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .operators import (
     DimensionMismatchError,
@@ -485,38 +488,29 @@ def _svdvals(A: np.ndarray) -> np.ndarray:
     return out
 
 
-#: theta_13 of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
-#: (2009): the 1-norm up to which the [13/13] Pade approximant of exp needs
-#: no scaling in double precision
-_THETA_13 = 5.371920351148152
-
-
 def _expm(A: np.ndarray) -> np.ndarray:
-    """exp of each slice of an (m, s, s) stack.
-
-    scipy.linalg.expm scales a slice by 2^-j and squares its Pade
-    approximant j times with numpy's matmul, which wakes numpy's BLAS pool.
-    Here each slice is scaled by 2^-j first, j from its 1-norm, and the
-    squarings run on scipy's BLAS.  scipy takes j from the norms of powers
-    of the slice, which the 1-norm bounds.  Where it arrives at the same j,
-    or at a larger one and squares the rest itself, the bits are those of
-    scipy.linalg.expm(A); where at a smaller one, the result differs from
-    scipy's by rounding.  Triangular slices, which scipy squares by a path
-    of its own, and slices whose squarings stay below _UNTHREADED_MACS go
-    to scipy unscaled.
+    """exp of each slice of an (m, s, s) complex stack: scipy.linalg.expm
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) bit for
+    bit, with the squarings it does on numpy's matmul done on _gemm.
+    Triangular slices, which scipy squares by a path of its own, and stacks
+    below _UNTHREADED_MACS go to scipy whole.
     """
-    if A.shape[-1] ** 3 <= _UNTHREADED_MACS:
+    s = A.shape[-1]
+    if s ** 3 <= _UNTHREADED_MACS:
         return scipy.linalg.expm(A)
-    norms = np.abs(A).sum(axis=1).max(axis=1)
-    with np.errstate(divide="ignore"):
-        j = np.ceil(np.log2(norms / _THETA_13))
-    j = np.where(j > 0, j, 0).astype(int)
-    for i in np.flatnonzero(j):
-        if 0 in scipy.linalg.bandwidth(A[i]):
-            j[i] = 0
-    E = scipy.linalg.expm(A * np.ldexp(1.0, -j)[:, None, None])
-    for i in np.flatnonzero(j):
-        for _ in range(j[i]):
+    triangular = np.array([0 in scipy.linalg.bandwidth(a) for a in A], bool)
+    E = np.empty_like(A)
+    E[triangular] = scipy.linalg.expm(A[triangular])
+    work = np.empty((5, s, s), dtype=A.dtype)
+    for i in np.flatnonzero(~triangular):
+        work[0] = A[i]
+        degree, squarings = pick_pade_structure(work)
+        info = pade_UV_calc(work, degree) if degree >= 0 else degree
+        if info:
+            raise np.linalg.LinAlgError(
+                f"scipy's expm kernels failed (error code {info})")
+        E[i] = work[0]
+        for _ in range(squarings):
             E[i] = _gemm(E[i], E[i])
     return E
 

@@ -4,7 +4,7 @@ verification report, and enumeration of the pointer ("classical") states."""
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -296,12 +296,15 @@ def loop_verify_split_properties(M, split, times=(1.0, 5.0, 20.0),
             ortho = max(ortho, abs((B1 @ B2).trace()))
     res["b_trace_orthogonality"] = float(ortho)
 
-    res["c_completeness"] = float(split.iso_dim + split.sweep_dim != n)
     if split.iso_dim and split.sweep_dim:
         stacked = np.hstack([np.stack([vec(B) for B in iso], axis=1),
                              np.stack([vec(B) for B in sweep], axis=1)])
+        sv = np.linalg.svd(stacked, compute_uv=False)
+        res["c_completeness"] = float(np.count_nonzero(
+            sv <= n * np.finfo(float).eps * sv.max()))
         res["c_basis_conditioning"] = float(1.0 / np.linalg.cond(stacked))
     else:
+        res["c_completeness"] = 0.0
         res["c_basis_conditioning"] = 1.0
 
     iso_norm = 0.0
@@ -452,6 +455,36 @@ def test_split_verification_and_propagator_call_no_numpy_lapack(monkeypatch):
     assert eis_check(gen).passed
 
 
+@pytest.mark.parametrize("name", [*block_models(), "qbm16"])
+def test_split_solves_sylvester_on_the_schur_blocks(name, monkeypatch):
+    # ztrsyl on the triangular Schur blocks, not solve_sylvester, which
+    # forms two more Schur forms and multiplies on numpy's BLAS; reference:
+    # each block's projection from solve_sylvester on its reordered form
+    gen = qbm_model(16, 0.5) if name == "qbm16" else block_models()[name][0]
+    M = build_superoperator(gen)
+    tol = spectral_split(M).tol
+    reference = []
+    for group in superoperator_blocks(M):
+        for B in _stack(M, group):
+            T, Q = scipy.linalg.schur(B, output="complex")
+            T, Q, k = decomposition._reorder(
+                T, Q, np.abs(np.diag(T).real) <= tol)
+            R = scipy.linalg.solve_sylvester(T[:k, :k], -T[k:, k:],
+                                             T[:k, k:])
+            reference.append(Q[:, :k] @ np.hstack([np.eye(k), R])
+                             @ Q.conj().T)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_sylvester called")
+
+    monkeypatch.setattr(scipy.linalg, "solve_sylvester", refuse)
+    split = spectral_split(M)
+    projections = [P for stack in split.projections for P in stack]
+    assert len(projections) == len(reference)
+    for P, ref in zip(projections, reference):
+        assert np.abs(P - ref).max() <= 1e-12
+
+
 def test_verification_peaks_well_below_the_superoperator():
     # checks (a), (b) and (e) run on one group of blocks at a time; on the
     # whole space they formed d^4-entry temporaries, three times M here
@@ -550,6 +583,23 @@ def test_verify_split_max_residual_skips_health_figures():
     report = verify_split_properties(M, spectral_split(M))
     assert report.residuals["c_basis_conditioning"] >= 1e-3
     assert report.max_residual <= 1e-7
+
+
+def test_verify_split_counts_directions_iso_and_sweep_share():
+    # a sweep column that repeats an iso column leaves the split basis one
+    # direction short: check (c) counts it, and it fails the verification
+    M = build_superoperator(block_models()["qbm8"][0])
+    split = spectral_split(M)
+    assert verify_split_properties(M, split).residuals["c_completeness"] \
+        == 0.0
+    # the first block holds the one iso column, then 31 sweep columns
+    assert np.trace(split.projections[0][0]).real == pytest.approx(1.0)
+    bases = [W.copy() for W in split.block_bases]
+    bases[0][0, :, -1] = bases[0][0, :, 0]
+    broken = replace(split, block_bases=tuple(bases))
+    report = verify_split_properties(M, broken)
+    assert report.residuals["c_completeness"] > 0
+    assert report.max_residual > 0
 
 
 def test_verify_split_depolarizing_sweep_decay():

@@ -297,25 +297,40 @@ def test_scaled_expm_is_scipy_expm_bit_for_bit(name, monkeypatch):
             assert np.array_equal(_expm(t * S), scipy.linalg.expm(t * S)), t
 
 
-def test_scaled_expm_hands_scipy_slices_of_norm_at_most_theta_13(
-        monkeypatch):
-    # scipy.linalg.expm squares with numpy's matmul as many times as the
-    # norm of its slice asks for; _expm pre-scales each slice to a 1-norm
-    # of at most theta_13 and does those squarings itself, on scipy's BLAS
-    seen = []
-    real = scipy.linalg.expm
+def test_expm_squares_general_slices_on_scipy_blas(monkeypatch):
+    # scipy.linalg.expm squares its Pade approximant with numpy's matmul;
+    # _expm hands it only small or triangular slices and runs, through
+    # _gemm, the squarings scipy's kernels pick for every other slice
+    handed, picked, products = [], [], []
+    real_expm = scipy.linalg.expm
+    real_pick = liouville.pick_pade_structure
+    real_gemm = liouville._gemm
 
-    def recording(A):
-        seen.append(np.abs(A).sum(axis=-2).max(axis=-1))
-        return real(A)
+    def recording_expm(A):
+        handed.extend(np.reshape(A, (-1,) + A.shape[-2:]))
+        return real_expm(A)
 
-    monkeypatch.setattr(scipy.linalg, "expm", recording)
+    def recording_pick(Am):
+        degree, squarings = real_pick(Am)
+        picked.append(squarings)
+        return degree, squarings
+
+    def counting_gemm(A, B):
+        products.append(1)
+        return real_gemm(A, B)
+
+    monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
+    monkeypatch.setattr(liouville, "pick_pade_structure", recording_pick)
+    monkeypatch.setattr(liouville, "_gemm", counting_gemm)
     M = build_superoperator(qbm_model(20, 0.5))
     (group,) = superoperator_blocks(M)
     S = 10.0 * _stack(M, group)
-    assert np.abs(S).sum(axis=-2).max() > 2 ** 6 * liouville._THETA_13
     _expm(S)
-    assert np.concatenate(seen).max() <= liouville._THETA_13
+    for A in handed:
+        assert (A.shape[-1] ** 3 <= liouville._UNTHREADED_MACS
+                or 0 in scipy.linalg.bandwidth(A))
+    assert len(picked) == len(S) and min(picked) > 0
+    assert len(products) == sum(picked)
 
 
 # ---------------------------------------------------------------------------
