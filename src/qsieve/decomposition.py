@@ -21,12 +21,18 @@ import scipy.linalg
 from .liouville import (
     LindbladGenerator,
     _check_dim,
+    _Conjugation,
     _expm,
+    _fill_twins,
+    _from_real,
     _gemm,
     _gemv,
+    _map_blocks,
     _stack,
     _stacked_gemm,
     _svdvals,
+    _to_real,
+    _transpose_map,
     apply_generator,
     build_superoperator,
     propagator,
@@ -132,59 +138,126 @@ def _block_apply(groups: tuple, stacks: list, X: np.ndarray) -> np.ndarray:
 
 def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     """Split vectorized operator space into peripheral (isometric) and decaying
-    (sweeping) invariant subspaces of the Liouvillian matrix M."""
+    (sweeping) invariant subspaces of the Liouvillian matrix M.
+
+    Each diagonal block of M is factorised once, by the rule its
+    _Conjugation gives: a twin takes the conjugates of its twin's Schur
+    form, projection and basis; a self-conjugate block larger than
+    _SMALL_BLOCK is split in real arithmetic in the Hermitian basis (real
+    Schur form, dtrsen, dtrsyl) and mapped back; every other block runs
+    zgees, ztrsen and ztrsyl."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0] if M.ndim == 2 else 0
     d = int(round(np.sqrt(n)))
     if n == 0 or M.shape != (d * d, d * d):
         raise ValidationError(f"M has shape {M.shape}, not d^2 x d^2")
     groups = superoperator_blocks(M)
-    # one Schur form per block; its diagonal holds the block's eigenvalues
-    schurs = [[scipy.linalg.schur(B, output="complex") for B in
-               _stack(M, group)] for group in groups]
-    evs = np.concatenate([np.diag(T) for blocks in schurs
-                          for T, _ in blocks])
+    stacks = [_stack(M, group) for group in groups]
+    conjs = [_Conjugation(S, group, d) for S, group in zip(stacks, groups)]
+    # one Schur form per block that is not a twin; its (quasi-)diagonal
+    # holds the block's eigenvalues
+    forms = [_schur_forms(S, conj) for S, conj in zip(stacks, conjs)]
+    evs = [_per_block(lambda T, Q: _schur_eigvals(T), blocks, conj)
+           for blocks, conj in zip(forms, conjs)]
+    all_evs = np.concatenate([ev for group_evs in evs for ev in group_evs])
     if tol is None:
-        tol = 1e-9 * max(np.abs(evs.real).max(), 1e-30)
+        tol = 1e-9 * max(np.abs(all_evs.real).max(), 1e-30)
 
-    schurs = [[_reorder(T, Q, np.abs(np.diag(T).real) <= tol)
-               for T, Q in blocks] for blocks in schurs]  # (T, Q, k)
-    periph = np.concatenate([np.diag(T)[:k] for blocks in schurs
-                             for T, _, k in blocks])
+    forms = [[None if form is None else
+              _reorder(*form, np.abs(ev.real) <= tol)
+              for form, ev in zip(blocks, group_evs)]
+             for blocks, group_evs in zip(forms, evs)]  # (T, Q, k)
+    periphs = [_per_block(lambda T, Q, k: _schur_eigvals(T)[:k], blocks,
+                          conj) for blocks, conj in zip(forms, conjs)]
+    periph = np.concatenate([p for group_periph in periphs
+                             for p in group_periph])
     periph_scale = max(np.abs(periph).max(initial=0.0), 1.0)
 
     projections, bases = [], []
-    for (m, s), blocks in zip((g.shape for g in groups), schurs):
-        P = np.zeros((m, s, s), dtype=complex)
+    for blocks, group_periph, conj in zip(forms, periphs, conjs):
+        m, s = conj.perm.shape
+        P = np.empty((m, s, s), dtype=complex)
         basis = np.empty_like(P)
-        for b, (T, Q, k) in enumerate(blocks):
-            _check_semisimple(T[:k, :k], np.diag(T)[:k], tol, periph_scale)
-            if 0 < k < s:
-                # spectral projector from the 2x2 block Schur form, with R
-                # solving T11 R - R T22 = T12 on the triangular blocks; info
-                # = 1 (close eigenvalues, perturbed to solve) is accepted
-                R, scale, info = scipy.linalg.lapack.ztrsyl(
-                    T[:k, :k], T[k:, k:], T[:k, k:], isgn=-1)
-                if info < 0:
-                    raise np.linalg.LinAlgError(
-                        f"illegal ztrsyl argument {-info}")
-                R /= scale
-                P[b] = _gemm(_gemm(Q[:, :k], np.hstack([np.eye(k), R])),
-                             Q.conj().T)
-                basis[b, :, k:] = scipy.linalg.qr(
-                    _gemm(Q[:, :k], -R) + Q[:, k:], mode="economic")[0]
-            elif k:
-                P[b] = np.eye(k)
-            else:
-                basis[b] = np.eye(s)
-            basis[b, :, :k] = Q[:, :k]
-        projections.append(P)
-        bases.append(basis)
+        for b, form in enumerate(blocks):
+            if form is None:  # a twin
+                continue
+            T, Q, k = form
+            _check_semisimple(T[:k, :k], group_periph[b], tol, periph_scale)
+            P[b], basis[b] = _block_split(T, Q, k)
+        real = conj.real_blocks
+        if real.size:
+            P[real] = _from_real(P[real].real, conj)
+            basis[real] = _from_real(basis[real].real, conj, both=False)
+        projections.append(_fill_twins(P, conj))
+        bases.append(_fill_twins(basis, conj, both=False))
 
-    swept_res = np.abs(evs.real)[np.abs(evs.real) > tol]
+    swept_res = np.abs(all_evs.real)[np.abs(all_evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
     return SpectralSplit(periph, gap, tol, groups, tuple(projections),
                          tuple(bases))
+
+
+def _schur_forms(S: np.ndarray, conj: _Conjugation) -> list:
+    """The Schur form (T, Q) of each block of the stack S: complex for a
+    general block, real of the block in the Hermitian basis for a
+    self-conjugate one, None for a twin."""
+    forms = [None] * len(S)
+    for b in np.flatnonzero(conj.general):
+        forms[b] = scipy.linalg.schur(S[b], output="complex")
+    for b, R in zip(conj.real_blocks, _to_real(S, conj)):
+        forms[b] = scipy.linalg.schur(R, output="real")
+    return forms
+
+
+def _per_block(f, forms: list, conj: _Conjugation) -> list:
+    """f of each block's Schur form (None for a twin), and for a twin the
+    conjugate of its twin's value."""
+    values = [None if form is None else f(*form) for form in forms]
+    return [values[twin].conj() if twin >= 0 else value
+            for value, twin in zip(values, conj.twin)]
+
+
+def _schur_eigvals(T: np.ndarray) -> np.ndarray:
+    """The eigenvalues on the diagonal of a Schur form, each 2 x 2 block of
+    a real one giving a +- i sqrt(|b c|), as LAPACK's dlanv2 standardises
+    it."""
+    if np.iscomplexobj(T):
+        return np.diag(T)
+    w = np.diag(T).astype(complex)
+    top = np.flatnonzero(np.diag(T, -1))
+    im = np.sqrt(np.abs(T[top, top + 1])) * np.sqrt(np.abs(T[top + 1, top]))
+    w[top] += 1j * im
+    w[top + 1] -= 1j * im
+    return w
+
+
+def _block_split(T: np.ndarray, Q: np.ndarray, k: int) -> tuple:
+    """The projection onto the span of the first k Schur vectors along the
+    rest of a reordered Schur form (T, Q), and the block's [iso | sweep]
+    basis; real for a real Schur form."""
+    s = T.shape[0]
+    real = not np.iscomplexobj(T)
+    P = np.zeros((s, s), dtype=T.dtype)
+    basis = np.empty_like(P)
+    if 0 < k < s:
+        # spectral projector from the 2x2 block Schur form, with R solving
+        # T11 R - R T22 = T12 on the (quasi-)triangular blocks; info = 1
+        # (close eigenvalues, perturbed to solve) is accepted
+        trsyl = scipy.linalg.lapack.dtrsyl if real \
+            else scipy.linalg.lapack.ztrsyl
+        R, scale, info = trsyl(T[:k, :k], T[k:, k:], T[:k, k:], isgn=-1)
+        if info < 0:
+            raise np.linalg.LinAlgError(f"illegal trsyl argument {-info}")
+        R /= scale
+        P = _gemm(_gemm(Q[:, :k], np.hstack([np.eye(k), R])), Q.conj().T)
+        basis[:, k:] = scipy.linalg.qr(_gemm(Q[:, :k], -R) + Q[:, k:],
+                                       mode="economic")[0]
+    elif k:
+        P = np.eye(k, dtype=T.dtype)
+    else:
+        basis = np.eye(s, dtype=T.dtype)
+    basis[:, :k] = Q[:, :k]
+    return P, basis
 
 
 def _operators(split: SpectralSplit, iso: bool) -> np.ndarray:
@@ -207,13 +280,16 @@ def _operators(split: SpectralSplit, iso: bool) -> np.ndarray:
 
 def _reorder(T: np.ndarray, Q: np.ndarray, select: np.ndarray) -> tuple:
     """The Schur form (T, Q) reordered so that the selected eigenvalues lead,
-    and their count: LAPACK ztrsen, the reordering schur(..., sort=...)
-    applies inside zgees, so the result is sorted schur's, bit for bit."""
+    and their count: LAPACK ztrsen (dtrsen for a real form, which moves each
+    2 x 2 block whole), the reordering schur(..., sort=...) applies inside
+    zgees, so the result is sorted schur's, bit for bit."""
     k = int(np.count_nonzero(select))
-    if select[:k].all():  # already in order: ztrsen would swap nothing
+    if select[:k].all():  # already in order: trsen would swap nothing
         return T, Q, k
-    T, Q, _, k, _, _, info = scipy.linalg.lapack.ztrsen(
-        select, T, Q, job="N", overwrite_t=True, overwrite_q=True)
+    trsen = scipy.linalg.lapack.ztrsen if np.iscomplexobj(T) \
+        else scipy.linalg.lapack.dtrsen
+    out = trsen(select, T, Q, job="N", overwrite_t=True, overwrite_q=True)
+    T, Q, k, info = out[0], out[1], out[-4], out[-1]
     if info:
         raise np.linalg.LinAlgError(
             "eigenvalues could not be separated for reordering")
@@ -303,8 +379,9 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
         blocked = _one_block(split)
         groups = blocked.groups
         rows = _transpose_rows(groups, split.dim)
-    expms = {t: [_expm(t * _stack(M, group)) for group in groups]
-             for t in times}
+    stacks = [_stack(M, group) for group in groups]
+    expms = {t: [_map_blocks(lambda A: _expm(t * A), S, group, split.dim)
+                 for group, S in zip(groups, stacks)] for t in times}
     star, ortho, decay = _blockwise_residuals(blocked, rows,
                                               expms[max(times)])
     # (a) *-invariance of iso (and of sweep, which is equivalent here)
@@ -322,14 +399,14 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
 
     # (d) HS isometry + multiplicativity of the flow on iso
     iso_norm = iso_mult = 0.0
+    d = split.dim
+    iso_rows = iso.reshape(split.iso_dim, d * d)
     for t in (times if split.iso_dim else ()):
-        phis = []
-        for _ in range(2 * n_samples):
-            c = rng.standard_normal(split.iso_dim) \
-                + 1j * rng.standard_normal(split.iso_dim)
-            phi = np.tensordot(c, iso, axes=1)
-            phis.append(phi / hs_norm(phi))
-        phi1, phi2 = np.array(phis[0::2]), np.array(phis[1::2])
+        # the stream of one draw of real, then imaginary, parts per sample
+        c = rng.standard_normal((2 * n_samples, 2, split.iso_dim))
+        phis = _gemm(c[:, 0] + 1j * c[:, 1], iso_rows).reshape(-1, d, d)
+        phis /= np.linalg.norm(phis, axis=(1, 2))[:, None, None]
+        phi1, phi2 = phis[0::2], phis[1::2]
         moved = _block_apply(groups, expms[t], np.hstack(
             [_vec_columns(phi1), _vec_columns(phi2),
              _vec_columns(phi1 @ phi2)]))
@@ -407,10 +484,7 @@ def _transpose_rows(groups: tuple, d: int) -> list | None:
     rows = []
     for group in groups:
         s = group.shape[1]
-        where = np.full(d * d, -1)
-        where[group.ravel()] = np.arange(group.size)
-        # vec index i holds the entry (i % d, i // d)
-        to = where[(group % d) * d + group // d]
+        to = _transpose_map(group, d)
         if (to < 0).any() or (to // s != to[:, :1] // s).any():
             return None
         rows.append(to)
@@ -541,9 +615,11 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
 
 
 def _null_space(M: np.ndarray, groups: tuple) -> np.ndarray:
-    """Orthonormal basis of ker M from one SVD per diagonal block.  The rank
-    is decided for M as a whole, as scipy.linalg.null_space(M) decides it:
-    singular values above d^2 eps times the largest one count."""
+    """Orthonormal basis of ker M from one SVD per diagonal block that is
+    not a twin, in real arithmetic for a self-conjugate block (see
+    _Conjugation).  The rank is decided for M as a whole, as
+    scipy.linalg.null_space(M) decides it: singular values above d^2 eps
+    times the largest one count."""
     n = M.shape[0]
     svds = []
     for group in groups:
@@ -551,13 +627,26 @@ def _null_space(M: np.ndarray, groups: tuple) -> np.ndarray:
         if group.shape[1] == 1:  # [a] has the singular value |a|, V = [1]
             svds += [(idx, np.abs(B[0]), np.ones((1, 1))) for idx, B
                      in zip(group, S)]
-        else:
-            svds += [(idx, *scipy.linalg.svd(B)[1:]) for idx, B
-                     in zip(group, S)]
+            continue
+        # per block its singular values and right singular vectors
+        conj = _Conjugation(S, group, math.isqrt(n))
+        sv = np.empty(S.shape[:2])
+        V = np.empty(S.shape, dtype=complex)
+        for b in np.flatnonzero(conj.general):
+            _, sv[b], vh = scipy.linalg.svd(S[b])
+            V[b] = vh.conj().T
+        if conj.real_blocks.size:
+            vhs = [scipy.linalg.svd(R)[1:] for R in _to_real(S, conj)]
+            sv[conj.real_blocks] = [s for s, _ in vhs]
+            V[conj.real_blocks] = _from_real(
+                np.array([vh.T for _, vh in vhs]), conj, both=False)
+        twins = conj.twin >= 0
+        sv[twins] = sv[conj.twin[twins]]
+        svds += list(zip(group, sv, _fill_twins(V, conj, both=False)))
     cutoff = n * np.finfo(float).eps * max(s.max() for _, s, _ in svds)
     cols = []
-    for idx, s_b, vh_b in svds:
-        null = vh_b[np.count_nonzero(s_b > cutoff):].conj().T
+    for idx, s_b, v_b in svds:
+        null = v_b[:, np.count_nonzero(s_b > cutoff):]
         col = np.zeros((n, null.shape[1]), dtype=complex)
         col[idx] = null  # the block's null vectors in the whole space
         cols.append(col)

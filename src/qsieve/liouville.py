@@ -128,10 +128,21 @@ class _JumpList:
         return (self.apply(e) + self.apply_adjoint(e)) @ psi
 
     def matrix(self) -> np.ndarray:
+        """sum_k kron(conj V_k, V_k) in real arithmetic: each real term is
+        symmetric, and the imaginary part of each term antisymmetric, under
+        the transpose of both factors, entry for entry, so M[pi i, pi j] =
+        conj(M[i, j]) holds exactly (see _Conjugation); numpy's complex
+        product does not keep it."""
         d = self.dim
         M = np.zeros((d * d, d * d), dtype=complex)
         for V in self.ops:
-            M += np.kron(V.conj(), V)
+            Vr, Vi = V.real, V.imag
+            M.real += np.kron(Vr, Vr)
+            if Vi.any():
+                M.real += np.kron(Vi, Vi)
+                antisymmetric = np.kron(Vr, Vi)
+                antisymmetric -= np.kron(Vi, Vr)
+                M.imag += antisymmetric
         return M
 
 
@@ -439,21 +450,217 @@ def _stack(M: np.ndarray, group: np.ndarray) -> np.ndarray:
     return M[group[:, :, None], group[:, None, :]]
 
 
+#: blocks up to this size are factorised in complex arithmetic, and
+#: exponentiated in one stacked call, twins included: there the bookkeeping
+#: of the Hermitian basis and of the twins costs more than it saves (custom
+#: d = 4, one block of 16, on a 2-core machine with one BLAS thread:
+#: propagator 89 -> 269 us with it; QBM N = 16, two blocks of 128: 25 -> 12
+#: ms)
+_SMALL_BLOCK = 32
+
+
+def _transpose_map(group: np.ndarray, d: int) -> np.ndarray:
+    """Where X -> X^T carries each entry of a group (m, s) of blocks: its
+    row in the group's blocks stacked into m*s rows, or -1 where the
+    transposed entry lies outside the group."""
+    where = np.full(d * d, -1)
+    where[group.ravel()] = np.arange(group.size)
+    # vec index i holds the entry (i % d, i // d)
+    return where[(group % d) * d + group // d]
+
+
+class _Conjugation:
+    """How X -> X^T acts on one group (m, s) of diagonal blocks of M, whose
+    stack is S.
+
+    A Hermiticity preserving L has M[pi i, pi j] = conj(M[i, j]), pi the
+    index of the transposed entry, so the transpose carries each block onto
+    a block whose entries are the conjugates of its own.  A block that
+    passes this test exactly, entry for entry, is either the twin of an
+    earlier block, whose factorisations it conjugates, or its own image:
+    then it is real in the Hermitian basis, and one larger than
+    _SMALL_BLOCK is factorised there in real arithmetic (see _to_real).
+    Every other block is general.
+    """
+
+    def __init__(self, S: np.ndarray, group: np.ndarray, d: int):
+        m, s = group.shape
+        to = _transpose_map(group, d)
+        image, perm = to[:, 0] // s, to % s
+        exact = ((to >= 0) & (to // s == image[:, None])).all(axis=1)
+        # the image block's entries in the order perm, conjugated
+        mirrored = S[image[:, None, None], perm[:, :, None], perm[:, None, :]]
+        mirrored.imag *= -1
+        exact &= (mirrored == S).all(axis=(1, 2))
+        b, i = np.arange(m), np.arange(s)
+        self.twin = np.where(exact & (image < b), image, -1)
+        self.perm = perm  # (m, s): where its entries go in the image block
+        # on small blocks real arithmetic saves less than its bookkeeping
+        real = np.flatnonzero(exact & (image == b)) if s > _SMALL_BLOCK \
+            else np.zeros(0, dtype=int)
+        self.general = self.twin < 0
+        self.general[real] = False
+        self.twins = np.flatnonzero(self.twin >= 0)
+        # a twin whose entries keep their order conjugates slice for slice
+        self.in_order = (perm[self.twins] == i).all()
+        # the self-conjugate blocks, grouped by involution; per involution
+        # the blocks, their rows in the stack of all of them (real_blocks),
+        # its fixed entries F and its pairs (P, Q = perm(P)) with P < Q
+        by_perm = {}
+        for block in real:
+            by_perm.setdefault(perm[block].tobytes(), []).append(block)
+        self.real_blocks = np.array(sum(by_perm.values(), []), dtype=int)
+        self.frames, start = [], 0
+        for blocks in map(np.array, by_perm.values()):
+            p = perm[blocks[0]]
+            P = np.flatnonzero(p > i)
+            self.frames.append((blocks, slice(start, start + len(blocks)),
+                                np.flatnonzero(p == i), P, p[P]))
+            start += len(blocks)
+
+
+# The Hermitian basis of a self-conjugate block, in the order [F, C, E]:
+# E_aa at the fixed entries F, then (E_ab + E_ba)/sqrt2 (C) and i(E_ab -
+# E_ba)/sqrt2 (E) for each pair (P, Q) of transposed entries.  In it the
+# unitary U of that basis turns a block B with B[Q, Q] = conj B[P, P],
+# B[Q, P] = conj B[P, Q], B[F, Q] = conj B[F, P] and B[Q, F] = conj B[P, F]
+# into the real matrix U^H B U (a Hermiticity preserving map is real in a
+# Hermitian basis; M. M. Wolf, Quantum Channels & Operations, 2012).
+
+def _to_real(S: np.ndarray, conj: _Conjugation) -> np.ndarray:
+    """U^H B U of the self-conjugate blocks B of the group's stack S, in the
+    order conj.real_blocks, in real arithmetic from the entries of B."""
+    R = np.empty((len(conj.real_blocks),) + S.shape[1:])
+    r = np.sqrt(2.0)
+    for blocks, rows, F, P, Q in conj.frames:
+        if not P.size:  # only E_aa: U is the identity
+            R[rows] = S[blocks].real
+            continue
+        B = lambda X, Y: S[blocks[:, None, None], X[:, None], Y]
+        FP, PF, PP, PQ = B(F, P), B(P, F), B(P, P), B(P, Q)
+        f, c, e = _frame_slices(F, P)
+        Rw = R[rows]
+        Rw[:, f, f] = B(F, F).real
+        Rw[:, f, c] = r * FP.real
+        Rw[:, f, e] = -r * FP.imag
+        Rw[:, c, f] = r * PF.real
+        Rw[:, e, f] = r * PF.imag
+        Rw[:, c, c] = PP.real + PQ.real
+        Rw[:, c, e] = PQ.imag - PP.imag
+        Rw[:, e, c] = PP.imag + PQ.imag
+        Rw[:, e, e] = PP.real - PQ.real
+    return R
+
+
+def _from_real(X: np.ndarray, conj: _Conjugation,
+               both: bool = True) -> np.ndarray:
+    """U X U^H (or U X alone) of each real slice of a stack in the Hermitian
+    bases of the blocks conj.real_blocks: back in the basis of M."""
+    Z = np.zeros(X.shape, dtype=complex)
+    r = np.sqrt(0.5)
+    for _, rows, F, P, Q in conj.frames:
+        f, c, e = _frame_slices(F, P)
+        Xw, Zr, Zi = X[rows], Z.real[rows], Z.imag[rows]
+        if not P.size:  # only E_aa: U is the identity
+            Zr[:] = Xw
+            continue
+        if not both:
+            Zr[:, F] = Xw[:, f]
+            Zr[:, P] = Zr[:, Q] = r * Xw[:, c]
+            Zi[:, P] = r * Xw[:, e]
+            Zi[:, Q] = -r * Xw[:, e]
+            continue
+        xcc, xce = Xw[:, c, c], Xw[:, c, e]
+        xec, xee = Xw[:, e, c], Xw[:, e, e]
+        for rows_, cols, re, im in (
+                (F, F, Xw[:, f, f], 0.0),
+                (F, P, r * Xw[:, f, c], -r * Xw[:, f, e]),
+                (F, Q, r * Xw[:, f, c], r * Xw[:, f, e]),
+                (P, F, r * Xw[:, c, f], r * Xw[:, e, f]),
+                (Q, F, r * Xw[:, c, f], -r * Xw[:, e, f]),
+                (P, P, 0.5 * (xcc + xee), 0.5 * (xec - xce)),
+                (P, Q, 0.5 * (xcc - xee), 0.5 * (xec + xce)),
+                (Q, P, 0.5 * (xcc - xee), -0.5 * (xec + xce)),
+                (Q, Q, 0.5 * (xcc + xee), -0.5 * (xec - xce))):
+            Zr[:, rows_[:, None], cols] = re
+            Zi[:, rows_[:, None], cols] = im
+    return Z
+
+
+def _frame_slices(F: np.ndarray, P: np.ndarray) -> tuple:
+    """The places of the E_aa, the symmetric and the antisymmetric
+    elements in the Hermitian basis [F, C, E]."""
+    nf, n = len(F), len(F) + len(P)
+    return slice(0, nf), slice(nf, n), slice(n, n + len(P))
+
+
+def _rows(X: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """X[k][perm[k]] for each slice k of a stack."""
+    return X[np.arange(len(X))[:, None], perm]
+
+
+def _cols(X: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """X[k][:, perm[k]] for each slice k of a stack."""
+    return X[np.arange(len(X))[:, None, None],
+             np.arange(X.shape[1])[:, None], perm[:, None, :]]
+
+
+def _fill_twins(out: np.ndarray, conj: _Conjugation,
+                both: bool = True) -> np.ndarray:
+    """Each twin slice of a stack (rows, or rows and columns, indexed by its
+    block) set to the conjugate of its twin's slice, in the twin's order."""
+    tw = conj.twins
+    if tw.size:
+        X = out[conj.twin[tw]].conj()
+        if not conj.in_order:
+            X = _rows(X, conj.perm[tw])
+            X = _cols(X, conj.perm[tw]) if both else X
+        out[tw] = X
+    return out
+
+
+def _map_blocks(f, S: np.ndarray, group: np.ndarray, d: int) -> np.ndarray:
+    """f of each block of the stack S of a group of blocks of M, for a stack
+    function f that commutes with conjugation and unitary similarity, as
+    exp(tM) does: on general blocks as they are, on self-conjugate ones in
+    real arithmetic in the Hermitian basis, on twins not at all.  Small
+    blocks take one call on the whole stack, which costs less than sorting
+    them."""
+    if S.shape[-1] <= _SMALL_BLOCK:
+        return f(S)
+    conj = _Conjugation(S, group, d)
+    out = np.empty(S.shape, dtype=complex)
+    if conj.general.any():
+        out[conj.general] = f(S[conj.general])
+    if conj.real_blocks.size:
+        out[conj.real_blocks] = _from_real(f(_to_real(S, conj)), conj)
+    return _fill_twins(out, conj)
+
+
 def _gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B on scipy's BLAS.  zgemm on the transposes is the column-major
-    call that numpy's row-major matmul makes, so the bits are numpy's; like
-    numpy, a B of one column takes a matrix-vector product."""
+    """A @ B on scipy's BLAS.  zgemm (dgemm for two real matrices) on the
+    transposes is the column-major call that numpy's row-major matmul makes,
+    so the bits are numpy's; like numpy, a B of one column takes a
+    matrix-vector product."""
     if B.shape[1] == 1:
         return _gemv(A, B[:, 0])[:, None]
-    return scipy.linalg.blas.zgemm(1.0, B.T, A.T).T
+    blas = scipy.linalg.blas
+    gemm = blas.dgemm if _real(A, B) else blas.zgemm
+    return gemm(1.0, B.T, A.T).T
 
 
 def _gemv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x on scipy's BLAS, in the orientation numpy takes for A's memory
     layout (see _gemm)."""
+    gemv = scipy.linalg.blas.dgemv if _real(A, x) \
+        else scipy.linalg.blas.zgemv
     if A.flags.f_contiguous and not A.flags.c_contiguous:
-        return scipy.linalg.blas.zgemv(1.0, A, x)
-    return scipy.linalg.blas.zgemv(1.0, A.T, x, trans=1)
+        return gemv(1.0, A, x)
+    return gemv(1.0, A.T, x, trans=1)
+
+
+def _real(*arrays) -> bool:
+    return all(a.dtype == np.float64 for a in arrays)
 
 
 #: multiply-adds of a complex matrix product up to which OpenBLAS stays on
@@ -489,9 +696,10 @@ def _svdvals(A: np.ndarray) -> np.ndarray:
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """exp of each slice of an (m, s, s) complex stack: scipy.linalg.expm
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) bit for
-    bit, with the squarings it does on numpy's matmul done on _gemm.
+    """exp of each slice of an (m, s, s) real or complex stack:
+    scipy.linalg.expm (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+    (2009)) bit for bit, with the squarings it does on numpy's matmul done
+    on _gemm.
     Triangular slices, which scipy squares by a path of its own, and stacks
     below _UNTHREADED_MACS go to scipy whole.
     """
@@ -517,7 +725,11 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 def propagator(gen: LindbladGenerator, t: float) -> np.ndarray:
     """Superoperator matrix of T_t = exp(tL) (scaling-and-squaring Pade, one
-    stack of equal-size blocks of M at a time)."""
+    stack of equal-size blocks of M at a time).  Among blocks larger than
+    _SMALL_BLOCK, one that conjugates an earlier one takes the conjugate of
+    its exponential, and a self-conjugate one is exponentiated in real
+    arithmetic in the Hermitian basis (see _Conjugation); every other block
+    as it is."""
     if t < 0:
         raise ValidationError("the semigroup is defined for t >= 0 only")
     M = build_superoperator(gen)
@@ -525,8 +737,8 @@ def propagator(gen: LindbladGenerator, t: float) -> np.ndarray:
         object.__setattr__(gen, "_blocks", superoperator_blocks(M))
     E = np.zeros(M.shape, dtype=complex)
     for group in gen._blocks:
-        E[group[:, :, None], group[:, None, :]] = \
-            _expm(t * _stack(M, group))
+        E[group[:, :, None], group[:, None, :]] = _map_blocks(
+            lambda A: _expm(t * A), _stack(M, group), group, gen.dim)
     return E
 
 
@@ -653,22 +865,26 @@ def eis_check(gen: LindbladGenerator, n_samples: int = 10,
 
     Each time takes one propagator P: the Choi matrix is a reshuffle of P,
     and one product with P maps every sample state and Hermitian operator.
+    The identity is among the Hermitian operators: a positive trace
+    preserving map contracts the operator norm iff it maps I to I (Russo &
+    Dye, Duke Math. J. 33, 413 (1966)), so ||T_t(I)|| - 1 shows a map that
+    is not unital, which random samples miss.
     """
     rng = np.random.default_rng(seed)
     d, n = gen.dim, n_samples
     rhos = [random_density_matrix(d, rng) for _ in range(n)]
-    herms = [random_hermitian(d, rng) for _ in range(n)]
-    A = np.array(rhos + herms, dtype=complex).reshape(2 * n, d, d)
-    X = A.transpose(2, 1, 0).reshape(d * d, 2 * n)  # column k is vec(A[k])
+    herms = [random_hermitian(d, rng) for _ in range(n)] + [np.eye(d)]
+    A = np.array(rhos + herms, dtype=complex).reshape(2 * n + 1, d, d)
+    X = A.transpose(2, 1, 0).reshape(d * d, 2 * n + 1)  # column k: vec(A[k])
 
     min_choi = np.inf
-    outs = np.empty((len(times), 2 * n, d, d), dtype=complex)
+    outs = np.empty((len(times), 2 * n + 1, d, d), dtype=complex)
     for i, t in enumerate(times):
         P = propagator(gen, t)
         # zheevd, the LAPACK routine numpy's eigvalsh calls
         min_choi = min(min_choi, float(scipy.linalg.eigh(
             choi_matrix(P), eigvals_only=True, driver="evd").min()))
-        outs[i] = _gemm(P, X).reshape(d, d, 2 * n).transpose(2, 1, 0)
+        outs[i] = _gemm(P, X).reshape(d, d, 2 * n + 1).transpose(2, 1, 0)
     traces = np.trace(outs[:, :n], axis1=2, axis2=3).real
     # singular values of the Hermitian operators, then of their images
     sv = _svdvals(np.concatenate([A[None, n:], outs[:, n:]]))

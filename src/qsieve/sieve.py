@@ -13,7 +13,7 @@ in closed form over the band of superpositions the grid would sample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,6 +92,8 @@ class SieveReport:
     #: True iff the exclusion tests only sampled the superpositions on a
     #: finite grid; minimize_lambda decides them exactly (False)
     sampled_universality: bool = True
+    #: how many starts left the descent by each exit, STOP_REASONS in order
+    stop_reasons: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -107,13 +109,21 @@ class SieveReport:
             "seed": self.seed,
             "n_starts": self.n_starts,
             "sampled_universality": self.sampled_universality,
+            "stop_reasons": dict(self.stop_reasons),
         }
+
+
+#: the exits of _descend: the gradient test, the stagnation test (the value
+#: stalls and |grad| <= tol^0.75), a line search that finds no decrease,
+#: and the iteration cap
+STOP_REASONS = ("gradient", "stagnation", "line_search", "max_iter")
 
 
 def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
              max_iter: int):
     """Riemannian gradient descent with Armijo backtracking; returns
-    (psi, lambda, converged) with psi phase-fixed.
+    (psi, lambda, converged, reason) with psi phase-fixed and reason the
+    exit taken, one of STOP_REASONS.
 
     Steps retract by renormalization alone: re-fixing the phase of each
     iterate would make psi - prev_psi an O(1) phase jump wherever the
@@ -126,7 +136,7 @@ def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
         gnorm = np.linalg.norm(grad)
         scale = max(abs(val), 1.0)
         if gnorm <= tol * scale:
-            return fix_phase(psi), val, True
+            return fix_phase(psi), val, True, "gradient"
         if prev_grad is not None:
             # Barzilai-Borwein steps, essential on nearly flat valleys: the
             # long (s.s / s.y) and short (s.y / y.y) ones in turn; where the
@@ -157,11 +167,12 @@ def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
             # value has stagnated well below tolerance; in a flat valley the
             # gradient norm alone can take thousands of iterations to settle
             if np.linalg.norm(grad) <= tol ** 0.75 * scale:
-                return fix_phase(psi), val, True
+                return fix_phase(psi), val, True, "stagnation"
         if not accepted:
             # line search stalled at machine precision: treat as converged
-            return fix_phase(psi), val, gnorm <= np.sqrt(tol) * scale
-    return fix_phase(psi), val, False
+            return (fix_phase(psi), val, gnorm <= np.sqrt(tol) * scale,
+                    "line_search")
+    return fix_phase(psi), val, False, "max_iter"
 
 
 def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
@@ -182,8 +193,10 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
               for ss in np.random.SeedSequence(seed).spawn(n_starts)]
     results = []
     failed = 0
+    stops = dict.fromkeys(STOP_REASONS, 0)
     for psi0 in starts:
-        psi, val, ok = _descend(gen, psi0, tol, max_iter)
+        psi, val, ok, reason = _descend(gen, psi0, tol, max_iter)
+        stops[reason] += 1
         if ok:
             results.append((psi, val))
         else:
@@ -225,7 +238,8 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
 
     return SieveReport(a0, eps, tuple(minimizers), tuple(min_lams),
                        tuple(float(v) for v in lambdas), tuple(flags), flat,
-                       failed, seed, n_starts, sampled_universality=False)
+                       failed, seed, n_starts, sampled_universality=False,
+                       stop_reasons=stops)
 
 
 def superposition_grid(e, f, n_ratio: int = 24, n_phase: int = 16) -> list:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from qsieve import (
     LindbladGenerator,
@@ -15,6 +19,15 @@ from qsieve import (
 )
 from qsieve.liouville import _CoherentMeasure, superoperator_blocks
 from qsieve.operators import normalize_state
+
+# Tier-1 is deterministic: every @given test draws the same examples on
+# every run and keeps no example database.  Hypothesis still caches the
+# constants it reads from the source; that cache goes to a directory removed
+# when the run ends, not to .hypothesis/.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="qsieve-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

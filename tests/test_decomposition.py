@@ -3,12 +3,15 @@ verification report, and enumeration of the pointer ("classical") states."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from qsieve import (
@@ -39,8 +42,10 @@ from qsieve import (
 )
 
 import qsieve.decomposition as decomposition
+import qsieve.liouville as liouville
 from qsieve.decomposition import _fixed_point_candidates, _null_space
 from qsieve.liouville import (
+    _Conjugation,
     _stack,
     channel_applier,
     eis_check,
@@ -791,3 +796,154 @@ def test_robustness_matches_membership_on_superpositions(rng):
         robust = max(report.max_forward_entropy,
                      report.max_adjoint_entropy) <= 1e-8
         assert robust == (report.iso_residual <= 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# each block factorised once: twins conjugated, self-conjugate blocks real
+
+def _conjugations(M: np.ndarray) -> list:
+    d = math.isqrt(M.shape[0])
+    return [_Conjugation(_stack(M, group), group, d)
+            for group in superoperator_blocks(M)]
+
+
+def test_twin_blocks_take_no_schur_form(monkeypatch):
+    # Davies N=24 has 47 coherence-order blocks: 23 pairs k, -k of twins and
+    # the self-conjugate populations, so 24 Schur forms; blocks of 24 are
+    # small enough to stay complex
+    forms = []
+    real_schur = scipy.linalg.schur
+
+    def recording(A, *args, **kwargs):
+        forms.append(kwargs.get("output"))
+        return real_schur(A, *args, **kwargs)
+
+    M = build_superoperator(davies_model(24, 1.0))
+    conjs = _conjugations(M)
+    assert sum(len(c.twins) for c in conjs) == 23
+    assert sum(len(c.real_blocks) for c in conjs) == 0
+    monkeypatch.setattr(scipy.linalg, "schur", recording)
+    split = spectral_split(M)
+    assert len(forms) == 24 and forms.count("real") == 0
+    assert split.iso_dim == 1
+
+
+def test_qbm_split_and_verification_run_in_real_arithmetic(monkeypatch):
+    # both parity blocks of QBM are their own images under X -> X^T, so no
+    # complex array reaches a Schur form or an exponential
+    handed = []
+
+    def recording(real, name):
+        def call(A, *args, **kwargs):
+            handed.append((name, np.asarray(A).dtype))
+            return real(A, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        recording(scipy.linalg.schur, "schur"))
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        recording(scipy.linalg.expm, "expm"))
+    monkeypatch.setattr(liouville, "pick_pade_structure", recording(
+        liouville.pick_pade_structure, "pade"))
+    M = build_superoperator(qbm_model(16, 0.5))
+    report = verify_split_properties(M, spectral_split(M))
+    assert report.max_residual <= 1e-7
+    names = [name for name, _ in handed]
+    assert names.count("schur") == 2 and names.count("pade") == 6
+    assert all(dtype == np.float64 for _, dtype in handed)
+
+
+def _random_jump_list(seed: int, d: int) -> LindbladGenerator:
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    jumps = tuple(rng.standard_normal((d, d))
+                  + 1j * rng.standard_normal((d, d))
+                  for _ in range(int(rng.integers(1, 3))))
+    return LindbladGenerator(d, 0.5 * (H + H.conj().T), jump_ops=jumps)
+
+
+def _rotated_pointer(seed: int, d: int) -> LindbladGenerator:
+    """The pointer model in a random basis: one dense self-conjugate
+    block."""
+    rng = np.random.default_rng(seed)
+    U = scipy.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))[0]
+    gen = pointer_model(np.sort(rng.uniform(0.0, 3.0, d)))
+    rotate = lambda A: U @ A @ U.conj().T
+    return LindbladGenerator(d, rotate(gen.hamiltonian),
+                             jump_ops=tuple(map(rotate, gen.jump_ops)))
+
+
+def _not_hermiticity_preserving(seed: int, d: int) -> LindbladGenerator:
+    """A generator whose map is a random complex matrix that annihilates
+    the trace: one block that X -> X^T does not carry onto its conjugate,
+    so it takes the complex path."""
+    rng = np.random.default_rng(seed)
+    n = d * d
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    one = vec(np.eye(d))[:, None] / np.sqrt(d)
+    S = 0.3 * (X - one @ (one.conj().T @ X)) / np.linalg.norm(X, 2)
+    H = np.diag(rng.uniform(0.0, 1.0, d))
+    return LindbladGenerator(d, H, cp_superop=S)
+
+
+_DRAWS = {"jump_list": _random_jump_list,
+          "rotated_pointer": _rotated_pointer,
+          "not_hermiticity_preserving": _not_hermiticity_preserving}
+
+
+def assert_matches_the_dense_complex_reference(gen):
+    # the split's projection, peripheral spectrum and kernel, and exp(tM),
+    # against one dense complex factorisation of the whole M
+    M = build_superoperator(gen)
+    split = spectral_split(M)
+    dense = dense_spectral_split(M)
+    assert split.iso_dim == dense.iso_dim
+    assert_same_multiset(split.peripheral_eigenvalues,
+                         dense.peripheral_eigenvalues, 1e-10)
+    assert np.abs(dense_projection(split)
+                  - dense_projection(dense)).max() <= 1e-10
+    kernel = _null_space(M, superoperator_blocks(M))
+    reference = scipy.linalg.null_space(M)
+    assert kernel.shape == reference.shape
+    assert np.abs(kernel @ kernel.conj().T
+                  - reference @ reference.conj().T).max() <= 1e-10
+    for t in (0.3, 2.0):
+        E = scipy.linalg.expm(t * M)
+        assert np.abs(propagator(gen, t) - E).max() <= 1e-10 * max(
+            1.0, np.abs(E).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(_DRAWS)), seed=st.integers(0, 2**32 - 1),
+       d=st.integers(2, 4))
+def test_block_rules_match_the_dense_complex_reference(kind, seed, d):
+    gen = _DRAWS[kind](seed, d)
+    M = build_superoperator(gen)
+    # the rules on every block, small ones included
+    with mock.patch.object(liouville, "_SMALL_BLOCK", 0):
+        (conj,) = [c for c in _conjugations(M) if c.perm.shape[1] > 1]
+        assert bool(conj.real_blocks.size) == (
+            kind != "not_hermiticity_preserving")
+        assert_matches_the_dense_complex_reference(gen)
+
+
+def _sparse_jump(d: int, entries: dict, energies: list) -> LindbladGenerator:
+    V = np.zeros((d, d))
+    for (i, j), value in entries.items():
+        V[i, j] = value
+    return LindbladGenerator(d, np.diag(energies), jump_ops=(V,))
+
+
+def test_block_rules_on_reordered_twins_and_mixed_involutions():
+    # a twin whose entries the transpose carries in another order, and a
+    # group of self-conjugate blocks with two different involutions
+    reordered = _sparse_jump(4, {(1, 2): 0.5, (3, 0): -0.7},
+                             [1.0, 2.5, 1.0, 1.0])
+    mixed = _sparse_jump(3, {(0, 1): 0.5, (1, 0): -0.7}, [1.0, 0.0, 1.0])
+    for gen, shown in ((reordered, lambda c: c.twins.size and not c.in_order),
+                       (mixed, lambda c: len(c.frames) > 1)):
+        M = build_superoperator(gen)
+        with mock.patch.object(liouville, "_SMALL_BLOCK", 0):
+            assert any(map(shown, _conjugations(M)))
+            assert_matches_the_dense_complex_reference(gen)

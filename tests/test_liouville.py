@@ -436,7 +436,9 @@ def loop_eis_check(gen, n_samples: int = 10, times=(0.1, 1.0, 5.0),
     rng = np.random.default_rng(seed)
     d = gen.dim
     rhos = [random_density_matrix(d, rng) for _ in range(n_samples)]
-    herms = [random_hermitian_operator(d, rng) for _ in range(n_samples)]
+    # the identity too: a map that is not unital grows its operator norm
+    herms = [random_hermitian_operator(d, rng) for _ in range(n_samples)] \
+        + [np.eye(d)]
 
     min_choi = np.inf
     max_trace_dev = 0.0
@@ -498,3 +500,54 @@ def test_eis_check_rejects_a_map_that_is_not_completely_positive():
     assert not report.completely_positive
     assert report.trace_preserving
     assert not report.passed
+
+
+def _amplitude_damping() -> LindbladGenerator:
+    """A qubit decaying from |1> to |0>: trace preserving, not unital."""
+    return LindbladGenerator(2, np.zeros((2, 2)),
+                             jump_ops=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
+
+
+def _random_jump_lists(count: int, seed: int) -> list:
+    """Jump-list generators with one or two random jumps and a random
+    Hermitian H, d = 2 to 5; none of them is unital."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for _ in range(count):
+        d = int(rng.integers(2, 6))
+        jumps = tuple(rng.standard_normal((d, d))
+                      + 1j * rng.standard_normal((d, d))
+                      for _ in range(int(rng.integers(1, 3))))
+        gens.append(LindbladGenerator(d, random_hermitian(d, rng),
+                                      jump_ops=jumps))
+    return gens
+
+
+def test_eis_check_rejects_a_map_that_is_not_unital():
+    # T_t(I) = diag(2 - e^-t, e^-t), whose norm grows by 1 - e^-t; random
+    # Hermitian samples alone reported this map as contractive
+    report = eis_check(_amplitude_damping())
+    assert report.completely_positive and report.trace_preserving
+    assert report.max_operator_norm_growth == pytest.approx(
+        1.0 - np.exp(-5.0), rel=1e-9)
+    assert not report.operator_norm_contractive
+    assert not report.passed
+
+
+def test_eis_check_rejects_every_random_non_unital_jump_list():
+    for gen in _random_jump_lists(20, seed=0):
+        assert np.abs(apply_generator(gen, np.eye(gen.dim))).max() > 1e-3
+        report = eis_check(gen)
+        assert report.completely_positive and report.trace_preserving
+        assert not report.operator_norm_contractive
+
+
+def test_eis_check_passes_on_unital_custom_models():
+    # the unital jump lists of the custom configs in the tests and the
+    # benchmark: T_t(I) = I, so the identity adds no norm growth
+    dephase = LindbladGenerator(2, np.diag([0.0, 1.0]),
+                                jump_ops=(np.diag([1.0, -1.0]),))
+    for gen in (dephase, unstructured_model()):
+        report = eis_check(gen)
+        assert report.passed
+        assert abs(report.max_operator_norm_growth) <= 1e-12

@@ -29,6 +29,7 @@ from qsieve import (
 )
 from qsieve.operators import superposition_basis
 from qsieve.sieve import (
+    STOP_REASONS,
     _BAND_RATIOS,
     _PAULI,
     _band_minimum,
@@ -473,3 +474,31 @@ def test_sieve_flags_agree_with_the_grid(gen, n_starts):
             for j, f in enumerate(projs) if j != i)
         for i, e in enumerate(projs))
     assert report.quasi_classical_flags == grid_flags
+
+
+# ---------------------------------------------------------------------------
+# stop reasons
+
+def test_sieve_reports_starts_that_stop_by_stagnation():
+    # every start stops through the stagnation test: the value stalls while
+    # |grad| sits above tol, so none of them met the gradient test
+    gen = davies_model(12, 1.0)
+    report = minimize_lambda(gen, n_starts=4, seed=0)
+    assert report.stop_reasons == {"gradient": 0, "stagnation": 4,
+                                   "line_search": 0, "max_iter": 0}
+    assert report.failed_starts == 0
+    for psi in report.minimizers:
+        assert np.linalg.norm(lambda_gradient(gen, psi)) > 1e-8
+    assert report.as_dict()["stop_reasons"] == report.stop_reasons
+
+
+def test_sieve_stop_reasons_count_every_start():
+    gen = pointer_model([0.0, 1.0, 2.5, 3.7, 5.2])
+    report = minimize_lambda(gen, n_starts=8, seed=0)
+    assert tuple(report.stop_reasons) == STOP_REASONS
+    assert report.stop_reasons == {"gradient": 2, "stagnation": 5,
+                                   "line_search": 1, "max_iter": 0}
+    # the iteration cap is the exit of the starts that fail
+    capped = minimize_lambda(gen, n_starts=8, seed=0, max_iter=5)
+    assert capped.stop_reasons["max_iter"] == capped.failed_starts == 6
+    assert sum(capped.stop_reasons.values()) == 8
