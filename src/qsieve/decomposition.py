@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,12 +22,11 @@ import scipy.linalg
 from .liouville import (
     LindbladGenerator,
     _check_dim,
-    _Conjugation,
     _expm,
-    _fill_twins,
     _from_real,
     _gemm,
     _gemv,
+    _hermitian_basis,
     _map_blocks,
     _stack,
     _stacked_gemm,
@@ -106,6 +106,12 @@ class SpectralSplit:
         d^2 x m matrix X, one stack of blocks at a time."""
         return _block_apply(self.groups, self.projections, X)
 
+    def __getstate__(self) -> dict:
+        # the Hermitian bases kept for M (see spectral_split) hold a weak
+        # reference to it, which does not pickle
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_hermitian"}
+
 
 def _iso_columns(P: np.ndarray) -> np.ndarray:
     """(m, s) mask of the iso columns of a stack of blocks with projections
@@ -140,12 +146,13 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     """Split vectorized operator space into peripheral (isometric) and decaying
     (sweeping) invariant subspaces of the Liouvillian matrix M.
 
-    Each diagonal block of M is factorised once, by the rule its
-    _Conjugation gives: a twin takes the conjugates of its twin's Schur
-    form, projection and basis; a self-conjugate block larger than
-    _SMALL_BLOCK is split in real arithmetic in the Hermitian basis (real
-    Schur form, dtrsen, dtrsyl) and mapped back; every other block runs
-    zgees, ztrsen and ztrsyl."""
+    Each diagonal block of M is factorised once.  A block of more than 32
+    rows that X -> X^T carries onto its own conjugate is split in real
+    arithmetic in its Hermitian basis (real Schur form, dtrsen, dtrsyl; see
+    liouville._hermitian_basis) and mapped back; every other block runs
+    zgees, ztrsen and ztrsyl.  For a read-only M the split keeps those
+    bases, so that the verification and the kernel of the same M do not
+    look for them again."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0] if M.ndim == 2 else 0
     d = int(round(np.sqrt(n)))
@@ -153,68 +160,68 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
         raise ValidationError(f"M has shape {M.shape}, not d^2 x d^2")
     groups = superoperator_blocks(M)
     stacks = [_stack(M, group) for group in groups]
-    conjs = [_Conjugation(S, group, d) for S, group in zip(stacks, groups)]
-    # one Schur form per block that is not a twin; its (quasi-)diagonal
-    # holds the block's eigenvalues
-    forms = [_schur_forms(S, conj) for S, conj in zip(stacks, conjs)]
-    evs = [_per_block(lambda T, Q: _schur_eigvals(T), blocks, conj)
-           for blocks, conj in zip(forms, conjs)]
+    hermitian = [_hermitian_basis(S, group, d)
+                 for S, group in zip(stacks, groups)]
+    # one Schur form per block; its (quasi-)diagonal holds the block's
+    # eigenvalues
+    schurs = [_schur_forms(S, basis) for S, basis in zip(stacks, hermitian)]
+    evs = [[_schur_eigvals(T) for T, _ in blocks] for blocks in schurs]
     all_evs = np.concatenate([ev for group_evs in evs for ev in group_evs])
     if tol is None:
         tol = 1e-9 * max(np.abs(all_evs.real).max(), 1e-30)
 
-    forms = [[None if form is None else
-              _reorder(*form, np.abs(ev.real) <= tol)
-              for form, ev in zip(blocks, group_evs)]
-             for blocks, group_evs in zip(forms, evs)]  # (T, Q, k)
-    periphs = [_per_block(lambda T, Q, k: _schur_eigvals(T)[:k], blocks,
-                          conj) for blocks, conj in zip(forms, conjs)]
+    schurs = [[_reorder(T, Q, np.abs(ev.real) <= tol)
+               for (T, Q), ev in zip(blocks, group_evs)]
+              for blocks, group_evs in zip(schurs, evs)]  # (T, Q, k)
+    periphs = [[_schur_eigvals(T)[:k] for T, _, k in blocks]
+               for blocks in schurs]
     periph = np.concatenate([p for group_periph in periphs
                              for p in group_periph])
     periph_scale = max(np.abs(periph).max(initial=0.0), 1.0)
 
     projections, bases = [], []
-    for blocks, group_periph, conj in zip(forms, periphs, conjs):
-        m, s = conj.perm.shape
+    for blocks, group_periph, basis_of in zip(schurs, periphs, hermitian):
+        m, s = len(blocks), blocks[0][0].shape[0]
         P = np.empty((m, s, s), dtype=complex)
         basis = np.empty_like(P)
-        for b, form in enumerate(blocks):
-            if form is None:  # a twin
-                continue
-            T, Q, k = form
-            _check_semisimple(T[:k, :k], group_periph[b], tol, periph_scale)
+        for b, ((T, Q, k), p) in enumerate(zip(blocks, group_periph)):
+            _check_semisimple(T[:k, :k], p, tol, periph_scale)
             P[b], basis[b] = _block_split(T, Q, k)
-        real = conj.real_blocks
-        if real.size:
-            P[real] = _from_real(P[real].real, conj)
-            basis[real] = _from_real(basis[real].real, conj, both=False)
-        projections.append(_fill_twins(P, conj))
-        bases.append(_fill_twins(basis, conj, both=False))
+        if basis_of is not None:
+            real = basis_of.blocks
+            P[real] = _from_real(P[real].real, basis_of)
+            basis[real] = _from_real(basis[real].real, basis_of, both=False)
+        projections.append(P)
+        bases.append(basis)
 
     swept_res = np.abs(all_evs.real)[np.abs(all_evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
-    return SpectralSplit(periph, gap, tol, groups, tuple(projections),
-                         tuple(bases))
+    split = SpectralSplit(periph, gap, tol, groups, tuple(projections),
+                          tuple(bases))
+    if not M.flags.writeable:  # M cannot change under the split
+        object.__setattr__(split, "_hermitian", (weakref.ref(M), hermitian))
+    return split
 
 
-def _schur_forms(S: np.ndarray, conj: _Conjugation) -> list:
-    """The Schur form (T, Q) of each block of the stack S: complex for a
-    general block, real of the block in the Hermitian basis for a
-    self-conjugate one, None for a twin."""
+def _kept_hermitian(split: SpectralSplit, M: np.ndarray) -> list | None:
+    """The per-group _hermitian_basis the split found, if it was split from
+    this very M (read-only, so unchanged since); else None."""
+    kept = getattr(split, "_hermitian", None)
+    return kept[1] if kept is not None and kept[0]() is M else None
+
+
+def _schur_forms(S: np.ndarray, basis) -> list:
+    """The Schur form (T, Q) of each block of the stack S: real, of the block
+    in its Hermitian basis, for a block of basis (the group's
+    _hermitian_basis), complex for every other block."""
+    if basis is None:
+        return [scipy.linalg.schur(B, output="complex") for B in S]
     forms = [None] * len(S)
-    for b in np.flatnonzero(conj.general):
+    for b in np.flatnonzero(basis.general):
         forms[b] = scipy.linalg.schur(S[b], output="complex")
-    for b, R in zip(conj.real_blocks, _to_real(S, conj)):
+    for b, R in zip(basis.blocks, _to_real(S, basis)):
         forms[b] = scipy.linalg.schur(R, output="real")
     return forms
-
-
-def _per_block(f, forms: list, conj: _Conjugation) -> list:
-    """f of each block's Schur form (None for a twin), and for a twin the
-    conjugate of its twin's value."""
-    values = [None if form is None else f(*form) for form in forms]
-    return [values[twin].conj() if twin >= 0 else value
-            for value, twin in zip(values, conj.twin)]
 
 
 def _schur_eigvals(T: np.ndarray) -> np.ndarray:
@@ -380,8 +387,12 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
         groups = blocked.groups
         rows = _transpose_rows(groups, split.dim)
     stacks = [_stack(M, group) for group in groups]
-    expms = {t: [_map_blocks(lambda A: _expm(t * A), S, group, split.dim)
-                 for group, S in zip(groups, stacks)] for t in times}
+    hermitian = _kept_hermitian(split, M) if blocked is split else None
+    if hermitian is None:
+        hermitian = [_hermitian_basis(S, group, split.dim)
+                     for S, group in zip(stacks, groups)]
+    expms = {t: [_map_blocks(lambda A: _expm(t * A), S, basis)
+                 for S, basis in zip(stacks, hermitian)] for t in times}
     star, ortho, decay = _blockwise_residuals(blocked, rows,
                                               expms[max(times)])
     # (a) *-invariance of iso (and of sweep, which is equivalent here)
@@ -578,7 +589,8 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
     """Unit eigenvectors of a generic Hermitian kernel element whose
     projectors are semigroup fixed points lying in iso."""
     rng = np.random.default_rng(seed)
-    kernel = _null_space(M, superoperator_blocks(M))
+    kernel = _null_space(M, superoperator_blocks(M),
+                         _kept_hermitian(split, M))
     if kernel.size == 0:
         raise ValidationError("trace-preserving generator must have a kernel")
 
@@ -614,35 +626,37 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
     return vectors
 
 
-def _null_space(M: np.ndarray, groups: tuple) -> np.ndarray:
-    """Orthonormal basis of ker M from one SVD per diagonal block that is
-    not a twin, in real arithmetic for a self-conjugate block (see
-    _Conjugation).  The rank is decided for M as a whole, as
-    scipy.linalg.null_space(M) decides it: singular values above d^2 eps
+def _null_space(M: np.ndarray, groups: tuple,
+                hermitian: list | None = None) -> np.ndarray:
+    """Orthonormal basis of ker M from one SVD per diagonal block, in real
+    arithmetic for a block of its group's _hermitian_basis (hermitian, per
+    group; found here if not given).  The rank is decided for M as a whole,
+    as scipy.linalg.null_space(M) decides it: singular values above d^2 eps
     times the largest one count."""
     n = M.shape[0]
     svds = []
-    for group in groups:
+    for g, group in enumerate(groups):
         S = _stack(M, group)
         if group.shape[1] == 1:  # [a] has the singular value |a|, V = [1]
             svds += [(idx, np.abs(B[0]), np.ones((1, 1))) for idx, B
                      in zip(group, S)]
             continue
+        basis = _hermitian_basis(S, group, math.isqrt(n)) \
+            if hermitian is None else hermitian[g]
         # per block its singular values and right singular vectors
-        conj = _Conjugation(S, group, math.isqrt(n))
         sv = np.empty(S.shape[:2])
         V = np.empty(S.shape, dtype=complex)
-        for b in np.flatnonzero(conj.general):
+        general = np.arange(len(S)) if basis is None \
+            else np.flatnonzero(basis.general)
+        for b in general:
             _, sv[b], vh = scipy.linalg.svd(S[b])
             V[b] = vh.conj().T
-        if conj.real_blocks.size:
-            vhs = [scipy.linalg.svd(R)[1:] for R in _to_real(S, conj)]
-            sv[conj.real_blocks] = [s for s, _ in vhs]
-            V[conj.real_blocks] = _from_real(
-                np.array([vh.T for _, vh in vhs]), conj, both=False)
-        twins = conj.twin >= 0
-        sv[twins] = sv[conj.twin[twins]]
-        svds += list(zip(group, sv, _fill_twins(V, conj, both=False)))
+        if basis is not None:
+            vhs = [scipy.linalg.svd(R)[1:] for R in _to_real(S, basis)]
+            sv[basis.blocks] = [s for s, _ in vhs]
+            V[basis.blocks] = _from_real(
+                np.array([vh.T for _, vh in vhs]), basis, both=False)
+        svds += list(zip(group, sv, V))
     cutoff = n * np.finfo(float).eps * max(s.max() for _, s, _ in svds)
     cols = []
     for idx, s_b, v_b in svds:

@@ -131,7 +131,7 @@ class _JumpList:
         """sum_k kron(conj V_k, V_k) in real arithmetic: each real term is
         symmetric, and the imaginary part of each term antisymmetric, under
         the transpose of both factors, entry for entry, so M[pi i, pi j] =
-        conj(M[i, j]) holds exactly (see _Conjugation); numpy's complex
+        conj(M[i, j]) holds exactly (see _HermitianBasis); numpy's complex
         product does not keep it."""
         d = self.dim
         M = np.zeros((d * d, d * d), dtype=complex)
@@ -298,8 +298,8 @@ class LindbladGenerator:
     Hamiltonian generator has none of them.  Construction derives
     the single internal representation every operation uses: ``_phi`` (the
     form of Phi), ``_G = Phi*(I)`` and ``_K = -iH - G/2``.  The superoperator
-    M and its blocks are built on first use and kept, read-only, in ``_M``
-    and ``_blocks``.
+    M and its blocks, each group with its _hermitian_basis, are built on
+    first use and kept, read-only, in ``_M`` and ``_blocks``.
     """
 
     dim: int
@@ -450,15 +450,6 @@ def _stack(M: np.ndarray, group: np.ndarray) -> np.ndarray:
     return M[group[:, :, None], group[:, None, :]]
 
 
-#: blocks up to this size are factorised in complex arithmetic, and
-#: exponentiated in one stacked call, twins included: there the bookkeeping
-#: of the Hermitian basis and of the twins costs more than it saves (custom
-#: d = 4, one block of 16, on a 2-core machine with one BLAS thread:
-#: propagator 89 -> 269 us with it; QBM N = 16, two blocks of 128: 25 -> 12
-#: ms)
-_SMALL_BLOCK = 32
-
-
 def _transpose_map(group: np.ndarray, d: int) -> np.ndarray:
     """Where X -> X^T carries each entry of a group (m, s) of blocks: its
     row in the group's blocks stacked into m*s rows, or -1 where the
@@ -469,54 +460,56 @@ def _transpose_map(group: np.ndarray, d: int) -> np.ndarray:
     return where[(group % d) * d + group // d]
 
 
-class _Conjugation:
-    """How X -> X^T acts on one group (m, s) of diagonal blocks of M, whose
-    stack is S.
+class _HermitianBasis:
+    """The blocks of one group (m, s) of diagonal blocks of M, whose stack
+    is S, that are real in their Hermitian basis.
 
     A Hermiticity preserving L has M[pi i, pi j] = conj(M[i, j]), pi the
-    index of the transposed entry, so the transpose carries each block onto
-    a block whose entries are the conjugates of its own.  A block that
-    passes this test exactly, entry for entry, is either the twin of an
-    earlier block, whose factorisations it conjugates, or its own image:
-    then it is real in the Hermitian basis, and one larger than
-    _SMALL_BLOCK is factorised there in real arithmetic (see _to_real).
-    Every other block is general.
+    index of the transposed entry.  A block that X -> X^T carries onto
+    itself, and that passes this test exactly, entry for entry, is real in
+    the basis of Hermitian operators on its entries (see _to_real); the
+    other blocks of the group are general.
     """
 
     def __init__(self, S: np.ndarray, group: np.ndarray, d: int):
         m, s = group.shape
         to = _transpose_map(group, d)
-        image, perm = to[:, 0] // s, to % s
-        exact = ((to >= 0) & (to // s == image[:, None])).all(axis=1)
-        # the image block's entries in the order perm, conjugated
-        mirrored = S[image[:, None, None], perm[:, :, None], perm[:, None, :]]
+        perm = to % s  # where each entry goes in its image block
+        own = np.flatnonzero((to // s == np.arange(m)[:, None]).all(axis=1))
+        p = perm[own]
+        mirrored = S[own[:, None, None], p[:, :, None], p[:, None, :]]
         mirrored.imag *= -1
-        exact &= (mirrored == S).all(axis=(1, 2))
-        b, i = np.arange(m), np.arange(s)
-        self.twin = np.where(exact & (image < b), image, -1)
-        self.perm = perm  # (m, s): where its entries go in the image block
-        # on small blocks real arithmetic saves less than its bookkeeping
-        real = np.flatnonzero(exact & (image == b)) if s > _SMALL_BLOCK \
-            else np.zeros(0, dtype=int)
-        self.general = self.twin < 0
+        real = own[(mirrored == S[own]).all(axis=(1, 2))]
+        self.general = np.ones(m, dtype=bool)
         self.general[real] = False
-        self.twins = np.flatnonzero(self.twin >= 0)
-        # a twin whose entries keep their order conjugates slice for slice
-        self.in_order = (perm[self.twins] == i).all()
-        # the self-conjugate blocks, grouped by involution; per involution
-        # the blocks, their rows in the stack of all of them (real_blocks),
-        # its fixed entries F and its pairs (P, Q = perm(P)) with P < Q
+        # grouped by involution; per involution the blocks, their rows in
+        # the stack of all of them (blocks), its fixed entries F and its
+        # pairs (P, Q = perm(P)) with P < Q
         by_perm = {}
         for block in real:
             by_perm.setdefault(perm[block].tobytes(), []).append(block)
-        self.real_blocks = np.array(sum(by_perm.values(), []), dtype=int)
-        self.frames, start = [], 0
+        self.blocks = np.array(sum(by_perm.values(), []), dtype=int)
+        self.frames, start, i = [], 0, np.arange(s)
         for blocks in map(np.array, by_perm.values()):
             p = perm[blocks[0]]
             P = np.flatnonzero(p > i)
             self.frames.append((blocks, slice(start, start + len(blocks)),
                                 np.flatnonzero(p == i), P, p[P]))
             start += len(blocks)
+
+
+def _hermitian_basis(S: np.ndarray, group: np.ndarray,
+                     d: int) -> _HermitianBasis | None:
+    """The blocks of a group that are factorised in real arithmetic, or None
+    if there are none.  Blocks whose product takes at most _UNTHREADED_MACS
+    multiply-adds (s <= 32) stay complex, as _expm hands their stacks to
+    scipy whole: there the change of basis costs more than it saves (one
+    block of 16, custom d = 4: propagator 89 -> 269 us with it; two blocks
+    of 128, QBM N = 16: 25 -> 12 ms; 2-core machine, one BLAS thread)."""
+    if group.shape[1] ** 3 <= _UNTHREADED_MACS:
+        return None
+    basis = _HermitianBasis(S, group, d)
+    return basis if basis.blocks.size else None
 
 
 # The Hermitian basis of a self-conjugate block, in the order [F, C, E]:
@@ -527,12 +520,12 @@ class _Conjugation:
 # into the real matrix U^H B U (a Hermiticity preserving map is real in a
 # Hermitian basis; M. M. Wolf, Quantum Channels & Operations, 2012).
 
-def _to_real(S: np.ndarray, conj: _Conjugation) -> np.ndarray:
-    """U^H B U of the self-conjugate blocks B of the group's stack S, in the
-    order conj.real_blocks, in real arithmetic from the entries of B."""
-    R = np.empty((len(conj.real_blocks),) + S.shape[1:])
+def _to_real(S: np.ndarray, basis: _HermitianBasis) -> np.ndarray:
+    """U^H B U of the blocks B of the group's stack S that basis holds, in
+    the order basis.blocks, in real arithmetic from the entries of B."""
+    R = np.empty((len(basis.blocks),) + S.shape[1:])
     r = np.sqrt(2.0)
-    for blocks, rows, F, P, Q in conj.frames:
+    for blocks, rows, F, P, Q in basis.frames:
         if not P.size:  # only E_aa: U is the identity
             R[rows] = S[blocks].real
             continue
@@ -552,13 +545,13 @@ def _to_real(S: np.ndarray, conj: _Conjugation) -> np.ndarray:
     return R
 
 
-def _from_real(X: np.ndarray, conj: _Conjugation,
+def _from_real(X: np.ndarray, basis: _HermitianBasis,
                both: bool = True) -> np.ndarray:
     """U X U^H (or U X alone) of each real slice of a stack in the Hermitian
-    bases of the blocks conj.real_blocks: back in the basis of M."""
+    bases of the blocks basis.blocks: back in the basis of M."""
     Z = np.zeros(X.shape, dtype=complex)
     r = np.sqrt(0.5)
-    for _, rows, F, P, Q in conj.frames:
+    for _, rows, F, P, Q in basis.frames:
         f, c, e = _frame_slices(F, P)
         Xw, Zr, Zi = X[rows], Z.real[rows], Z.imag[rows]
         if not P.size:  # only E_aa: U is the identity
@@ -594,47 +587,19 @@ def _frame_slices(F: np.ndarray, P: np.ndarray) -> tuple:
     return slice(0, nf), slice(nf, n), slice(n, n + len(P))
 
 
-def _rows(X: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """X[k][perm[k]] for each slice k of a stack."""
-    return X[np.arange(len(X))[:, None], perm]
-
-
-def _cols(X: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """X[k][:, perm[k]] for each slice k of a stack."""
-    return X[np.arange(len(X))[:, None, None],
-             np.arange(X.shape[1])[:, None], perm[:, None, :]]
-
-
-def _fill_twins(out: np.ndarray, conj: _Conjugation,
-                both: bool = True) -> np.ndarray:
-    """Each twin slice of a stack (rows, or rows and columns, indexed by its
-    block) set to the conjugate of its twin's slice, in the twin's order."""
-    tw = conj.twins
-    if tw.size:
-        X = out[conj.twin[tw]].conj()
-        if not conj.in_order:
-            X = _rows(X, conj.perm[tw])
-            X = _cols(X, conj.perm[tw]) if both else X
-        out[tw] = X
-    return out
-
-
-def _map_blocks(f, S: np.ndarray, group: np.ndarray, d: int) -> np.ndarray:
+def _map_blocks(f, S: np.ndarray, basis: _HermitianBasis | None
+                ) -> np.ndarray:
     """f of each block of the stack S of a group of blocks of M, for a stack
-    function f that commutes with conjugation and unitary similarity, as
-    exp(tM) does: on general blocks as they are, on self-conjugate ones in
-    real arithmetic in the Hermitian basis, on twins not at all.  Small
-    blocks take one call on the whole stack, which costs less than sorting
-    them."""
-    if S.shape[-1] <= _SMALL_BLOCK:
+    function f that commutes with unitary similarity, as exp(tM) does: on
+    the blocks of basis (the group's _hermitian_basis) in real arithmetic,
+    on the others as they are."""
+    if basis is None:
         return f(S)
-    conj = _Conjugation(S, group, d)
     out = np.empty(S.shape, dtype=complex)
-    if conj.general.any():
-        out[conj.general] = f(S[conj.general])
-    if conj.real_blocks.size:
-        out[conj.real_blocks] = _from_real(f(_to_real(S, conj)), conj)
-    return _fill_twins(out, conj)
+    if basis.general.any():
+        out[basis.general] = f(S[basis.general])
+    out[basis.blocks] = _from_real(f(_to_real(S, basis)), basis)
+    return out
 
 
 def _gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -725,20 +690,22 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 def propagator(gen: LindbladGenerator, t: float) -> np.ndarray:
     """Superoperator matrix of T_t = exp(tL) (scaling-and-squaring Pade, one
-    stack of equal-size blocks of M at a time).  Among blocks larger than
-    _SMALL_BLOCK, one that conjugates an earlier one takes the conjugate of
-    its exponential, and a self-conjugate one is exponentiated in real
-    arithmetic in the Hermitian basis (see _Conjugation); every other block
-    as it is."""
+    stack of equal-size blocks of M at a time).  A block of more than 32
+    rows that X -> X^T carries onto its own conjugate is exponentiated in
+    real arithmetic in its Hermitian basis (see _hermitian_basis); every
+    other block as it is.  The blocks and their bases are found once per
+    generator."""
     if t < 0:
         raise ValidationError("the semigroup is defined for t >= 0 only")
     M = build_superoperator(gen)
     if gen._blocks is None:
-        object.__setattr__(gen, "_blocks", superoperator_blocks(M))
+        object.__setattr__(gen, "_blocks", tuple(
+            (group, _hermitian_basis(_stack(M, group), group, gen.dim))
+            for group in superoperator_blocks(M)))
     E = np.zeros(M.shape, dtype=complex)
-    for group in gen._blocks:
+    for group, basis in gen._blocks:
         E[group[:, :, None], group[:, None, :]] = _map_blocks(
-            lambda A: _expm(t * A), _stack(M, group), group, gen.dim)
+            lambda A: _expm(t * A), _stack(M, group), basis)
     return E
 
 

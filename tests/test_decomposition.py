@@ -4,6 +4,7 @@ verification report, and enumeration of the pointer ("classical") states."""
 from __future__ import annotations
 
 import math
+import pickle
 import tracemalloc
 from dataclasses import fields, replace
 from unittest import mock
@@ -45,7 +46,7 @@ import qsieve.decomposition as decomposition
 import qsieve.liouville as liouville
 from qsieve.decomposition import _fixed_point_candidates, _null_space
 from qsieve.liouville import (
-    _Conjugation,
+    _hermitian_basis,
     _stack,
     channel_applier,
     eis_check,
@@ -799,18 +800,66 @@ def test_robustness_matches_membership_on_superpositions(rng):
 
 
 # ---------------------------------------------------------------------------
-# each block factorised once: twins conjugated, self-conjugate blocks real
+# self-conjugate blocks factorised in real arithmetic, their bases found once
 
-def _conjugations(M: np.ndarray) -> list:
+def _hermitian_bases(M: np.ndarray) -> list:
     d = math.isqrt(M.shape[0])
-    return [_Conjugation(_stack(M, group), group, d)
+    return [_hermitian_basis(_stack(M, group), group, d)
             for group in superoperator_blocks(M)]
 
 
-def test_twin_blocks_take_no_schur_form(monkeypatch):
-    # Davies N=24 has 47 coherence-order blocks: 23 pairs k, -k of twins and
-    # the self-conjugate populations, so 24 Schur forms; blocks of 24 are
-    # small enough to stay complex
+def _counting_bases(monkeypatch) -> list:
+    built = []
+
+    class Counting(liouville._HermitianBasis):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(liouville, "_HermitianBasis", Counting)
+    return built
+
+
+def test_hermitian_bases_are_found_once_per_superoperator(monkeypatch):
+    # QBM N=16 is one group of two self-conjugate blocks of 128: the split
+    # finds their bases, its verification and the kernel of the same
+    # read-only M reuse them, and the generator keeps its own for every
+    # propagator
+    built = _counting_bases(monkeypatch)
+    gen = qbm_model(16, 0.5)
+    M = build_superoperator(gen)
+    split = spectral_split(M)
+    verify_split_properties(M, split)
+    classical_states(gen, split)
+    propagator(gen, 0.3)
+    propagator(gen, 2.0)
+    assert len(built) == 2
+
+
+def test_a_writable_superoperator_has_its_bases_found_again(monkeypatch):
+    # a writable M may change after the split, so nothing is reused
+    built = _counting_bases(monkeypatch)
+    M = build_superoperator(qbm_model(16, 0.5)).copy()
+    split = spectral_split(M)
+    report = verify_split_properties(M, split)
+    assert len(built) == 2 and report.max_residual <= 1e-7
+
+
+def test_a_split_that_keeps_its_bases_pickles():
+    M = build_superoperator(qbm_model(16, 0.5))
+    split = spectral_split(M)
+    restored = pickle.loads(pickle.dumps(split))
+    assert np.array_equal(restored.peripheral_eigenvalues,
+                          split.peripheral_eigenvalues)
+    for name in ("groups", "projections", "block_bases"):
+        assert all(map(np.array_equal, getattr(split, name),
+                       getattr(restored, name)))
+    assert verify_split_properties(M, restored).max_residual <= 1e-7
+
+
+def test_blocks_of_at_most_32_rows_stay_complex(monkeypatch):
+    # Davies N=24: 47 coherence-order blocks of at most 24 rows, each
+    # factorised in complex arithmetic
     forms = []
     real_schur = scipy.linalg.schur
 
@@ -819,13 +868,10 @@ def test_twin_blocks_take_no_schur_form(monkeypatch):
         return real_schur(A, *args, **kwargs)
 
     M = build_superoperator(davies_model(24, 1.0))
-    conjs = _conjugations(M)
-    assert sum(len(c.twins) for c in conjs) == 23
-    assert sum(len(c.real_blocks) for c in conjs) == 0
+    assert all(basis is None for basis in _hermitian_bases(M))
     monkeypatch.setattr(scipy.linalg, "schur", recording)
-    split = spectral_split(M)
-    assert len(forms) == 24 and forms.count("real") == 0
-    assert split.iso_dim == 1
+    assert spectral_split(M).iso_dim == 1
+    assert forms == ["complex"] * 47
 
 
 def test_qbm_split_and_verification_run_in_real_arithmetic(monkeypatch):
@@ -920,11 +966,12 @@ def assert_matches_the_dense_complex_reference(gen):
 def test_block_rules_match_the_dense_complex_reference(kind, seed, d):
     gen = _DRAWS[kind](seed, d)
     M = build_superoperator(gen)
-    # the rules on every block, small ones included
-    with mock.patch.object(liouville, "_SMALL_BLOCK", 0):
-        (conj,) = [c for c in _conjugations(M) if c.perm.shape[1] > 1]
-        assert bool(conj.real_blocks.size) == (
-            kind != "not_hermiticity_preserving")
+    # the real path on every block, small ones included
+    with mock.patch.object(liouville, "_UNTHREADED_MACS", 0):
+        (basis,) = [basis for group, basis in zip(superoperator_blocks(M),
+                                                  _hermitian_bases(M))
+                    if group.shape[1] > 1]
+        assert (basis is not None) == (kind != "not_hermiticity_preserving")
         assert_matches_the_dense_complex_reference(gen)
 
 
@@ -935,15 +982,12 @@ def _sparse_jump(d: int, entries: dict, energies: list) -> LindbladGenerator:
     return LindbladGenerator(d, np.diag(energies), jump_ops=(V,))
 
 
-def test_block_rules_on_reordered_twins_and_mixed_involutions():
-    # a twin whose entries the transpose carries in another order, and a
-    # group of self-conjugate blocks with two different involutions
-    reordered = _sparse_jump(4, {(1, 2): 0.5, (3, 0): -0.7},
-                             [1.0, 2.5, 1.0, 1.0])
-    mixed = _sparse_jump(3, {(0, 1): 0.5, (1, 0): -0.7}, [1.0, 0.0, 1.0])
-    for gen, shown in ((reordered, lambda c: c.twins.size and not c.in_order),
-                       (mixed, lambda c: len(c.frames) > 1)):
-        M = build_superoperator(gen)
-        with mock.patch.object(liouville, "_SMALL_BLOCK", 0):
-            assert any(map(shown, _conjugations(M)))
-            assert_matches_the_dense_complex_reference(gen)
+def test_block_rules_on_mixed_involutions():
+    # one group of self-conjugate blocks whose entries the transpose swaps
+    # in two different patterns
+    gen = _sparse_jump(3, {(0, 1): 0.5, (1, 0): -0.7}, [1.0, 0.0, 1.0])
+    M = build_superoperator(gen)
+    with mock.patch.object(liouville, "_UNTHREADED_MACS", 0):
+        assert any(basis is not None and len(basis.frames) > 1
+                   for basis in _hermitian_bases(M))
+        assert_matches_the_dense_complex_reference(gen)
