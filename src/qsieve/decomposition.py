@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ import scipy.linalg
 
 from .liouville import (
     LindbladGenerator,
+    _block_structure,
     _check_dim,
     _expm,
     _from_real,
@@ -36,7 +36,6 @@ from .liouville import (
     apply_generator,
     build_superoperator,
     propagator,
-    superoperator_blocks,
     unvec,
     vec,
 )
@@ -106,12 +105,6 @@ class SpectralSplit:
         d^2 x m matrix X, one stack of blocks at a time."""
         return _block_apply(self.groups, self.projections, X)
 
-    def __getstate__(self) -> dict:
-        # the Hermitian bases kept for M (see spectral_split) hold a weak
-        # reference to it, which does not pickle
-        return {key: value for key, value in self.__dict__.items()
-                if key != "_hermitian"}
-
 
 def _iso_columns(P: np.ndarray) -> np.ndarray:
     """(m, s) mask of the iso columns of a stack of blocks with projections
@@ -150,18 +143,15 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     rows that X -> X^T carries onto its own conjugate is split in real
     arithmetic in its Hermitian basis (real Schur form, dtrsen, dtrsyl; see
     liouville._hermitian_basis) and mapped back; every other block runs
-    zgees, ztrsen and ztrsyl.  For a read-only M the split keeps those
-    bases, so that the verification and the kernel of the same M do not
-    look for them again."""
+    zgees, ztrsen and ztrsyl.  The blocks and their bases come from
+    liouville._block_structure, found once per read-only M."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0] if M.ndim == 2 else 0
     d = int(round(np.sqrt(n)))
     if n == 0 or M.shape != (d * d, d * d):
         raise ValidationError(f"M has shape {M.shape}, not d^2 x d^2")
-    groups = superoperator_blocks(M)
+    groups, hermitian = zip(*_block_structure(M))
     stacks = [_stack(M, group) for group in groups]
-    hermitian = [_hermitian_basis(S, group, d)
-                 for S, group in zip(stacks, groups)]
     # one Schur form per block; its (quasi-)diagonal holds the block's
     # eigenvalues
     schurs = [_schur_forms(S, basis) for S, basis in zip(stacks, hermitian)]
@@ -196,18 +186,8 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
 
     swept_res = np.abs(all_evs.real)[np.abs(all_evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
-    split = SpectralSplit(periph, gap, tol, groups, tuple(projections),
-                          tuple(bases))
-    if not M.flags.writeable:  # M cannot change under the split
-        object.__setattr__(split, "_hermitian", (weakref.ref(M), hermitian))
-    return split
-
-
-def _kept_hermitian(split: SpectralSplit, M: np.ndarray) -> list | None:
-    """The per-group _hermitian_basis the split found, if it was split from
-    this very M (read-only, so unchanged since); else None."""
-    kept = getattr(split, "_hermitian", None)
-    return kept[1] if kept is not None and kept[0]() is M else None
+    return SpectralSplit(periph, gap, tol, groups, tuple(projections),
+                         tuple(bases))
 
 
 def _schur_forms(S: np.ndarray, basis) -> list:
@@ -379,18 +359,16 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     iso = split.iso_basis
     res: dict[str, float | None] = {}
 
-    blocked, groups = split, superoperator_blocks(M)
+    blocked = split
+    groups, hermitian = zip(*_block_structure(M))
     rows = _transpose_rows(groups, split.dim) \
         if _same_groups(groups, split.groups) else None
     if rows is None:
         blocked = _one_block(split)
         groups = blocked.groups
         rows = _transpose_rows(groups, split.dim)
+        hermitian = [_hermitian_basis(M, groups[0])]
     stacks = [_stack(M, group) for group in groups]
-    hermitian = _kept_hermitian(split, M) if blocked is split else None
-    if hermitian is None:
-        hermitian = [_hermitian_basis(S, group, split.dim)
-                     for S, group in zip(stacks, groups)]
     expms = {t: [_map_blocks(lambda A: _expm(t * A), S, basis)
                  for S, basis in zip(stacks, hermitian)] for t in times}
     star, ortho, decay = _blockwise_residuals(blocked, rows,
@@ -589,8 +567,7 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
     """Unit eigenvectors of a generic Hermitian kernel element whose
     projectors are semigroup fixed points lying in iso."""
     rng = np.random.default_rng(seed)
-    kernel = _null_space(M, superoperator_blocks(M),
-                         _kept_hermitian(split, M))
+    kernel = _null_space(M)
     if kernel.size == 0:
         raise ValidationError("trace-preserving generator must have a kernel")
 
@@ -626,23 +603,20 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
     return vectors
 
 
-def _null_space(M: np.ndarray, groups: tuple,
-                hermitian: list | None = None) -> np.ndarray:
+def _null_space(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker M from one SVD per diagonal block, in real
-    arithmetic for a block of its group's _hermitian_basis (hermitian, per
-    group; found here if not given).  The rank is decided for M as a whole,
-    as scipy.linalg.null_space(M) decides it: singular values above d^2 eps
+    arithmetic for a block of its group's _hermitian_basis (both from
+    liouville._block_structure).  The rank is decided for M as a whole, as
+    scipy.linalg.null_space(M) decides it: singular values above d^2 eps
     times the largest one count."""
     n = M.shape[0]
     svds = []
-    for g, group in enumerate(groups):
+    for group, basis in _block_structure(M):
         S = _stack(M, group)
         if group.shape[1] == 1:  # [a] has the singular value |a|, V = [1]
             svds += [(idx, np.abs(B[0]), np.ones((1, 1))) for idx, B
                      in zip(group, S)]
             continue
-        basis = _hermitian_basis(S, group, math.isqrt(n)) \
-            if hermitian is None else hermitian[g]
         # per block its singular values and right singular vectors
         sv = np.empty(S.shape[:2])
         V = np.empty(S.shape, dtype=complex)

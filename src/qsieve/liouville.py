@@ -36,6 +36,8 @@ that such a run wakes one BLAS thread pool, not numpy's as well.
 """
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -298,8 +300,8 @@ class LindbladGenerator:
     Hamiltonian generator has none of them.  Construction derives
     the single internal representation every operation uses: ``_phi`` (the
     form of Phi), ``_G = Phi*(I)`` and ``_K = -iH - G/2``.  The superoperator
-    M and its blocks, each group with its _hermitian_basis, are built on
-    first use and kept, read-only, in ``_M`` and ``_blocks``.
+    M is built on first use and kept, read-only, in ``_M``; its blocks are
+    found once for it (see _block_structure).
     """
 
     dim: int
@@ -367,7 +369,6 @@ class LindbladGenerator:
         object.__setattr__(self, "_G", G)
         object.__setattr__(self, "_K", -1j * H - 0.5 * G)
         object.__setattr__(self, "_M", None)
-        object.__setattr__(self, "_blocks", None)
 
 
 def _check_dim(gen: LindbladGenerator, A: np.ndarray) -> np.ndarray:
@@ -394,11 +395,14 @@ def apply_generator_adjoint(gen: LindbladGenerator, A) -> np.ndarray:
 
 def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
     """Dense d^2 x d^2 matrix M with M vec(rho) = vec(L(rho)), built on first
-    use and kept, read-only, on the generator."""
+    use and kept, read-only, on the generator.  M owns its data (np.kron
+    returns a view), so its block structure is found once for it (see
+    _block_structure)."""
     if gen._M is None:
-        I = np.eye(gen.dim)
-        K = gen._K
-        M = np.kron(I, K)
+        d, I, K = gen.dim, np.eye(gen.dim), gen._K
+        M = np.empty((d * d, d * d), dtype=complex)
+        np.multiply(I[:, None, :, None], K[None, :, None, :],
+                    out=M.reshape(d, d, d, d))
         M += np.kron(K.conj(), I)
         M += gen._phi.matrix()
         M.setflags(write=False)
@@ -498,8 +502,8 @@ class _HermitianBasis:
             start += len(blocks)
 
 
-def _hermitian_basis(S: np.ndarray, group: np.ndarray,
-                     d: int) -> _HermitianBasis | None:
+def _hermitian_basis(M: np.ndarray,
+                     group: np.ndarray) -> _HermitianBasis | None:
     """The blocks of a group that are factorised in real arithmetic, or None
     if there are none.  Blocks whose product takes at most _UNTHREADED_MACS
     multiply-adds (s <= 32) stay complex, as _expm hands their stacks to
@@ -508,8 +512,31 @@ def _hermitian_basis(S: np.ndarray, group: np.ndarray,
     of 128, QBM N = 16: 25 -> 12 ms; 2-core machine, one BLAS thread)."""
     if group.shape[1] ** 3 <= _UNTHREADED_MACS:
         return None
-    basis = _HermitianBasis(S, group, d)
+    basis = _HermitianBasis(_stack(M, group), group, math.isqrt(len(M)))
     return basis if basis.blocks.size else None
+
+
+#: the _block_structure of each read-only M that owns its data, by id(M),
+#: with a weak reference to M whose callback drops the entry when M dies
+_STRUCTURES: dict = {}
+
+
+def _block_structure(M: np.ndarray) -> tuple:
+    """The (group, _hermitian_basis) pair of each group of
+    superoperator_blocks(M): what the split, its verification, the kernel
+    and the propagator of M all need.  Found once for an M that owns its
+    data and is read-only, as build_superoperator returns it, since such an
+    M cannot change; found afresh for every other M."""
+    kept = _STRUCTURES.get(id(M))
+    if kept is not None and kept[0]() is M:
+        return kept[1]
+    structure = tuple((group, _hermitian_basis(M, group))
+                      for group in superoperator_blocks(M))
+    if M.flags.owndata and not M.flags.writeable:
+        key = id(M)
+        _STRUCTURES[key] = (weakref.ref(
+            M, lambda _: _STRUCTURES.pop(key, None)), structure)
+    return structure
 
 
 # The Hermitian basis of a self-conjugate block, in the order [F, C, E]:
@@ -694,16 +721,12 @@ def propagator(gen: LindbladGenerator, t: float) -> np.ndarray:
     rows that X -> X^T carries onto its own conjugate is exponentiated in
     real arithmetic in its Hermitian basis (see _hermitian_basis); every
     other block as it is.  The blocks and their bases are found once per
-    generator."""
+    generator (see _block_structure)."""
     if t < 0:
         raise ValidationError("the semigroup is defined for t >= 0 only")
     M = build_superoperator(gen)
-    if gen._blocks is None:
-        object.__setattr__(gen, "_blocks", tuple(
-            (group, _hermitian_basis(_stack(M, group), group, gen.dim))
-            for group in superoperator_blocks(M)))
     E = np.zeros(M.shape, dtype=complex)
-    for group, basis in gen._blocks:
+    for group, basis in _block_structure(M):
         E[group[:, :, None], group[:, None, :]] = _map_blocks(
             lambda A: _expm(t * A), _stack(M, group), basis)
     return E

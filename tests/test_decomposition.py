@@ -3,7 +3,7 @@ verification report, and enumeration of the pointer ("classical") states."""
 
 from __future__ import annotations
 
-import math
+import gc
 import pickle
 import tracemalloc
 from dataclasses import fields, replace
@@ -402,20 +402,40 @@ def test_verification_reports_a_split_of_another_matrix(split_from,
     assert report.max_residual >= mismatch
 
 
-def test_split_and_verification_search_the_blocks_once_each(monkeypatch):
-    # the verification reads the conditioning off the split's own block
-    # bases; it searches only for the blocks of the M it is given
+def _counting_searches(monkeypatch) -> list:
     calls = []
-    real = decomposition.superoperator_blocks
+    real = liouville.superoperator_blocks
 
     def counting(M):
         calls.append(1)
         return real(M)
 
-    monkeypatch.setattr(decomposition, "superoperator_blocks", counting)
-    M = build_superoperator(block_models()["davies8"][0])
-    verify_split_properties(M, spectral_split(M))
-    assert len(calls) == 2
+    monkeypatch.setattr(liouville, "superoperator_blocks", counting)
+    return calls
+
+
+def test_the_blocks_of_a_superoperator_are_searched_once(monkeypatch):
+    # the split, its verification, the kernel and every propagator of one
+    # generator share the block structure of its read-only M
+    calls = _counting_searches(monkeypatch)
+    gen = davies_model(24, 1.0)
+    M = build_superoperator(gen)
+    split = spectral_split(M)
+    verify_split_properties(M, split)
+    classical_states(gen, split)
+    propagator(gen, 0.3)
+    propagator(gen, 2.0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["decompose", "classify"])
+def test_decompose_and_classify_search_the_blocks_once(command, monkeypatch):
+    from qsieve.cli import _cmd_classify, _cmd_decompose
+    calls = _counting_searches(monkeypatch)
+    run = {"decompose": _cmd_decompose, "classify": _cmd_classify}[command]
+    run(block_models()["davies8"][0], {"tol": None, "seed": 0,
+                                      "residual_tol": 1e-8})
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", [*block_models(), "qbm16", "davies24"])
@@ -510,7 +530,7 @@ def test_verification_peaks_well_below_the_superoperator():
 def test_block_kernel_spans_the_null_space(name):
     gen, _ = block_models()[name]
     M = build_superoperator(gen)
-    kernel = _null_space(M, superoperator_blocks(M))
+    kernel = _null_space(M)
     reference = scipy.linalg.null_space(M)
     assert kernel.shape == reference.shape
     assert np.abs(kernel.conj().T @ kernel
@@ -803,9 +823,7 @@ def test_robustness_matches_membership_on_superpositions(rng):
 # self-conjugate blocks factorised in real arithmetic, their bases found once
 
 def _hermitian_bases(M: np.ndarray) -> list:
-    d = math.isqrt(M.shape[0])
-    return [_hermitian_basis(_stack(M, group), group, d)
-            for group in superoperator_blocks(M)]
+    return [_hermitian_basis(M, group) for group in superoperator_blocks(M)]
 
 
 def _counting_bases(monkeypatch) -> list:
@@ -822,9 +840,8 @@ def _counting_bases(monkeypatch) -> list:
 
 def test_hermitian_bases_are_found_once_per_superoperator(monkeypatch):
     # QBM N=16 is one group of two self-conjugate blocks of 128: the split
-    # finds their bases, its verification and the kernel of the same
-    # read-only M reuse them, and the generator keeps its own for every
-    # propagator
+    # finds their bases, and its verification, the kernel and every
+    # propagator of the same read-only M reuse them
     built = _counting_bases(monkeypatch)
     gen = qbm_model(16, 0.5)
     M = build_superoperator(gen)
@@ -833,7 +850,7 @@ def test_hermitian_bases_are_found_once_per_superoperator(monkeypatch):
     classical_states(gen, split)
     propagator(gen, 0.3)
     propagator(gen, 2.0)
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_a_writable_superoperator_has_its_bases_found_again(monkeypatch):
@@ -845,7 +862,22 @@ def test_a_writable_superoperator_has_its_bases_found_again(monkeypatch):
     assert len(built) == 2 and report.max_residual <= 1e-7
 
 
-def test_a_split_that_keeps_its_bases_pickles():
+def test_the_kept_block_structures_die_with_their_superoperators():
+    # a generator, its M and the structure found for M go together: none
+    # stays behind in the memo
+    gc.collect()
+    before = len(liouville._STRUCTURES)
+    for k in range(50):
+        gen = pointer_model(np.linspace(0.0, 1.0 + k, 3))
+        M = build_superoperator(gen)
+        spectral_split(M)
+        assert liouville._STRUCTURES[id(M)][0]() is M
+        del gen, M
+    gc.collect()
+    assert len(liouville._STRUCTURES) == before
+
+
+def test_a_split_pickles_and_verifies():
     M = build_superoperator(qbm_model(16, 0.5))
     split = spectral_split(M)
     restored = pickle.loads(pickle.dumps(split))
@@ -949,7 +981,7 @@ def assert_matches_the_dense_complex_reference(gen):
                          dense.peripheral_eigenvalues, 1e-10)
     assert np.abs(dense_projection(split)
                   - dense_projection(dense)).max() <= 1e-10
-    kernel = _null_space(M, superoperator_blocks(M))
+    kernel = _null_space(M)
     reference = scipy.linalg.null_space(M)
     assert kernel.shape == reference.shape
     assert np.abs(kernel @ kernel.conj().T
@@ -964,10 +996,11 @@ def assert_matches_the_dense_complex_reference(gen):
 @given(kind=st.sampled_from(sorted(_DRAWS)), seed=st.integers(0, 2**32 - 1),
        d=st.integers(2, 4))
 def test_block_rules_match_the_dense_complex_reference(kind, seed, d):
-    gen = _DRAWS[kind](seed, d)
-    M = build_superoperator(gen)
-    # the real path on every block, small ones included
+    # the real path on every block, small ones included; the generator is
+    # built under the patch, so that no structure found without it is read
     with mock.patch.object(liouville, "_UNTHREADED_MACS", 0):
+        gen = _DRAWS[kind](seed, d)
+        M = build_superoperator(gen)
         (basis,) = [basis for group, basis in zip(superoperator_blocks(M),
                                                   _hermitian_bases(M))
                     if group.shape[1] > 1]
@@ -985,9 +1018,9 @@ def _sparse_jump(d: int, entries: dict, energies: list) -> LindbladGenerator:
 def test_block_rules_on_mixed_involutions():
     # one group of self-conjugate blocks whose entries the transpose swaps
     # in two different patterns
-    gen = _sparse_jump(3, {(0, 1): 0.5, (1, 0): -0.7}, [1.0, 0.0, 1.0])
-    M = build_superoperator(gen)
     with mock.patch.object(liouville, "_UNTHREADED_MACS", 0):
+        gen = _sparse_jump(3, {(0, 1): 0.5, (1, 0): -0.7}, [1.0, 0.0, 1.0])
+        M = build_superoperator(gen)
         assert any(basis is not None and len(basis.frames) > 1
                    for basis in _hermitian_bases(M))
         assert_matches_the_dense_complex_reference(gen)
