@@ -40,6 +40,7 @@ from .liouville import (
     CONTRACTION_TOL,
     TRACE_TOL,
     LindbladGenerator,
+    apply_generator,
     build_superoperator,
     channel_applier,
     eis_check,
@@ -57,6 +58,7 @@ from .operators import (
     HERMITICITY_TOL,
     DegenerateInputError,
     ValidationError,
+    hs_norm,
     is_hermitian,
     linear_entropy,
     normalize_state,
@@ -542,6 +544,8 @@ def _cmd_decompose(gen: LindbladGenerator, config: dict):
                                    for z in split.peripheral_eigenvalues],
         "residuals": {k: (None if v is None else float(v))
                       for k, v in verification.residuals.items()},
+        # the split's properties assume L(I) = 0 (a unital semigroup)
+        "unital_residual": hs_norm(apply_generator(gen, np.eye(gen.dim))),
     }
 
 

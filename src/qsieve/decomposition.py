@@ -361,8 +361,9 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
 
     blocked = split
     groups, hermitian = zip(*_block_structure(M))
-    rows = _transpose_rows(groups, split.dim) \
-        if _same_groups(groups, split.groups) else None
+    same = len(groups) == len(split.groups) and all(
+        map(np.array_equal, groups, split.groups))
+    rows = _transpose_rows(groups, split.dim) if same else None
     if rows is None:
         blocked = _one_block(split)
         groups = blocked.groups
@@ -428,7 +429,7 @@ def _blockwise_residuals(split: SpectralSplit, rows: list,
                          expms: list) -> tuple:
     """Checks (a), (b) and (e) of verify_split_properties, one group of the
     split's blocks at a time: the largest *-invariance residual, the largest
-    trace overlap of iso with sweep and the largest entry of exp(tM) on
+    trace overlap of iso with sweep and the operator norm of exp(tM) on
     sweep.  rows are _transpose_rows of the split's groups, and expms the
     stacks of exp(tM) on the same groups."""
     star = ortho = decay = 0.0
@@ -454,14 +455,11 @@ def _blockwise_residuals(split: SpectralSplit, rows: list,
         overlaps = _stacked_gemm(Wt.transpose(0, 2, 1), W)
         ortho = max(ortho, np.abs(overlaps[
             iso_t[:, :, None] & ~iso_cols[:, None, :]]).max(initial=0.0))
-        # (e)
-        decay = max(decay, np.abs(_stacked_gemm(E, W)).max(axis=1)
-                    [~iso_cols].max(initial=0.0))
+        # (e) the norm of exp(tM) on the block's orthonormal sweep columns
+        EW = _stacked_gemm(E, W * ~iso_cols[:, None, :])
+        decay = max(decay, np.abs(EW).max() if s == 1
+                    else _svdvals(EW)[:, 0].max())
     return float(star), float(ortho), float(decay)
-
-
-def _same_groups(a: tuple, b: tuple) -> bool:
-    return len(a) == len(b) and all(map(np.array_equal, a, b))
 
 
 def _transpose_rows(groups: tuple, d: int) -> list | None:

@@ -395,9 +395,8 @@ def apply_generator_adjoint(gen: LindbladGenerator, A) -> np.ndarray:
 
 def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
     """Dense d^2 x d^2 matrix M with M vec(rho) = vec(L(rho)), built on first
-    use and kept, read-only, on the generator.  M owns its data (np.kron
-    returns a view), so its block structure is found once for it (see
-    _block_structure)."""
+    use and kept, read-only, on the generator; it owns its data (np.kron
+    returns a view), so _block_structure keeps the structure found for it."""
     if gen._M is None:
         d, I, K = gen.dim, np.eye(gen.dim), gen._K
         M = np.empty((d * d, d * d), dtype=complex)
@@ -411,10 +410,10 @@ def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
 
 
 def superoperator_blocks(M: np.ndarray) -> tuple:
-    """The diagonal blocks of M grouped by size: one (m, s) index array per
-    block size s, whose rows are the m blocks of that size in order of their
-    smallest index.  The blocks are the connected components of the graph
-    with an edge i - j wherever M[i, j] or M[j, i] is nonzero.
+    """The diagonal blocks of M grouped by size: one read-only (m, s) index
+    array per block size s, whose rows are the m blocks of that size in
+    order of their smallest index.  The blocks are the connected components
+    of the graph with an edge i - j wherever M[i, j] or M[j, i] is nonzero.
 
     The entries between blocks are structural zeros, so every dense
     factorisation of M splits exactly into one per block, and blocks of one
@@ -440,6 +439,7 @@ def superoperator_blocks(M: np.ndarray) -> tuple:
     # increasing order
     sizes = np.bincount(labels)
     order = np.lexsort((labels, sizes[labels]))
+    order.setflags(write=False)  # the groups are views of it
     groups, start = [], 0
     for size in np.unique(sizes):
         count = np.count_nonzero(sizes == size)

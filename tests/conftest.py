@@ -6,6 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -137,6 +138,28 @@ def unstructured_model() -> LindbladGenerator:
     dephase = np.diag([1.0, 0.5, 0.0, -0.5])
     hop = 0.7 * (np.eye(4, k=1) + np.eye(4, k=-1))
     return LindbladGenerator(4, H, jump_ops=(dephase, hop))
+
+
+def random_jump_list(seed: int, d: int) -> LindbladGenerator:
+    """One or two random complex jumps beside a random Hermitian H."""
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    jumps = tuple(rng.standard_normal((d, d))
+                  + 1j * rng.standard_normal((d, d))
+                  for _ in range(int(rng.integers(1, 3))))
+    return LindbladGenerator(d, 0.5 * (H + H.conj().T), jump_ops=jumps)
+
+
+def rotated_pointer(seed: int, d: int) -> LindbladGenerator:
+    """The pointer model in a random basis: one dense self-conjugate
+    block."""
+    rng = np.random.default_rng(seed)
+    U = scipy.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))[0]
+    gen = pointer_model(np.sort(rng.uniform(0.0, 3.0, d)))
+    rotate = lambda A: U @ A @ U.conj().T
+    return LindbladGenerator(d, rotate(gen.hamiltonian),
+                             jump_ops=tuple(map(rotate, gen.jump_ops)))
 
 
 def blocks_of(M: np.ndarray) -> list:

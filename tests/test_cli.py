@@ -19,7 +19,7 @@ from qsieve import davies_model
 from qsieve.cli import MODEL_SCHEMAS, ConfigError, main, parse_config
 from qsieve.operators import random_pure_state
 
-from conftest import loop_lambda
+from conftest import loop_lambda, unstructured_model
 
 
 def write_config(tmp_path, name, payload):
@@ -437,6 +437,35 @@ def test_run_decompose_json(tmp_path):
     for key, val in res["residuals"].items():
         if val is not None and key != "c_basis_conditioning":
             assert val <= 1e-7, key
+
+
+def _custom(gen) -> dict:
+    pairs = lambda A: [[[z.real, z.imag] for z in row]
+                       for row in np.asarray(A, dtype=complex).tolist()]
+    return {"type": "custom", "hamiltonian": pairs(gen.hamiltonian),
+            "jump_ops": [pairs(V) for V in gen.jump_ops]}
+
+
+def test_decompose_reports_the_unital_residual(tmp_path):
+    # the HS norm of L(I), next to the split residuals, which assume it is
+    # 0: amplitude damping has L(I) = diag(1, -1); the benchmark's custom
+    # model (the unstructured one) is unital
+    damping = {"type": "custom",
+               "hamiltonian": [[[0.0, 0.0]] * 2] * 2,
+               "jump_ops": [[[[0.0, 0.0], [1.0, 0.0]],
+                             [[0.0, 0.0], [0.0, 0.0]]]]}
+
+    def unital_residual(model):
+        code, out = run_cli(tmp_path, {"command": "decompose",
+                                       "model": model})
+        assert code == 0
+        res = json.loads((out / "decompose.json").read_text(
+            encoding="utf-8"))["result"]
+        assert "unital_residual" not in res["residuals"]
+        return res["unital_residual"]
+
+    assert unital_residual(damping) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert unital_residual(_custom(unstructured_model())) <= 1e-12
 
 
 def test_run_custom_model_reports_semigroup_check(tmp_path):

@@ -62,7 +62,9 @@ from conftest import (
     block_models,
     blocks_of,
     dense_projection,
+    random_jump_list,
     random_pure,
+    rotated_pointer,
 )
 
 
@@ -315,7 +317,6 @@ def loop_verify_split_properties(M, split, times=(1.0, 5.0, 20.0),
 
     iso_norm = 0.0
     iso_mult = 0.0
-    sweep_decay = 0.0
     expms = {t: scipy.linalg.expm(t * M) for t in times}
     for t in times:
         E = expms[t]
@@ -338,11 +339,10 @@ def loop_verify_split_properties(M, split, times=(1.0, 5.0, 20.0),
     res["d_iso_multiplicativity"] = iso_mult
 
     if split.sweep_dim:
-        E = expms[max(times)]
-        for B in sweep:
-            sweep_decay = max(sweep_decay,
-                              float(np.abs(unvec(E @ vec(B))).max()))
-        res["e_sweep_decay"] = sweep_decay
+        # the operator norm of exp(tM) on sweep, in an orthonormal basis of
+        # sweep that is not the split's
+        Q = scipy.linalg.orth(np.stack([vec(B) for B in sweep], axis=1))
+        res["e_sweep_decay"] = float(np.linalg.norm(expms[max(times)] @ Q, 2))
     else:
         res["e_sweep_decay"] = None
 
@@ -633,6 +633,37 @@ def test_verify_split_depolarizing_sweep_decay():
     M = build_superoperator(gen)
     report = verify_split_properties(M, spectral_split(M), times=(1.0, 5.0, 20.0))
     assert report.residuals["e_sweep_decay"] <= np.exp(-2.0 * 20.0) + 1e-9
+
+
+def test_sweep_decay_does_not_depend_on_the_sweep_basis():
+    # check (e) is the norm of exp(tM) on sweep, so a unitary change of the
+    # sweep columns inside each block leaves it as it is; the largest entry
+    # of exp(tM) on those columns, reported before, moves
+    M = build_superoperator(block_models()["qbm8"][0])
+    split = spectral_split(M)
+    rng = np.random.default_rng(5)
+    bases = [W.copy() for W in split.block_bases]
+    for P, W in zip(split.projections, bases):
+        for b, sweep in enumerate(~decomposition._iso_columns(P)):
+            k = int(sweep.sum())
+            U = scipy.linalg.qr(rng.standard_normal((k, k))
+                                + 1j * rng.standard_normal((k, k)))[0]
+            W[b][:, sweep] = W[b][:, sweep] @ U
+    rotated = replace(split, block_bases=tuple(bases))
+    decay = verify_split_properties(M, split).residuals["e_sweep_decay"]
+    assert verify_split_properties(M, rotated).residuals["e_sweep_decay"] \
+        == pytest.approx(decay, rel=1e-12)
+    E = scipy.linalg.expm(20.0 * M)
+
+    def largest_entry(stacks):
+        return max(np.abs(E[np.ix_(idx, idx)] @ W[:, ~iso]).max()
+                   for group, P, stack in zip(split.groups, split.projections,
+                                              stacks)
+                   for idx, W, iso in zip(group, stack,
+                                          decomposition._iso_columns(P)))
+
+    assert abs(largest_entry(split.block_bases) - largest_entry(bases)) \
+        > 1e-3 * decay
 
 
 def test_verify_split_rejects_a_superoperator_of_another_dim():
@@ -931,27 +962,6 @@ def test_qbm_split_and_verification_run_in_real_arithmetic(monkeypatch):
     assert all(dtype == np.float64 for _, dtype in handed)
 
 
-def _random_jump_list(seed: int, d: int) -> LindbladGenerator:
-    rng = np.random.default_rng(seed)
-    H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    jumps = tuple(rng.standard_normal((d, d))
-                  + 1j * rng.standard_normal((d, d))
-                  for _ in range(int(rng.integers(1, 3))))
-    return LindbladGenerator(d, 0.5 * (H + H.conj().T), jump_ops=jumps)
-
-
-def _rotated_pointer(seed: int, d: int) -> LindbladGenerator:
-    """The pointer model in a random basis: one dense self-conjugate
-    block."""
-    rng = np.random.default_rng(seed)
-    U = scipy.linalg.qr(rng.standard_normal((d, d))
-                        + 1j * rng.standard_normal((d, d)))[0]
-    gen = pointer_model(np.sort(rng.uniform(0.0, 3.0, d)))
-    rotate = lambda A: U @ A @ U.conj().T
-    return LindbladGenerator(d, rotate(gen.hamiltonian),
-                             jump_ops=tuple(map(rotate, gen.jump_ops)))
-
-
 def _not_hermiticity_preserving(seed: int, d: int) -> LindbladGenerator:
     """A generator whose map is a random complex matrix that annihilates
     the trace: one block that X -> X^T does not carry onto its conjugate,
@@ -965,8 +975,8 @@ def _not_hermiticity_preserving(seed: int, d: int) -> LindbladGenerator:
     return LindbladGenerator(d, H, cp_superop=S)
 
 
-_DRAWS = {"jump_list": _random_jump_list,
-          "rotated_pointer": _rotated_pointer,
+_DRAWS = {"jump_list": random_jump_list,
+          "rotated_pointer": rotated_pointer,
           "not_hermiticity_preserving": _not_hermiticity_preserving}
 
 

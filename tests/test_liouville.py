@@ -3,9 +3,12 @@ environment-induced-semigroup checks."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from qsieve import (
     LindbladGenerator,
@@ -29,6 +32,7 @@ from qsieve import (
 import qsieve.liouville as liouville
 from qsieve.liouville import (
     EisReport,
+    _block_structure,
     _expm,
     _stack,
     channel_applier,
@@ -50,7 +54,9 @@ from conftest import (
     davies_jump_tensor,
     random_density,
     random_hermitian,
+    random_jump_list,
     random_pure,
+    rotated_pointer,
     unstructured_model,
 )
 
@@ -267,6 +273,65 @@ def test_superoperator_blocks_match_the_graph_search(name):
     assert len(groups) == len(reference)
     for group, ref in zip(groups, reference):
         assert np.array_equal(group, ref)
+
+
+def _random_grw(seed: int, d: int) -> LindbladGenerator:
+    rng = np.random.default_rng(seed)
+    return grw_model(np.sort(rng.uniform(-3.0, 3.0, d)),
+                     rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
+
+
+def _random_hadamard(seed: int, d: int) -> LindbladGenerator:
+    """A random Hermitian kernel with a zero diagonal beside a random
+    Hermitian H on a random symmetric pattern of entries."""
+    rng = np.random.default_rng(seed)
+    C = random_hermitian(d, rng)
+    np.fill_diagonal(C, 0.0)
+    pattern = rng.random((d, d)) < 0.4
+    H = random_hermitian(d, rng) * (pattern | pattern.T)
+    return LindbladGenerator(d, H, kernel=C)
+
+
+_STRUCTURE_DRAWS = {"jump_list": random_jump_list,
+                    "rotated_pointer": rotated_pointer,
+                    "grw": _random_grw, "hadamard": _random_hadamard}
+
+
+def _plain(structure: tuple) -> list:
+    """The groups and Hermitian bases of a _block_structure as lists, which
+    compare by value: per group its indices, and the basis's blocks and
+    involutions."""
+    return [(group.tolist(), None if basis is None else (
+        basis.general.tolist(), basis.blocks.tolist(),
+        [(blocks.tolist(), rows, F.tolist(), P.tolist(), Q.tolist())
+         for blocks, rows, F, P, Q in basis.frames]))
+        for group, basis in structure]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_STRUCTURE_DRAWS)),
+       seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4))
+def test_block_structure_of_random_generators(kind, seed, d):
+    # the groups are the graph's connected components; the structure of a
+    # read-only M that owns its data is found once, that of a writable copy
+    # or of a view afresh.  The generator is built under the patch, which
+    # gives every block of more than one row a Hermitian basis to find, so
+    # that no structure found without it is read
+    with mock.patch.object(liouville, "_UNTHREADED_MACS", 0):
+        M = build_superoperator(_STRUCTURE_DRAWS[kind](seed, d))
+        groups = superoperator_blocks(M)
+        reference = _csgraph_blocks(M)
+        assert len(groups) == len(reference)
+        assert all(map(np.array_equal, groups, reference))
+        assert not any(group.flags.writeable for group in groups)
+        structure = _block_structure(M)
+        assert _block_structure(M) is structure
+        assert all(map(np.array_equal, groups, [g for g, _ in structure]))
+        for other in (M.copy(), M[:, :]):
+            again = _block_structure(other)
+            assert again is not structure
+            assert _block_structure(other) is not again
+            assert _plain(again) == _plain(structure)
 
 
 @pytest.mark.parametrize("name", list(block_models()))
