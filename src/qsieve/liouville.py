@@ -523,10 +523,10 @@ _STRUCTURES: dict = {}
 
 def _block_structure(M: np.ndarray) -> tuple:
     """The (group, _hermitian_basis) pair of each group of
-    superoperator_blocks(M): what the split, its verification, the kernel
-    and the propagator of M all need.  Found once for an M that owns its
-    data and is read-only, as build_superoperator returns it, since such an
-    M cannot change; found afresh for every other M."""
+    superoperator_blocks(M), for the split, its verification, the kernel
+    and the propagator of M.  Kept for an M that owns its data and is
+    read-only, as build_superoperator's is, which nothing changes without
+    first making it writable; found afresh for every other M."""
     kept = _STRUCTURES.get(id(M))
     if kept is not None and kept[0]() is M:
         return kept[1]

@@ -44,6 +44,7 @@ from qsieve import (
 
 import qsieve.decomposition as decomposition
 import qsieve.liouville as liouville
+from qsieve.cli import _cmd_classify, _cmd_decompose
 from qsieve.decomposition import _fixed_point_candidates, _null_space
 from qsieve.liouville import (
     _hermitian_basis,
@@ -430,7 +431,6 @@ def test_the_blocks_of_a_superoperator_are_searched_once(monkeypatch):
 
 @pytest.mark.parametrize("command", ["decompose", "classify"])
 def test_decompose_and_classify_search_the_blocks_once(command, monkeypatch):
-    from qsieve.cli import _cmd_classify, _cmd_decompose
     calls = _counting_searches(monkeypatch)
     run = {"decompose": _cmd_decompose, "classify": _cmd_classify}[command]
     run(block_models()["davies8"][0], {"tol": None, "seed": 0,
@@ -874,6 +874,7 @@ def test_hermitian_bases_are_found_once_per_superoperator(monkeypatch):
     # finds their bases, and its verification, the kernel and every
     # propagator of the same read-only M reuse them
     built = _counting_bases(monkeypatch)
+    searches = _counting_searches(monkeypatch)
     gen = qbm_model(16, 0.5)
     M = build_superoperator(gen)
     split = spectral_split(M)
@@ -881,7 +882,7 @@ def test_hermitian_bases_are_found_once_per_superoperator(monkeypatch):
     classical_states(gen, split)
     propagator(gen, 0.3)
     propagator(gen, 2.0)
-    assert len(built) == 1
+    assert len(built) == 1 and len(searches) == 1
 
 
 def test_a_writable_superoperator_has_its_bases_found_again(monkeypatch):
