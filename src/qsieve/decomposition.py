@@ -314,8 +314,9 @@ def iso_membership(split: SpectralSplit, e) -> float:
 
 
 #: entries of SplitVerification.residuals that are health figures, not
-#: residuals: the split basis conditioning (1 is best) and the sweep decay
-#: at the final time (exp(-gap t), small only for a large enough gap)
+#: residuals: the split basis conditioning (1 is best) and the sweep decay,
+#: the operator norm of exp(tM) on the sweeping subspace at the final time
+#: (at least exp(-gap t), small only for a large enough gap)
 HEALTH_FIGURES = ("c_basis_conditioning", "e_sweep_decay")
 
 

@@ -28,8 +28,6 @@ __all__ = [
     "join_projectors",
     "superposition",
     "random_pure_state",
-    "random_density_matrix",
-    "random_hermitian",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -229,14 +227,3 @@ def random_pure_state(dim: int, rng: np.random.Generator,
     shape = (2, dim) if count is None else (count, 2, dim)
     x = rng.standard_normal(shape)
     return normalize_state(x[..., 0, :] + 1j * x[..., 1, :])
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (A + A.conj().T)
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = A @ A.conj().T
-    return rho / rho.trace().real

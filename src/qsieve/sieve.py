@@ -89,9 +89,6 @@ class SieveReport:
     failed_starts: int
     seed: int
     n_starts: int
-    #: True iff the exclusion tests only sampled the superpositions on a
-    #: finite grid; minimize_lambda decides them exactly (False)
-    sampled_universality: bool = True
     #: how many starts left the descent by each exit, STOP_REASONS in order
     stop_reasons: dict = field(default_factory=dict)
 
@@ -108,7 +105,6 @@ class SieveReport:
             "failed_starts": self.failed_starts,
             "seed": self.seed,
             "n_starts": self.n_starts,
-            "sampled_universality": self.sampled_universality,
             "stop_reasons": dict(self.stop_reasons),
         }
 
@@ -117,6 +113,10 @@ class SieveReport:
 #: stalls and |grad| <= tol^0.75), a line search that finds no decrease,
 #: and the iteration cap
 STOP_REASONS = ("gradient", "stagnation", "line_search", "max_iter")
+
+#: the fidelity below which a band minimizer counts as a new minimizer, not
+#: as one already kept
+DEDUP_FIDELITY = 0.999
 
 
 def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
@@ -177,8 +177,7 @@ def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
 
 def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
                     tol: float = 1e-8, max_iter: int = 2000,
-                    epsilon: float | None = None,
-                    dedup_fidelity: float = 0.999) -> SieveReport:
+                    epsilon: float | None = None) -> SieveReport:
     """Multi-start minimization of lambda over pure states.
 
     Deterministic for a fixed seed: each start draws from its own spawned
@@ -224,7 +223,7 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
         minimizers = []
         min_lams = []
         for psi, v in sorted(in_band, key=lambda r: r[1]):
-            if all(fidelity(psi, q) < dedup_fidelity for q in minimizers):
+            if all(fidelity(psi, q) < DEDUP_FIDELITY for q in minimizers):
                 minimizers.append(psi)
                 min_lams.append(v)
 
@@ -238,8 +237,7 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
 
     return SieveReport(a0, eps, tuple(minimizers), tuple(min_lams),
                        tuple(float(v) for v in lambdas), tuple(flags), flat,
-                       failed, seed, n_starts, sampled_universality=False,
-                       stop_reasons=stops)
+                       failed, seed, n_starts, stop_reasons=stops)
 
 
 def superposition_grid(e, f, n_ratio: int = 24, n_phase: int = 16) -> list:

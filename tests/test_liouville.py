@@ -41,12 +41,7 @@ from qsieve.liouville import (
     unvec,
     vec,
 )
-from qsieve.operators import (
-    operator_norm,
-    random_density_matrix,
-    trace_norm,
-)
-from qsieve.operators import random_hermitian as random_hermitian_operator
+from qsieve.operators import operator_norm, trace_norm
 
 from conftest import (
     block_models,
@@ -482,8 +477,8 @@ def test_eis_check_passes_on_all_models():
         assert report.passed
 
 
-# The matrix-unit Choi loop and the per-sample check that eis_check
-# replaced, kept as references.
+# The matrix-unit Choi loop and the sampled check that eis_check replaced,
+# kept as references.
 
 def loop_choi_matrix(apply_map, dim: int) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) Map(|i><j|), normalized by 1/dim."""
@@ -498,12 +493,14 @@ def loop_choi_matrix(apply_map, dim: int) -> np.ndarray:
 
 def loop_eis_check(gen, n_samples: int = 10, times=(0.1, 1.0, 5.0),
                    seed: int = 0) -> EisReport:
+    """The figures of T_t at the given times: the least Choi eigenvalue,
+    the trace error on random states and the norm growth of random
+    Hermitian operators and of I."""
     rng = np.random.default_rng(seed)
     d = gen.dim
-    rhos = [random_density_matrix(d, rng) for _ in range(n_samples)]
+    rhos = [random_density(d, rng) for _ in range(n_samples)]
     # the identity too: a map that is not unital grows its operator norm
-    herms = [random_hermitian_operator(d, rng) for _ in range(n_samples)] \
-        + [np.eye(d)]
+    herms = [random_hermitian(d, rng) for _ in range(n_samples)] + [np.eye(d)]
 
     min_choi = np.inf
     max_trace_dev = 0.0
@@ -521,8 +518,7 @@ def loop_eis_check(gen, n_samples: int = 10, times=(0.1, 1.0, 5.0),
             max_tn_growth = max(max_tn_growth, trace_norm(out) - trace_norm(A))
             max_on_growth = max(max_on_growth,
                                 operator_norm(out) - operator_norm(A))
-    return EisReport(min_choi, max_trace_dev, max_tn_growth, max_on_growth,
-                     tuple(times))
+    return EisReport(min_choi, max_trace_dev, max_tn_growth, max_on_growth)
 
 
 def _transpose_semigroup(d: int) -> LindbladGenerator:
@@ -532,6 +528,15 @@ def _transpose_semigroup(d: int) -> LindbladGenerator:
     i, j = np.indices((d, d)).reshape(2, -1)
     S[j * d + i, i * d + j] = 1.0
     return LindbladGenerator(d, np.zeros((d, d)), cp_superop=S)
+
+
+def _non_schoenberg_kernel() -> LindbladGenerator:
+    """The Hadamard kernel C = |x_i - x_j| on four points: x^dag C x < 0
+    for some x with sum(x) = 0, so C fails Schoenberg's test and exp(tL),
+    the entrywise exp(tC), is not CP."""
+    x = np.linspace(0.0, 1.0, 4)
+    return LindbladGenerator(4, np.zeros((4, 4)),
+                             kernel=np.abs(x[:, None] - x[None, :]))
 
 
 def _eis_models():
@@ -548,23 +553,37 @@ def test_choi_matrix_is_the_matrix_unit_loop():
                 loop_choi_matrix(channel_applier(gen, t), gen.dim))
 
 
+_VERDICTS = ("completely_positive", "trace_preserving",
+             "trace_norm_contractive", "operator_norm_contractive", "passed")
+
+
 def test_eis_check_matches_the_per_sample_loop():
-    figures = ("min_choi_eigenvalue", "max_trace_deviation",
-               "max_trace_norm_growth", "max_operator_norm_growth")
-    for gen in _eis_models():
+    for gen in _eis_models() + _random_jump_lists(20, seed=0):
         report, reference = eis_check(gen), loop_eis_check(gen)
-        for name in figures:
-            assert getattr(report, name) == pytest.approx(
-                getattr(reference, name), abs=1e-12), name
-        assert report.passed == reference.passed
+        for name in _VERDICTS:
+            assert getattr(report, name) == getattr(reference, name), name
 
 
-def test_eis_check_rejects_a_map_that_is_not_completely_positive():
-    report = eis_check(_transpose_semigroup(3))
+@pytest.mark.parametrize("gen", [_transpose_semigroup(3),
+                                 _non_schoenberg_kernel()],
+                         ids=["transpose", "non_schoenberg_kernel"])
+def test_eis_check_rejects_a_map_that_is_not_completely_positive(gen):
+    report = eis_check(gen)
     assert report.min_choi_eigenvalue < -1e-3
     assert not report.completely_positive
     assert report.trace_preserving
     assert not report.passed
+
+
+def test_eis_check_choi_figure_is_the_least_eigenvalue_off_vec_identity():
+    # against an orthonormal basis of the complement of vec(I) from an SVD
+    for gen in _eis_models() + [_non_schoenberg_kernel()]:
+        d = gen.dim
+        V = scipy.linalg.null_space(vec(np.eye(d))[None, :])
+        C = choi_matrix(build_superoperator(gen))
+        least = np.linalg.eigvalsh(V.conj().T @ C @ V)[0]
+        assert eis_check(gen).min_choi_eigenvalue == pytest.approx(
+            least, abs=1e-12)
 
 
 def _amplitude_damping() -> LindbladGenerator:
@@ -589,12 +608,12 @@ def _random_jump_lists(count: int, seed: int) -> list:
 
 
 def test_eis_check_rejects_a_map_that_is_not_unital():
-    # T_t(I) = diag(2 - e^-t, e^-t), whose norm grows by 1 - e^-t; random
-    # Hermitian samples alone reported this map as contractive
+    # L(I) = diag(1, -1): T_t(I) = diag(2 - e^-t, e^-t) grows in norm at
+    # rate 1 at t = 0; random Hermitian samples alone reported this map as
+    # contractive
     report = eis_check(_amplitude_damping())
     assert report.completely_positive and report.trace_preserving
-    assert report.max_operator_norm_growth == pytest.approx(
-        1.0 - np.exp(-5.0), rel=1e-9)
+    assert report.max_operator_norm_growth == 1.0
     assert not report.operator_norm_contractive
     assert not report.passed
 
@@ -607,12 +626,35 @@ def test_eis_check_rejects_every_random_non_unital_jump_list():
         assert not report.operator_norm_contractive
 
 
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(_STRUCTURE_DRAWS)),
+       seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5))
+def test_eis_check_of_random_generators(kind, seed, d):
+    # the exact verdicts are the sampled ones.  A map that is not CP may
+    # grow every norm while L(I) = L*(I) = 0: the two norm figures decide
+    # contraction only for a positive semigroup, so they are compared on CP
+    # draws alone.  Only the jump lists are not unital.
+    gen = _STRUCTURE_DRAWS[kind](seed, d)
+    report, reference = eis_check(gen), loop_eis_check(gen)
+    compared = _VERDICTS if report.completely_positive else (
+        "completely_positive", "trace_preserving", "passed")
+    for name in compared:
+        assert getattr(report, name) == getattr(reference, name), name
+    if kind == "jump_list":
+        assert report.max_operator_norm_growth > 0.0
+    else:
+        assert report.max_operator_norm_growth <= liouville.CONTRACTION_TOL
+
+
 def test_eis_check_passes_on_unital_custom_models():
     # the unital jump lists of the custom configs in the tests and the
-    # benchmark: T_t(I) = I, so the identity adds no norm growth
+    # benchmark: T_t(I) = I, so the identity adds no norm growth; and a
+    # one-level model, which a custom config can give, where L = 0 and the
+    # Choi matrix has no complement of vec(I)
     dephase = LindbladGenerator(2, np.diag([0.0, 1.0]),
                                 jump_ops=(np.diag([1.0, -1.0]),))
-    for gen in (dephase, unstructured_model()):
+    one_level = LindbladGenerator(1, np.ones((1, 1)), jump_ops=(np.eye(1),))
+    for gen in (dephase, unstructured_model(), one_level):
         report = eis_check(gen)
         assert report.passed
         assert abs(report.max_operator_norm_growth) <= 1e-12
