@@ -144,7 +144,9 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     arithmetic in its Hermitian basis (real Schur form, dtrsen, dtrsyl; see
     liouville._hermitian_basis) and mapped back; every other block runs
     zgees, ztrsen and ztrsyl.  The blocks and their bases come from
-    liouville._block_structure, found once per read-only M."""
+    liouville._block_structure, found once per read-only M.  An eigenvalue
+    is peripheral when |Re lambda| <= tol, by default the larger of 1e-9
+    max |Re lambda| and 100 eps ||M||_F."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0] if M.ndim == 2 else 0
     d = int(round(np.sqrt(n)))
@@ -158,7 +160,10 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     evs = [[_schur_eigvals(T) for T, _ in blocks] for blocks in schurs]
     all_evs = np.concatenate([ev for group_evs in evs for ev in group_evs])
     if tol is None:
-        tol = 1e-9 * max(np.abs(all_evs.real).max(), 1e-30)
+        # the floor: with every rate 0, Re lambda is rounding alone (at most
+        # 3.5 eps ||M||_F on random unitary generators)
+        tol = max(1e-9 * np.abs(all_evs.real).max(),
+                  100 * np.finfo(float).eps * _frobenius(stacks))
 
     schurs = [[_reorder(T, Q, np.abs(ev.real) <= tol)
                for (T, Q), ev in zip(blocks, group_evs)]
@@ -188,6 +193,12 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     gap = float(swept_res.min()) if swept_res.size else np.inf
     return SpectralSplit(periph, gap, tol, groups, tuple(projections),
                          tuple(bases))
+
+
+def _frobenius(stacks: list) -> float:
+    """||M||_F from the stacks of its diagonal blocks, which hold all its
+    nonzero entries."""
+    return math.hypot(*(scipy.linalg.norm(S.ravel()) for S in stacks))
 
 
 def _schur_forms(S: np.ndarray, basis) -> list:
@@ -332,9 +343,13 @@ class SplitVerification:
         return max(vals) if vals else 0.0
 
 
+#: the sample pairs per time of check (d) and the seed they are drawn from
+ISO_SAMPLES = 10
+ISO_SAMPLE_SEED = 0
+
+
 def verify_split_properties(M: np.ndarray, split: SpectralSplit,
-                            times=(1.0, 5.0, 20.0), n_samples: int = 10,
-                            seed: int = 0) -> SplitVerification:
+                            times=(1.0, 5.0, 20.0)) -> SplitVerification:
     """Numeric residuals for the structural properties of the split:
     *-invariance, trace orthogonality, completeness, isometry and
     multiplicativity of the peripheral flow, sweep decay at the final time,
@@ -344,7 +359,7 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     time.  Checks (a), (b) and (e) stay inside the blocks, on the split's
     own block bases; a split whose blocks are not those of M, or are not
     carried onto one another by X -> X^T, is checked as one block."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ISO_SAMPLE_SEED)
     M = np.asarray(M, dtype=complex)
     n = split.dim ** 2
     if M.shape != (n, n):
@@ -394,7 +409,7 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     iso_rows = iso.reshape(split.iso_dim, d * d)
     for t in (times if split.iso_dim else ()):
         # the stream of one draw of real, then imaginary, parts per sample
-        c = rng.standard_normal((2 * n_samples, 2, split.iso_dim))
+        c = rng.standard_normal((2 * ISO_SAMPLES, 2, split.iso_dim))
         phis = _gemm(c[:, 0] + 1j * c[:, 1], iso_rows).reshape(-1, d, d)
         phis /= np.linalg.norm(phis, axis=(1, 2))[:, None, None]
         phi1, phi2 = phis[0::2], phis[1::2]
@@ -520,23 +535,25 @@ class ClassicalSet:
         return len(self.projectors)
 
 
+#: draws of a kernel element before its spectrum counts as degenerate
+KERNEL_DRAWS = 5
+
+
 def classical_states(gen: LindbladGenerator,
                      split: SpectralSplit | None = None,
                      seed: int = 0,
-                     residual_tol: float = 1e-8,
-                     max_retries: int = 5) -> ClassicalSet:
+                     residual_tol: float = 1e-8) -> ClassicalSet:
     """Enumerate the pairwise-orthogonal family of pure semigroup fixed points
     whose superpositions with every other fixed point leave the robust set.
 
-    Candidates come from diagonalizing a generic Hermitian element of ker L;
-    the superposition exclusion is exact to residual_tol, one closed-form test
-    per candidate pair.
+    Candidates come from diagonalizing a generic Hermitian element of ker L,
+    read off the split; the superposition exclusion is exact to
+    residual_tol, one closed-form test per candidate pair.
     """
     M = build_superoperator(gen)
     if split is None:
         split = spectral_split(M)
-    vectors = _fixed_point_candidates(gen, M, split, seed, residual_tol,
-                                      max_retries)
+    vectors = _fixed_point_candidates(gen, M, split, seed, residual_tol)
 
     excluded = [False] * len(vectors)
     for i in range(len(vectors)):
@@ -562,23 +579,22 @@ def classical_states(gen: LindbladGenerator,
 
 def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
                             split: SpectralSplit, seed: int,
-                            residual_tol: float, max_retries: int) -> list:
-    """Unit eigenvectors of a generic Hermitian kernel element whose
-    projectors are semigroup fixed points lying in iso."""
+                            residual_tol: float) -> list:
+    """Unit eigenvectors of a generic Hermitian element of ker L whose
+    projectors are semigroup fixed points lying in iso; none if iso holds
+    no kernel vector."""
     rng = np.random.default_rng(seed)
-    kernel = _null_space(M)
-    if kernel.size == 0:
-        raise ValidationError("trace-preserving generator must have a kernel")
-
-    herm_basis = _hermitian_kernel_basis(kernel)
-    if not herm_basis:
+    kernel = _fixed_point_kernel(M, split)
+    if not kernel.size:
         return []
 
     degenerate = True
-    for _ in range(max_retries):
-        c = rng.standard_normal(len(herm_basis))
-        K = np.tensordot(c, np.array(herm_basis), axes=1)
-        w, V = np.linalg.eigh(K)
+    for _ in range(KERNEL_DRAWS):
+        # a Hermiticity preserving L has ker L closed under X -> X^dag, so
+        # the Hermitian part of a generic element is a generic Hermitian one
+        c = rng.standard_normal((2, kernel.shape[1]))
+        B = unvec(_gemv(kernel, c[0] + 1j * c[1]))
+        w, V = np.linalg.eigh(0.5 * (B + B.conj().T))
         scale = max(np.abs(w).max(), 1.0)
         gaps = np.diff(np.sort(w))
         if gaps.size == 0 or gaps.min() > 1e-10 * scale:
@@ -602,41 +618,28 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
     return vectors
 
 
-def _null_space(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker M from one SVD per diagonal block, in real
-    arithmetic for a block of its group's _hermitian_basis (both from
-    liouville._block_structure).  The rank is decided for M as a whole, as
-    scipy.linalg.null_space(M) decides it: singular values above d^2 eps
-    times the largest one count."""
-    n = M.shape[0]
-    svds = []
-    for group, basis in _block_structure(M):
-        S = _stack(M, group)
-        if group.shape[1] == 1:  # [a] has the singular value |a|, V = [1]
-            svds += [(idx, np.abs(B[0]), np.ones((1, 1))) for idx, B
-                     in zip(group, S)]
-            continue
-        # per block its singular values and right singular vectors
-        sv = np.empty(S.shape[:2])
-        V = np.empty(S.shape, dtype=complex)
-        general = np.arange(len(S)) if basis is None \
-            else np.flatnonzero(basis.general)
-        for b in general:
-            _, sv[b], vh = scipy.linalg.svd(S[b])
-            V[b] = vh.conj().T
-        if basis is not None:
-            vhs = [scipy.linalg.svd(R)[1:] for R in _to_real(S, basis)]
-            sv[basis.blocks] = [s for s, _ in vhs]
-            V[basis.blocks] = _from_real(
-                np.array([vh.T for _, vh in vhs]), basis, both=False)
-        svds += list(zip(group, sv, V))
-    cutoff = n * np.finfo(float).eps * max(s.max() for _, s, _ in svds)
-    cols = []
-    for idx, s_b, v_b in svds:
-        null = v_b[:, np.count_nonzero(s_b > cutoff):]
-        col = np.zeros((n, null.shape[1]), dtype=complex)
-        col[idx] = null  # the block's null vectors in the whole space
-        cols.append(col)
+def _fixed_point_kernel(M: np.ndarray, split: SpectralSplit) -> np.ndarray:
+    """Orthonormal basis of ker M, read off the split.  The kernel of a
+    block B lies in its iso part, whose columns W are orthonormal Schur
+    vectors: B W = W C with C = W^H B W, so it is W null(C), one SVD of the
+    block's iso count.  The rank is decided for M as a whole: singular
+    values of C above d^2 eps ||M||_F count."""
+    n = split.dim ** 2
+    stacks = [_stack(M, group) for group in split.groups]
+    cutoff = n * np.finfo(float).eps * _frobenius(stacks)
+    cols = [np.zeros((n, 0), dtype=complex)]
+    for group, S, P, W in zip(split.groups, stacks, split.projections,
+                              split.block_bases):
+        k = np.count_nonzero(_iso_columns(P), axis=1)
+        # the iso columns, those of a block past its own count zeroed
+        W = W[:, :, :k.max()] * (np.arange(k.max()) < k[:, None])[:, None]
+        C = _stacked_gemm(W.conj().transpose(0, 2, 1), _stacked_gemm(S, W))
+        for b in np.flatnonzero(k):
+            _, sv, vh = scipy.linalg.svd(C[b, :k[b], :k[b]])
+            null = vh[np.count_nonzero(sv > cutoff):].conj().T
+            if null.size:  # the block's kernel vectors in the whole space
+                cols.append(np.zeros((n, null.shape[1]), dtype=complex))
+                cols[-1][group[b]] = _gemm(W[b, :, :k[b]], null)
     return np.hstack(cols)
 
 
@@ -654,29 +657,6 @@ def _pair_stays_in_iso(split: SpectralSplit, u: np.ndarray, v: np.ndarray,
     phase = np.sqrt(-np.conj(z) / abs(z)) if abs(z) > 0 else 1.0
     psi = (u + phase * v) / np.sqrt(2.0)
     return iso_membership(split, projector(psi)) <= tol
-
-
-def _hermitian_kernel_basis(kernel: np.ndarray, tol: float = 1e-10) -> list:
-    """Independent Hermitian matrices spanning the Hermitian part of ker L."""
-    mats = []
-    for i in range(kernel.shape[1]):
-        B = unvec(kernel[:, i])
-        mats.append(0.5 * (B + B.conj().T))
-        mats.append(0.5j * (B - B.conj().T))
-    basis, stacked = [], []
-    for B in mats:
-        if hs_norm(B) < tol:
-            continue
-        x = vec(B)
-        if stacked:
-            Q = np.stack(stacked, axis=1)
-            x_perp = x - _gemv(Q, _gemv(Q.conj().T, x))
-        else:
-            x_perp = x
-        if np.linalg.norm(x_perp) > tol:
-            stacked.append(x_perp / np.linalg.norm(x_perp))
-            basis.append(B)
-    return basis
 
 
 @dataclass(frozen=True)

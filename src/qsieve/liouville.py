@@ -547,71 +547,50 @@ def _block_structure(M: np.ndarray) -> tuple:
 # into the real matrix U^H B U (a Hermiticity preserving map is real in a
 # Hermitian basis; M. M. Wolf, Quantum Channels & Operations, 2012).
 
+def _rotate(X: np.ndarray, basis: _HermitianBasis,
+            adjoint: bool = False) -> np.ndarray:
+    """U X, or U^H X, of each slice of an (m, s, c) stack X of the blocks
+    basis.blocks, in that order.  U X has the rows X_f at F and (X_c +- i
+    X_e)/sqrt2 at P and Q, where X_f, X_c and X_e are the rows of the
+    elements F, C and E; U^H takes them back."""
+    Z = np.empty(X.shape, dtype=complex)
+    r = math.sqrt(0.5)
+    for _, rows, F, P, Q in basis.frames:
+        Xw, Zw = X[rows], Z[rows]
+        if adjoint:
+            f, c, e = np.split(Zw, [len(F), len(F) + len(P)], axis=1)
+            XP, XQ = Xw[:, P], Xw[:, Q]
+            f[:] = Xw[:, F]
+            np.add(XP, XQ, out=c)
+            c *= r
+            np.subtract(XP, XQ, out=e)
+            e *= -1j * r
+        else:
+            f, c, e = np.split(Xw, [len(F), len(F) + len(P)], axis=1)
+            Zw[:, F] = f
+            Zw[:, P] = r * (c + 1j * e)
+            Zw[:, Q] = r * (c - 1j * e)
+    return Z
+
+
 def _to_real(S: np.ndarray, basis: _HermitianBasis) -> np.ndarray:
-    """U^H B U of the blocks B of the group's stack S that basis holds, in
-    the order basis.blocks, in real arithmetic from the entries of B."""
-    R = np.empty((len(basis.blocks),) + S.shape[1:])
-    r = np.sqrt(2.0)
-    for blocks, rows, F, P, Q in basis.frames:
-        if not P.size:  # only E_aa: U is the identity
-            R[rows] = S[blocks].real
-            continue
-        B = lambda X, Y: S[blocks[:, None, None], X[:, None], Y]
-        FP, PF, PP, PQ = B(F, P), B(P, F), B(P, P), B(P, Q)
-        f, c, e = _frame_slices(F, P)
-        Rw = R[rows]
-        Rw[:, f, f] = B(F, F).real
-        Rw[:, f, c] = r * FP.real
-        Rw[:, f, e] = -r * FP.imag
-        Rw[:, c, f] = r * PF.real
-        Rw[:, e, f] = r * PF.imag
-        Rw[:, c, c] = PP.real + PQ.real
-        Rw[:, c, e] = PQ.imag - PP.imag
-        Rw[:, e, c] = PP.imag + PQ.imag
-        Rw[:, e, e] = PP.real - PQ.real
-    return R
+    """U^H B U = (U^H (U^H B)^H)^H, real, of the blocks B of the group's
+    stack S that basis holds, in the order basis.blocks."""
+    R = _rotate(S[basis.blocks], basis, adjoint=True)
+    R = _rotate(np.conjugate(R, out=R).swapaxes(1, 2), basis, adjoint=True)
+    return np.ascontiguousarray(R.real.swapaxes(1, 2))
 
 
 def _from_real(X: np.ndarray, basis: _HermitianBasis,
                both: bool = True) -> np.ndarray:
-    """U X U^H (or U X alone) of each real slice of a stack in the Hermitian
-    bases of the blocks basis.blocks: back in the basis of M."""
-    Z = np.zeros(X.shape, dtype=complex)
-    r = np.sqrt(0.5)
-    for _, rows, F, P, Q in basis.frames:
-        f, c, e = _frame_slices(F, P)
-        Xw, Zr, Zi = X[rows], Z.real[rows], Z.imag[rows]
-        if not P.size:  # only E_aa: U is the identity
-            Zr[:] = Xw
-            continue
-        if not both:
-            Zr[:, F] = Xw[:, f]
-            Zr[:, P] = Zr[:, Q] = r * Xw[:, c]
-            Zi[:, P] = r * Xw[:, e]
-            Zi[:, Q] = -r * Xw[:, e]
-            continue
-        xcc, xce = Xw[:, c, c], Xw[:, c, e]
-        xec, xee = Xw[:, e, c], Xw[:, e, e]
-        for rows_, cols, re, im in (
-                (F, F, Xw[:, f, f], 0.0),
-                (F, P, r * Xw[:, f, c], -r * Xw[:, f, e]),
-                (F, Q, r * Xw[:, f, c], r * Xw[:, f, e]),
-                (P, F, r * Xw[:, c, f], r * Xw[:, e, f]),
-                (Q, F, r * Xw[:, c, f], -r * Xw[:, e, f]),
-                (P, P, 0.5 * (xcc + xee), 0.5 * (xec - xce)),
-                (P, Q, 0.5 * (xcc - xee), 0.5 * (xec + xce)),
-                (Q, P, 0.5 * (xcc - xee), -0.5 * (xec + xce)),
-                (Q, Q, 0.5 * (xcc + xee), -0.5 * (xec - xce))):
-            Zr[:, rows_[:, None], cols] = re
-            Zi[:, rows_[:, None], cols] = im
+    """U X U^H = (U (U X)^H)^H (or U X alone) of each real slice of a stack
+    in the Hermitian bases of the blocks basis.blocks: back in the basis of
+    M."""
+    Z = _rotate(X, basis)
+    if both:
+        Z = _rotate(np.conjugate(Z, out=Z).swapaxes(1, 2), basis)
+        Z = np.conjugate(Z, out=Z).swapaxes(1, 2)
     return Z
-
-
-def _frame_slices(F: np.ndarray, P: np.ndarray) -> tuple:
-    """The places of the E_aa, the symmetric and the antisymmetric
-    elements in the Hermitian basis [F, C, E]."""
-    nf, n = len(F), len(F) + len(P)
-    return slice(0, nf), slice(nf, n), slice(n, n + len(P))
 
 
 def _map_blocks(f, S: np.ndarray, basis: _HermitianBasis | None

@@ -324,10 +324,13 @@ def _trace_deficit_plan(deficit: np.ndarray) -> np.ndarray:
     return plan
 
 
+#: bound on the relative error of tr[J(D, e_psi)] = kappa in davies_model
+CONSISTENCY_TOL = 1e-3
+
+
 def davies_model(N: int, kappa: float, energies=None,
                  quadrature: DiscQuadrature | None = None,
                  moment_tol: float = 1e-6,
-                 consistency_tol: float = 1e-3,
                  seed: int = 0) -> LindbladGenerator:
     """Davies process: L(rho) = -i[H, rho]
     + kappa int dmu(zeta) e_zeta rho e_zeta - 1/2 {kappa int dmu e_zeta, rho}.
@@ -375,7 +378,7 @@ def davies_model(N: int, kappa: float, energies=None,
     # closed form: tr[J(D, e_psi)] = kappa sum_j w_j |<zeta_j|psi>|^2
     # = kappa psi^dag G psi
     worst = float(np.max(np.abs(_compatibility_sums(quad, N, seed) - 1.0)))
-    if worst > consistency_tol:
+    if worst > CONSISTENCY_TOL:
         raise ValidationError(
             f"Davies compatibility tr[J(D, e_psi)] = kappa violated by "
             f"{worst:.3e} (relative); refine the disc quadrature")

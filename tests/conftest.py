@@ -162,6 +162,13 @@ def rotated_pointer(seed: int, d: int) -> LindbladGenerator:
                              jump_ops=tuple(map(rotate, gen.jump_ops)))
 
 
+def random_grw(seed: int, d: int) -> LindbladGenerator:
+    """GRW on a random grid with random kappa and alpha."""
+    rng = np.random.default_rng(seed)
+    return grw_model(np.sort(rng.uniform(-3.0, 3.0, d)),
+                     rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
+
+
 def blocks_of(M: np.ndarray) -> list:
     """The index arrays of the diagonal blocks of M, one per block."""
     return [idx for group in superoperator_blocks(M) for idx in group]

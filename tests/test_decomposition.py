@@ -21,14 +21,17 @@ from qsieve import (
     LindbladGenerator,
     SpectralSplit,
     ValidationError,
+    apply_generator,
     build_superoperator,
     classical_states,
     davies_model,
     evolve,
     fidelity,
     grw_model,
+    hs_norm,
     iso_membership,
     join_projectors,
+    lambda_pure,
     pointer_model,
     projector,
     qbm_model,
@@ -45,7 +48,7 @@ from qsieve import (
 import qsieve.decomposition as decomposition
 import qsieve.liouville as liouville
 from qsieve.cli import _cmd_classify, _cmd_decompose
-from qsieve.decomposition import _fixed_point_candidates, _null_space
+from qsieve.decomposition import _fixed_point_candidates, _fixed_point_kernel
 from qsieve.liouville import (
     _hermitian_basis,
     _stack,
@@ -63,6 +66,8 @@ from conftest import (
     block_models,
     blocks_of,
     dense_projection,
+    random_grw,
+    random_hermitian,
     random_jump_list,
     random_pure,
     rotated_pointer,
@@ -102,6 +107,30 @@ def test_split_dims_depolarizing():
     split = spectral_split(build_superoperator(toy_model()))
     assert len(split.iso_basis) == 1
     assert len(split.sweep_basis) == 3
+
+
+def _rotated_hamiltonian(seed: int, d: int) -> LindbladGenerator:
+    """A generator with no rates: random levels in a random basis."""
+    rng = np.random.default_rng(seed)
+    U = scipy.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))[0]
+    H = U @ np.diag(rng.uniform(-1.0, 1.0, d)) @ U.conj().T
+    return LindbladGenerator(d, 0.5 * (H + H.conj().T))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_default_tol_stays_above_the_rounding_of_a_unitary_generator(d):
+    # with every rate 0, 1e-9 max |Re lambda| is itself rounding noise and
+    # split iso at random; the floor 100 eps ||M||_F keeps the whole space
+    generators = [_rotated_hamiltonian(seed, d) for seed in range(5)]
+    if d == 3:
+        generators.append(LindbladGenerator(3, np.array(
+            [[0.0, 1 + 0.5j, 0.0], [1 - 0.5j, 0.3, 0.2], [0.0, 0.2, 1.0]])))
+    for gen in generators:
+        M = build_superoperator(gen)
+        split = spectral_split(M)
+        assert (split.iso_dim, split.sweep_dim) == (d * d, 0)
+        assert verify_split_properties(M, split).max_residual <= 1e-7
 
 
 def test_split_projection_is_idempotent_and_commutes():
@@ -530,7 +559,7 @@ def test_verification_peaks_well_below_the_superoperator():
 def test_block_kernel_spans_the_null_space(name):
     gen, _ = block_models()[name]
     M = build_superoperator(gen)
-    kernel = _null_space(M)
+    kernel = _fixed_point_kernel(M, spectral_split(M))
     reference = scipy.linalg.null_space(M)
     assert kernel.shape == reference.shape
     assert np.abs(kernel.conj().T @ kernel
@@ -727,13 +756,48 @@ def test_classical_states_empty_for_unitary_and_depolarizing():
     assert len(classical_states(toy_model()).projectors) == 0
 
 
+def test_classical_states_of_a_split_whose_iso_misses_the_kernel():
+    # a tol below the rounding of the stationary eigenvalue leaves iso
+    # empty: no candidate, where ker M itself is not empty
+    gen = toy_model()
+    M = build_superoperator(gen)
+    split = spectral_split(M, tol=1e-300)
+    assert split.iso_dim == 0 and scipy.linalg.null_space(M).shape[1] == 1
+    assert _fixed_point_kernel(M, split).shape == (4, 0)
+    assert len(classical_states(gen, split)) == 0
+
+
+def test_the_kernel_takes_no_svd_beyond_the_iso_count(monkeypatch):
+    # ker M lies in iso, so it is read off the split's iso columns: no SVD
+    # of a QBM N=16 parity block of 128 rows, only of its iso part
+    gen = qbm_model(16, 0.5)
+    split = spectral_split(build_superoperator(gen))
+    iso_count = max(int(decomposition._iso_columns(P).sum(axis=1).max())
+                    for P in split.projections)
+    shapes = []
+
+    def recording(real):
+        def call(A, *args, **kwargs):
+            shapes.append(np.shape(A))
+            return real(A, *args, **kwargs)
+        return call
+
+    for module, name in ((scipy.linalg, "svd"), (scipy.linalg, "null_space"),
+                         (scipy.linalg.lapack, "zgesdd"),
+                         (scipy.linalg.lapack, "dgesdd"), (np.linalg, "svd")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    classical_states(gen, split)
+    assert shapes
+    assert max(max(shape) for shape in shapes) <= iso_count
+
+
 def grid_excluded_projectors(gen, split, residual_tol=1e-8,
                              grid=(24, 16)) -> list:
     """Reference: the candidates of classical_states kept by sampling every
     ordered pair's superpositions on a modulus-ratio x phase grid."""
     M = build_superoperator(gen)
     candidates = [projector(u) for u in
-                  _fixed_point_candidates(gen, M, split, 0, residual_tol, 5)]
+                  _fixed_point_candidates(gen, M, split, 0, residual_tol)]
     kept = []
     for i, e in enumerate(candidates):
         excluded = False
@@ -788,6 +852,52 @@ def test_classical_states_membership_calls_per_candidate_and_pair(
     m = len(classical_states(pointer_model([0.0, 1.0, 2.0, 3.0, 4.0])))
     assert m == 5
     assert len(calls) <= m + m * (m - 1) // 2
+
+
+def _qubit_beside_dephased_levels(seed: int, d: int) -> LindbladGenerator:
+    """A decoherence-free qubit span{|0>, |1>} under a random H beside d - 2
+    levels dephased at rates at least 1/2 apart: its classical states are
+    those levels."""
+    rng = np.random.default_rng(seed)
+    H = np.zeros((d, d), dtype=complex)
+    H[:2, :2] = random_hermitian(2, rng)
+    H[2:, 2:] = np.diag(rng.uniform(0.0, 3.0, d - 2))
+    rates = 0.5 + np.arange(d - 2) + rng.uniform(0.0, 0.5, d - 2)
+    return LindbladGenerator(
+        d, H, jump_ops=(np.diag(np.concatenate([[0.0, 0.0], rates])),))
+
+
+_CLASSICAL_DRAWS = {"rotated_pointer": rotated_pointer,
+                    "qubit_beside_dephased": _qubit_beside_dephased_levels,
+                    "grw": random_grw, "jump_list": random_jump_list}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_CLASSICAL_DRAWS)),
+       seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5))
+def test_classical_states_of_random_generators(kind, seed, d):
+    # every classical state is a fixed point in iso with lambda = 0, they
+    # are pairwise orthogonal, and the kernel read off the split is ker M
+    gen = _CLASSICAL_DRAWS[kind](seed, d)
+    M = build_superoperator(gen)
+    split = spectral_split(M)
+    result = classical_states(gen, split)
+    if kind == "qubit_beside_dephased":
+        assert len(result) == d - 2
+    for e in result.projectors:
+        assert hs_norm(apply_generator(gen, e)) <= 1e-8
+        assert iso_membership(split, e) <= 1e-8
+        assert lambda_pure(gen, state_from_projector(e)) <= 1e-8
+    overlaps = result.pairwise_overlaps
+    assert np.abs(overlaps - np.diag(np.diag(overlaps))).max(
+        initial=0.0) <= 1e-8
+    kernel = _fixed_point_kernel(M, split)
+    reference = scipy.linalg.null_space(M)
+    assert kernel.shape == reference.shape
+    assert np.abs(kernel.conj().T @ kernel
+                  - np.eye(kernel.shape[1])).max() <= 1e-12
+    assert np.abs(kernel @ kernel.conj().T
+                  - reference @ reference.conj().T).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +1102,7 @@ def assert_matches_the_dense_complex_reference(gen):
                          dense.peripheral_eigenvalues, 1e-10)
     assert np.abs(dense_projection(split)
                   - dense_projection(dense)).max() <= 1e-10
-    kernel = _null_space(M)
+    kernel = _fixed_point_kernel(M, split)
     reference = scipy.linalg.null_space(M)
     assert kernel.shape == reference.shape
     assert np.abs(kernel @ kernel.conj().T
@@ -1035,3 +1145,48 @@ def test_block_rules_on_mixed_involutions():
         assert any(basis is not None and len(basis.frames) > 1
                    for basis in _hermitian_bases(M))
         assert_matches_the_dense_complex_reference(gen)
+
+
+def _frame_unitary(frame: tuple, s: int) -> np.ndarray:
+    """The unitary U of one frame of a _HermitianBasis, formed densely: its
+    columns are the Hermitian basis [F, C, E] in the block's entries."""
+    _, _, F, P, Q = frame
+    U = np.zeros((s, s), dtype=complex)
+    U[F, np.arange(len(F))] = 1.0
+    c = len(F) + np.arange(len(P))
+    U[P, c] = U[Q, c] = np.sqrt(0.5)
+    U[P, c + len(P)] = 1j * np.sqrt(0.5)
+    U[Q, c + len(P)] = -1j * np.sqrt(0.5)
+    return U
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qbm_model(8, 0.5),
+    lambda: _sparse_jump(3, {(0, 1): 0.5, (1, 0): -0.7}, [1.0, 0.0, 1.0]),
+], ids=["qbm8", "mixed_involutions"])
+def test_change_of_basis_is_the_unitary_of_each_frame(make):
+    # the row operation that stands for U, against U formed densely
+    rng = np.random.default_rng(0)
+    with mock.patch.object(liouville, "_UNTHREADED_MACS", 0):
+        M = build_superoperator(make())
+        bases = _hermitian_bases(M)
+    checked = 0
+    for group, basis in zip(superoperator_blocks(M), bases):
+        if basis is None:
+            continue
+        S = _stack(M, group)
+        R = liouville._to_real(S, basis)
+        assert R.dtype == np.float64
+        assert np.abs(liouville._from_real(R, basis)
+                      - S[basis.blocks]).max() <= 1e-14
+        X = rng.standard_normal(R.shape)
+        UX = liouville._from_real(X, basis, both=False)
+        for frame in basis.frames:
+            blocks, rows = frame[:2]
+            U = _frame_unitary(frame, group.shape[1])
+            B = S[blocks]
+            assert np.abs(R[rows] - (U.conj().T @ B @ U).real).max() \
+                <= 1e-14 * max(1.0, np.abs(B).max())
+            assert np.abs(UX[rows] - U @ X[rows]).max() <= 1e-14
+            checked += len(blocks)
+    assert checked

@@ -48,6 +48,7 @@ from conftest import (
     blocks_of,
     davies_jump_tensor,
     random_density,
+    random_grw,
     random_hermitian,
     random_jump_list,
     random_pure,
@@ -270,12 +271,6 @@ def test_superoperator_blocks_match_the_graph_search(name):
         assert np.array_equal(group, ref)
 
 
-def _random_grw(seed: int, d: int) -> LindbladGenerator:
-    rng = np.random.default_rng(seed)
-    return grw_model(np.sort(rng.uniform(-3.0, 3.0, d)),
-                     rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
-
-
 def _random_hadamard(seed: int, d: int) -> LindbladGenerator:
     """A random Hermitian kernel with a zero diagonal beside a random
     Hermitian H on a random symmetric pattern of entries."""
@@ -289,7 +284,7 @@ def _random_hadamard(seed: int, d: int) -> LindbladGenerator:
 
 _STRUCTURE_DRAWS = {"jump_list": random_jump_list,
                     "rotated_pointer": rotated_pointer,
-                    "grw": _random_grw, "hadamard": _random_hadamard}
+                    "grw": random_grw, "hadamard": _random_hadamard}
 
 
 def _plain(structure: tuple) -> list:
