@@ -28,6 +28,7 @@ from .liouville import (
     _gemv,
     _hermitian_basis,
     _map_blocks,
+    _rotate,
     _stack,
     _stacked_gemm,
     _svdvals,
@@ -42,6 +43,8 @@ from .liouville import (
 from .operators import (
     DimensionMismatchError,
     ValidationError,
+    _eigh,
+    _matmul,
     hs_norm,
     join_projectors,
     projector,
@@ -388,7 +391,7 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     stacks = [_stack(M, group) for group in groups]
     expms = {t: [_map_blocks(lambda A: _expm(t * A), S, basis)
                  for S, basis in zip(stacks, hermitian)] for t in times}
-    star, ortho, decay = _blockwise_residuals(blocked, rows,
+    star, ortho, decay = _blockwise_residuals(blocked, rows, hermitian,
                                               expms[max(times)])
     # (a) *-invariance of iso (and of sweep, which is equivalent here)
     res["a_star_invariance"] = star
@@ -415,13 +418,13 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
         phi1, phi2 = phis[0::2], phis[1::2]
         moved = _block_apply(groups, expms[t], np.hstack(
             [_vec_columns(phi1), _vec_columns(phi2),
-             _vec_columns(phi1 @ phi2)]))
+             _vec_columns(_stacked_gemm(phi1, phi2))]))
         T1, T2, T12 = np.split(_unvec_columns(moved, split.dim), 3)
         iso_norm = max(iso_norm, float(np.abs(
             np.linalg.norm(T1, axis=(1, 2))
             - np.linalg.norm(phi1, axis=(1, 2))).max()))
         iso_mult = max(iso_mult, float(
-            np.linalg.norm(T12 - T1 @ T2, axis=(1, 2)).max()))
+            np.linalg.norm(T12 - _stacked_gemm(T1, T2), axis=(1, 2)).max()))
     res["d_iso_isometry"] = iso_norm
     res["d_iso_multiplicativity"] = iso_mult
 
@@ -430,7 +433,9 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
 
     # (i) product closure of iso, one stack of products B1 B2 per B1
     res["i_product_closure"] = max(
-        (swept_norm(_vec_columns(B1 @ iso)) for B1 in iso), default=0.0)
+        (swept_norm(_vec_columns(_stacked_gemm(
+            np.broadcast_to(B1, iso.shape), iso))) for B1 in iso),
+        default=0.0)
 
     # (ii) join closure for rank-1 projectors found among iso elements
     projs = _rank1_projectors_in(iso)
@@ -441,16 +446,16 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     return SplitVerification(res)
 
 
-def _blockwise_residuals(split: SpectralSplit, rows: list,
+def _blockwise_residuals(split: SpectralSplit, rows: list, hermitian: list,
                          expms: list) -> tuple:
     """Checks (a), (b) and (e) of verify_split_properties, one group of the
     split's blocks at a time: the largest *-invariance residual, the largest
     trace overlap of iso with sweep and the operator norm of exp(tM) on
-    sweep.  rows are _transpose_rows of the split's groups, and expms the
-    stacks of exp(tM) on the same groups."""
+    sweep.  rows are _transpose_rows of the split's groups, hermitian their
+    _hermitian_basis, and expms the stacks of exp(tM) on the same groups."""
     star = ortho = decay = 0.0
-    for P, W, where, E in zip(split.projections, split.block_bases, rows,
-                              expms):
+    for P, W, where, basis, E in zip(split.projections, split.block_bases,
+                                     rows, hermitian, expms):
         m, s, _ = W.shape
         iso_cols = _iso_columns(P)
         # Wt[c][:, j] is vec(w^T) for the column w = W[b][:, j] of the block
@@ -472,10 +477,25 @@ def _blockwise_residuals(split: SpectralSplit, rows: list,
         ortho = max(ortho, np.abs(overlaps[
             iso_t[:, :, None] & ~iso_cols[:, None, :]]).max(initial=0.0))
         # (e) the norm of exp(tM) on the block's orthonormal sweep columns
-        EW = _stacked_gemm(E, W * ~iso_cols[:, None, :])
-        decay = max(decay, np.abs(EW).max() if s == 1
-                    else _svdvals(EW)[:, 0].max())
+        decay = max(decay, _norm_on(E, W * ~iso_cols[:, None, :], basis))
     return float(star), float(ortho), float(decay)
+
+
+def _norm_on(E: np.ndarray, X: np.ndarray, basis) -> float:
+    """The largest singular value of E X over the slices of two stacks of a
+    group of blocks.  On the blocks of basis (the group's _hermitian_basis)
+    it is that of U^H E U U^H X, which has E X's singular values and is
+    real: dgesdd, not zgesdd."""
+    if X.shape[-1] == 1:
+        return np.abs(E * X).max()
+    tops = []
+    if basis is None or basis.general.any():
+        keep = slice(None) if basis is None else basis.general
+        tops.append(_svdvals(_stacked_gemm(E[keep], X[keep]))[:, 0])
+    if basis is not None:
+        UX = _rotate(X[basis.blocks], basis, adjoint=True).real
+        tops.append(_svdvals(_stacked_gemm(_to_real(E, basis), UX))[:, 0])
+    return max(top.max() for top in tops)
 
 
 def _transpose_rows(groups: tuple, d: int) -> list | None:
@@ -517,7 +537,7 @@ def _rank1_projectors_in(basis: np.ndarray, tol: float = 1e-8) -> list:
             continue
         cand = B / tr
         if (hs_norm(cand - cand.conj().T) <= tol
-                and hs_norm(cand @ cand - cand) <= tol
+                and hs_norm(_matmul(cand, cand) - cand) <= tol
                 and abs(cand.trace().real - 1.0) <= tol):
             out.append(cand)
     return out
@@ -568,7 +588,7 @@ def classical_states(gen: LindbladGenerator,
     for i in range(m):
         residuals[i] = hs_norm(apply_generator(gen, kept[i]))
         for j in range(m):
-            overlaps[i, j] = abs((kept[i] @ kept[j]).trace())
+            overlaps[i, j] = abs(_matmul(kept[i], kept[j]).trace())
     off = overlaps - np.diag(np.diag(overlaps))
     if m and off.max() > residual_tol:
         raise ValidationError(
@@ -594,7 +614,7 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
         # the Hermitian part of a generic element is a generic Hermitian one
         c = rng.standard_normal((2, kernel.shape[1]))
         B = unvec(_gemv(kernel, c[0] + 1j * c[1]))
-        w, V = np.linalg.eigh(0.5 * (B + B.conj().T))
+        w, V = _eigh(0.5 * (B + B.conj().T))
         scale = max(np.abs(w).max(), 1.0)
         gaps = np.diff(np.sort(w))
         if gaps.size == 0 or gaps.min() > 1e-10 * scale:
@@ -694,4 +714,4 @@ def _entropy_loose(rho: np.ndarray) -> float:
     """tr(rho - rho^2) without density validation (the adjoint semigroup need
     not preserve trace)."""
     rho = 0.5 * (rho + rho.conj().T)
-    return abs(float((rho.trace() - (rho @ rho).trace()).real))
+    return abs(float((rho.trace() - _matmul(rho, rho).trace()).real))

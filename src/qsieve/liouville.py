@@ -32,9 +32,14 @@ exp(tL) for every t >= 0 from L alone: complete positivity from the Choi
 matrix of L, a reshuffle of the entries of M, and trace preservation and
 the two norm contractions from L*(I) and L(I).
 
-Products and factorisations of superoperator-sized matrices (M, its blocks,
-exp(tL)) run on scipy's BLAS and LAPACK (_gemm, _gemv, _svdvals, _expm), so
-that such a run wakes one BLAS thread pool, not numpy's as well.
+Every product or factorisation that OpenBLAS would run on worker threads
+goes to scipy's BLAS and LAPACK, so that a run wakes one BLAS thread pool,
+not numpy's as well (see operators).  Factorisations of superoperator-sized
+matrices (M, its blocks, exp(tL)) always do (_svdvals, _expm).  Products
+stay on numpy below OpenBLAS's thresholds, where one numpy call costs less:
+32^3 multiply-adds for a matrix product (_UNTHREADED_MACS), and a matrix of
+64 x 64 entries for a matrix-vector product, however short the vector
+(_THREADED_GEMV); _matmul and _stacked_gemm choose.
 """
 from __future__ import annotations
 
@@ -50,8 +55,14 @@ import scipy.linalg
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .operators import (
+    _UNTHREADED_MACS,
     DimensionMismatchError,
     ValidationError,
+    _gemm,
+    _gemv,
+    _matmul,
+    _real,
+    _threaded,
     is_hermitian,
     projector,
     validate_density_matrix,
@@ -105,29 +116,33 @@ class _JumpList:
         self.dim = dim
         self.ops = ops
         self.adjoints = tuple(V.conj().T for V in ops)
+        # numpy's matmul for the d x d products wherever OpenBLAS runs them
+        # on the calling thread, which spares each step of the sieve's
+        # descent a dispatch per product
+        self.matmul = _matmul if _threaded(dim, dim, dim) else np.matmul
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for V, Vh in zip(self.ops, self.adjoints):
-            out += V @ X @ Vh
+            out += self.matmul(self.matmul(V, X), Vh)
         return out
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for V, Vh in zip(self.ops, self.adjoints):
-            out += Vh @ X @ V
+            out += self.matmul(self.matmul(Vh, X), V)
         return out
 
     def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
         """sum_k |<psi|V_k|psi>|^2."""
         out = np.zeros(psi.shape[:-1])
         for V in self.ops:
-            out += np.abs(np.vecdot(psi, psi @ V.T)) ** 2
+            out += np.abs(np.vecdot(psi, _matmul(psi, V.T))) ** 2
         return out
 
     def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
         e = projector(psi)
-        return (self.apply(e) + self.apply_adjoint(e)) @ psi
+        return self.matmul(self.apply(e) + self.apply_adjoint(e), psi)
 
     def matrix(self) -> np.ndarray:
         """sum_k kron(conj V_k, V_k) in real arithmetic: each real term is
@@ -166,10 +181,10 @@ class _HadamardKernel:
     def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
         """p^T Re(C) p with p = |psi|^2; Re(C) is symmetric."""
         p = np.abs(psi) ** 2
-        return np.vecdot(p, p @ self.C_real)
+        return np.vecdot(p, _matmul(p, self.C_real))
 
     def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
-        return (self.C_sym * projector(psi)) @ psi
+        return _matmul(self.C_sym * projector(psi), psi)
 
     def matrix(self) -> np.ndarray:
         return np.diag(vec(self.C))
@@ -189,21 +204,21 @@ class _ExplicitCP:
         return np.ascontiguousarray(S + S.conj().T, dtype=complex)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return unvec(self.S @ vec(X))
+        return unvec(_matmul(self.S, vec(X)))
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         # S^dag x = conj(x^dag S); avoids a conjugated d^2 x d^2 copy of S
-        return unvec((vec(X).conj() @ self.S).conj())
+        return unvec(_matmul(vec(X).conj(), self.S).conj())
 
     def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
         """vec(e)^dag S vec(e), with vec(e)[n d + m] = psi_m conj(psi_n)."""
         d = psi.shape[-1]
         x = (psi.conj()[..., :, None] * psi[..., None, :]).reshape(
             psi.shape[:-1] + (d * d,))
-        return np.vecdot(x, x @ self.S.T).real
+        return np.vecdot(x, _matmul(x, self.S.T)).real
 
     def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
-        return unvec(self.sym @ vec(projector(psi))) @ psi
+        return _matmul(unvec(_matmul(self.sym, vec(projector(psi)))), psi)
 
     def matrix(self) -> np.ndarray:
         return self.S
@@ -246,15 +261,15 @@ class _CoherentMeasure:
         n = np.arange(self.dim)
         B = self.r[:, None] * X * self.r[None, :]
         diags = np.where(self._diag_in, B[self._diag_rows, n], 0.0)
-        Z = self._hankel @ diags.T
+        Z = _matmul(self._hankel, diags.T)
         return (self.r[:, None] * Z[n[:, None], self._diag_offset]
                 * self.r[None, :])
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return self._jump(X) + np.diag(self.plan.T @ np.diag(X))
+        return self._jump(X) + np.diag(_matmul(self.plan.T, np.diag(X)))
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
-        return self._jump(X) + np.diag(self.plan @ np.diag(X))
+        return self._jump(X) + np.diag(_matmul(self.plan, np.diag(X)))
 
     def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
         # the self-convolution c = a * a of every row: a cyclic one of
@@ -262,14 +277,15 @@ class _CoherentMeasure:
         N = self.dim
         c = np.fft.ifft(np.fft.fft(self.r * psi, 2 * N) ** 2)[..., :2 * N - 1]
         p = np.abs(psi) ** 2
-        return np.abs(c) ** 2 @ self.w + np.vecdot(p, p @ self.plan.T)
+        return (_matmul(np.abs(c) ** 2, self.w)
+                + np.vecdot(p, _matmul(p, self.plan.T)))
 
     def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
         a = self.r * psi
         c = np.convolve(a, a)
         p = np.abs(psi) ** 2
         return (2.0 * self.r * np.correlate(self.w * c, a, "valid")
-                + (self.plan_sym @ p) * psi)
+                + _matmul(self.plan_sym, p) * psi)
 
     def matrix(self) -> np.ndarray:
         """Dense mat(Phi), real: the allowed entries of T scattered into
@@ -383,14 +399,16 @@ def apply_generator(gen: LindbladGenerator, rho) -> np.ndarray:
     """L(rho) = K rho + rho K^dag + Phi(rho)."""
     rho = _check_dim(gen, rho)
     K = gen._K
-    return K @ rho + rho @ K.conj().T + gen._phi.apply(rho)
+    return (_matmul(K, rho) + _matmul(rho, K.conj().T)
+            + gen._phi.apply(rho))
 
 
 def apply_generator_adjoint(gen: LindbladGenerator, A) -> np.ndarray:
     """HS-adjoint L*(A) = K^dag A + A K + Phi*(A)."""
     A = _check_dim(gen, A)
     K = gen._K
-    return K.conj().T @ A + A @ K + gen._phi.apply_adjoint(A)
+    return (_matmul(K.conj().T, A) + _matmul(A, K)
+            + gen._phi.apply_adjoint(A))
 
 
 def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
@@ -486,7 +504,7 @@ class _HermitianBasis:
         real = own[(mirrored == S[own]).all(axis=(1, 2))]
         self.general = np.ones(m, dtype=bool)
         self.general[real] = False
-        # grouped by involution; per involution the blocks, their rows in
+        # grouped by involution; per involution the rows of its blocks in
         # the stack of all of them (blocks), its fixed entries F and its
         # pairs (P, Q = perm(P)) with P < Q
         by_perm = {}
@@ -494,10 +512,10 @@ class _HermitianBasis:
             by_perm.setdefault(perm[block].tobytes(), []).append(block)
         self.blocks = np.array(sum(by_perm.values(), []), dtype=int)
         self.frames, start, i = [], 0, np.arange(s)
-        for blocks in map(np.array, by_perm.values()):
+        for blocks in by_perm.values():
             p = perm[blocks[0]]
             P = np.flatnonzero(p > i)
-            self.frames.append((blocks, slice(start, start + len(blocks)),
+            self.frames.append((slice(start, start + len(blocks)),
                                 np.flatnonzero(p == i), P, p[P]))
             start += len(blocks)
 
@@ -555,7 +573,7 @@ def _rotate(X: np.ndarray, basis: _HermitianBasis,
     elements F, C and E; U^H takes them back."""
     Z = np.empty(X.shape, dtype=complex)
     r = math.sqrt(0.5)
-    for _, rows, F, P, Q in basis.frames:
+    for rows, F, P, Q in basis.frames:
         Xw, Zw = X[rows], Z[rows]
         if adjoint:
             f, c, e = np.split(Zw, [len(F), len(F) + len(P)], axis=1)
@@ -608,59 +626,27 @@ def _map_blocks(f, S: np.ndarray, basis: _HermitianBasis | None
     return out
 
 
-def _gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B on scipy's BLAS.  zgemm (dgemm for two real matrices) on the
-    transposes is the column-major call that numpy's row-major matmul makes,
-    so the bits are numpy's; like numpy, a B of one column takes a
-    matrix-vector product."""
-    if B.shape[1] == 1:
-        return _gemv(A, B[:, 0])[:, None]
-    blas = scipy.linalg.blas
-    gemm = blas.dgemm if _real(A, B) else blas.zgemm
-    return gemm(1.0, B.T, A.T).T
-
-
-def _gemv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x on scipy's BLAS, in the orientation numpy takes for A's memory
-    layout (see _gemm)."""
-    gemv = scipy.linalg.blas.dgemv if _real(A, x) \
-        else scipy.linalg.blas.zgemv
-    if A.flags.f_contiguous and not A.flags.c_contiguous:
-        return gemv(1.0, A, x)
-    return gemv(1.0, A.T, x, trans=1)
-
-
-def _real(*arrays) -> bool:
-    return all(a.dtype == np.float64 for a in arrays)
-
-
-#: multiply-adds of a complex matrix product up to which OpenBLAS stays on
-#: the calling thread: 32 x 32 x 32 products never woke a pool in
-#: measurements on a 2-core machine (OpenBLAS 0.3.30 and 0.3.31), 40 x 40 x
-#: 40 ones sometimes did.  Below it a product wakes no pool in either
-#: library, and one stacked numpy matmul costs less than a BLAS call per
-#: slice.
-_UNTHREADED_MACS = 32 ** 3
-
-
 def _stacked_gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for an (m, s, s) and an (m, s, c) stack: one zgemm per slice,
-    or one numpy matmul for slices below _UNTHREADED_MACS."""
-    if A.shape[-1] ** 2 * B.shape[-1] <= _UNTHREADED_MACS:
+    """A @ B for an (m, r, s) and an (m, s, c) stack: one numpy matmul for
+    slices that OpenBLAS keeps on the calling thread, one _gemm per slice
+    otherwise."""
+    if not _threaded(A.shape[-2], A.shape[-1], B.shape[-1]):
         return A @ B
     return np.stack([_gemm(a, b) for a, b in zip(A, B)])
 
 
 def _svdvals(A: np.ndarray) -> np.ndarray:
-    """Singular values of each slice of a (..., s, s) stack: LAPACK zgesdd,
-    which np.linalg.svd calls, on scipy's library, with one workspace query
-    for the stack."""
+    """Singular values of each slice of a (..., s, s) stack: LAPACK zgesdd
+    (dgesdd for a real stack), which np.linalg.svd calls, on scipy's
+    library, with one workspace query for the stack."""
     s = A.shape[-1]
-    work, _ = scipy.linalg.lapack.zgesdd_lwork(s, s, compute_uv=0)
+    lapack = scipy.linalg.lapack
+    gesdd, gesdd_lwork = (lapack.dgesdd, lapack.dgesdd_lwork) if _real(A) \
+        else (lapack.zgesdd, lapack.zgesdd_lwork)
+    work, _ = gesdd_lwork(s, s, compute_uv=0)
     out = np.empty(A.shape[:-1])
     for B, sv in zip(A.reshape(-1, s, s), out.reshape(-1, s)):
-        _, sv[:], _, info = scipy.linalg.lapack.zgesdd(
-            B, compute_uv=0, lwork=int(work.real))
+        _, sv[:], _, info = gesdd(B, compute_uv=0, lwork=int(work.real))
         if info:
             raise np.linalg.LinAlgError("SVD did not converge")
     return out

@@ -4,10 +4,18 @@ Everything here works on plain complex numpy arrays: square matrices for
 operators, 1-d arrays for state vectors.  fix_phase, normalize_state and
 random_pure_state also take or give (m, d) stacks of states, one per row.
 All functions are pure; nothing mutates its inputs.
+
+numpy and scipy each bundle an OpenBLAS with its own pool of worker threads,
+which spin for about 0.13 s of CPU after each threaded call; two pools awake
+at once contend for the cores.  So a product or an eigh that OpenBLAS would
+thread runs on scipy's library (_matmul, _gemm, _gemv, _eigh), the same
+BLAS or LAPACK call that numpy makes, and numpy's pool never wakes.  Smaller
+ones stay on numpy, which costs less per call.
 """
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "ValidationError",
@@ -81,13 +89,13 @@ def validate_density_matrix(rho, eig_floor: float = DENSITY_EIG_FLOOR,
     tr = rho.trace().real
     if abs(tr - 1.0) > max(trace_tol, 1e3 * abs(eig_floor) * rho.shape[0]):
         raise ValidationError(f"density matrix trace {tr} is not 1")
-    w, V = np.linalg.eigh(rho)
+    w, V = _eigh(rho)
     if w.min() < eig_floor:
         raise ValidationError(
             f"density matrix has negative eigenvalue {w.min()}")
     if w.min() < 0.0:
         w = np.clip(w, 0.0, None)
-        rho = (V * w) @ V.conj().T
+        rho = _matmul(V * w, V.conj().T)
         rho = rho / rho.trace().real
     return rho
 
@@ -95,7 +103,7 @@ def validate_density_matrix(rho, eig_floor: float = DENSITY_EIG_FLOOR,
 def linear_entropy(rho) -> float:
     """tr(rho - rho^2); zero exactly on pure states, 1 - 1/d on I/d."""
     rho = validate_density_matrix(rho)
-    return float((rho.trace() - (rho @ rho).trace()).real)
+    return float((rho.trace() - _matmul(rho, rho).trace()).real)
 
 
 def hs_inner(A, B) -> complex:
@@ -159,7 +167,7 @@ def projector(psi) -> np.ndarray:
 def state_from_projector(e, tol: float = 1e-8) -> np.ndarray:
     """Recover the (phase-fixed) unit vector of a rank-1 projector."""
     e = _as_square(e)
-    w, V = np.linalg.eigh(e)
+    w, V = _eigh(e)
     if abs(w[-1] - 1.0) > tol or np.abs(w[:-1]).max(initial=0.0) > tol:
         raise ValidationError("operator is not a rank-1 projector")
     return normalize_state(V[:, -1])
@@ -227,3 +235,93 @@ def random_pure_state(dim: int, rng: np.random.Generator,
     shape = (2, dim) if count is None else (count, 2, dim)
     x = rng.standard_normal(shape)
     return normalize_state(x[..., 0, :] + 1j * x[..., 1, :])
+
+
+#: multiply-adds of a matrix product up to which OpenBLAS stays on the
+#: calling thread: 32 x 32 x 32 products never woke a pool in measurements
+#: on a 2-core machine (OpenBLAS 0.3.30 and 0.3.31), 41 x 41 x 41 complex
+#: ones did.  Below it one numpy matmul costs less than a call into scipy.
+_UNTHREADED_MACS = 32 ** 3
+
+#: entries of the matrix of a matrix-vector product from which OpenBLAS
+#: threads it, at any vector length: 63 x 63 ones stayed on the calling
+#: thread, 64 x 64 ones woke a pool (the same machine)
+_THREADED_GEMV = 64 ** 2
+
+#: rows from which numpy's eigh (LAPACK zheevd) woke numpy's pool on the
+#: same machine: from 26 on, where zstedc switches from QR to divide and
+#: conquer (LAPACK's SMLSIZ is 25)
+_THREADED_EIGH = 26
+
+
+def _threaded(m: int, k: int, n: int) -> bool:
+    """Would OpenBLAS thread the product of an m x k and a k x n matrix?  A
+    matrix-vector product (m or n is 1) from _THREADED_GEMV entries of the
+    matrix on, any other above _UNTHREADED_MACS multiply-adds."""
+    if m == 1 or n == 1:
+        return m * k * n >= _THREADED_GEMV
+    return m * k * n > _UNTHREADED_MACS
+
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for a 1-D or 2-D A and B: numpy's matmul where OpenBLAS keeps
+    the product on the calling thread, and the same call on scipy's BLAS
+    where it would thread (_gemm, _gemv).  A dot product stays on numpy:
+    OpenBLAS threads one only above 10,000 terms."""
+    m = A.shape[0] if A.ndim == 2 else 1
+    n = B.shape[1] if B.ndim == 2 else 1
+    if A.ndim == 1 == B.ndim or not _threaded(m, B.shape[0], n):
+        return A @ B
+    if A.ndim == 1:
+        return _gemv(B.T, A)
+    if B.ndim == 1:
+        return _gemv(A, B)
+    return _gemm(A, B)
+
+
+def _gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B on scipy's BLAS: the zgemm (dgemm for two real matrices) that
+    numpy's row-major matmul makes.  That call computes (AB)^T = B^T A^T in
+    column-major order on each operand's own memory, transposed by BLAS or
+    not by its layout, so no operand is copied and the bits are numpy's (a
+    threaded complex product can split its work differently in the two
+    libraries, and differ in its last digits).  Like numpy, a product with
+    one row or one column is a matrix-vector product."""
+    if B.shape[1] == 1:
+        return _gemv(A, B[:, 0])[:, None]
+    if A.shape[0] == 1:
+        return _gemv(B.T, A[0])[None, :]
+    blas = scipy.linalg.blas
+    gemm = blas.dgemm if _real(A, B) else blas.zgemm
+    (b, trans_b), (a, trans_a) = _column_major(B), _column_major(A)
+    return gemm(1.0, b, a, trans_a=trans_b, trans_b=trans_a).T
+
+
+def _column_major(X: np.ndarray) -> tuple:
+    """X^T as a column-major BLAS operand and its transpose flag: X.T as it
+    is for a C-ordered X, and X, transposed by BLAS, for an F-ordered one."""
+    if X.flags.f_contiguous and not X.flags.c_contiguous:
+        return X, 1
+    return X.T, 0
+
+
+def _gemv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x on scipy's BLAS, in the orientation numpy takes for A's memory
+    layout (see _gemm)."""
+    gemv = scipy.linalg.blas.dgemv if _real(A, x) \
+        else scipy.linalg.blas.zgemv
+    if A.flags.f_contiguous and not A.flags.c_contiguous:
+        return gemv(1.0, A, x)
+    return gemv(1.0, A.T, x, trans=1)
+
+
+def _real(*arrays) -> bool:
+    return all(a.dtype == np.float64 for a in arrays)
+
+
+def _eigh(A: np.ndarray) -> tuple:
+    """np.linalg.eigh of a Hermitian matrix; from _THREADED_EIGH rows on,
+    zheevd, the routine numpy calls, on scipy's LAPACK."""
+    if A.shape[-1] < _THREADED_EIGH:
+        return np.linalg.eigh(A)
+    return scipy.linalg.eigh(A, driver="evd")

@@ -20,6 +20,7 @@ import numpy as np
 from .liouville import LindbladGenerator, channel_applier
 from .operators import (
     ValidationError,
+    _matmul,
     combine_states,
     fidelity,
     fix_phase,
@@ -47,7 +48,7 @@ def lambda_pure(gen: LindbladGenerator, psi):
     psi is one state (d,), giving a float, or a stack (m, d), giving an (m,)
     array of the rows' values."""
     psi = np.asarray(psi, dtype=complex)
-    g_mean = np.vecdot(psi, psi @ gen._G.T).real
+    g_mean = np.vecdot(psi, _matmul(psi, gen._G.T)).real
     lam = g_mean - gen._phi.rank1_expectation(psi)
     return float(lam) if lam.ndim == 0 else lam
 
@@ -58,7 +59,7 @@ def _lambda_and_grad(gen: LindbladGenerator, psi: np.ndarray):
     With A = L(e) + L*(e) = (Phi + Phi*)(e) - {G, e}, the gradient is
     -2 (A psi - <A> psi), tangent to the sphere and phase-gauge free.
     """
-    gpsi = gen._G @ psi
+    gpsi = _matmul(gen._G, psi)
     g_mean = float(np.real(np.vdot(psi, gpsi)))
     sym_psi = gen._phi.rank1_sym_action(psi)
     val = g_mean - 0.5 * float(np.real(np.vdot(psi, sym_psi)))
@@ -452,4 +453,4 @@ def time_averaged_linear_entropy(gen: LindbladGenerator, e, horizon: float,
 
 def _slin(rho: np.ndarray) -> float:
     rho = 0.5 * (rho + rho.conj().T)
-    return float((rho.trace() - (rho @ rho).trace()).real)
+    return float((rho.trace() - _matmul(rho, rho).trace()).real)

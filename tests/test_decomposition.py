@@ -397,7 +397,8 @@ def loop_verify_split_properties(M, split, times=(1.0, 5.0, 20.0),
     *(gen for gen, _ in block_models().values()),
     hamiltonian_only(3),
     block_model(),
-], ids=[*block_models(), "hamiltonian3", "block"])
+    qbm_model(12, 0.5),  # blocks of 72 rows: checks in real arithmetic
+], ids=[*block_models(), "hamiltonian3", "block", "qbm12"])
 def test_block_verification_matches_loop_reference(gen):
     M = build_superoperator(gen)
     split = spectral_split(M)
@@ -1150,7 +1151,7 @@ def test_block_rules_on_mixed_involutions():
 def _frame_unitary(frame: tuple, s: int) -> np.ndarray:
     """The unitary U of one frame of a _HermitianBasis, formed densely: its
     columns are the Hermitian basis [F, C, E] in the block's entries."""
-    _, _, F, P, Q = frame
+    _, F, P, Q = frame
     U = np.zeros((s, s), dtype=complex)
     U[F, np.arange(len(F))] = 1.0
     c = len(F) + np.arange(len(P))
@@ -1182,7 +1183,8 @@ def test_change_of_basis_is_the_unitary_of_each_frame(make):
         X = rng.standard_normal(R.shape)
         UX = liouville._from_real(X, basis, both=False)
         for frame in basis.frames:
-            blocks, rows = frame[:2]
+            rows = frame[0]
+            blocks = basis.blocks[rows]
             U = _frame_unitary(frame, group.shape[1])
             B = S[blocks]
             assert np.abs(R[rows] - (U.conj().T @ B @ U).real).max() \

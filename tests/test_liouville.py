@@ -293,8 +293,8 @@ def _plain(structure: tuple) -> list:
     involutions."""
     return [(group.tolist(), None if basis is None else (
         basis.general.tolist(), basis.blocks.tolist(),
-        [(blocks.tolist(), rows, F.tolist(), P.tolist(), Q.tolist())
-         for blocks, rows, F, P, Q in basis.frames]))
+        [(basis.blocks[rows].tolist(), rows, F.tolist(), P.tolist(),
+          Q.tolist()) for rows, F, P, Q in basis.frames]))
         for group, basis in structure]
 
 
