@@ -483,18 +483,23 @@ def _blockwise_residuals(split: SpectralSplit, rows: list, hermitian: list,
 
 def _norm_on(E: np.ndarray, X: np.ndarray, basis) -> float:
     """The largest singular value of E X over the slices of two stacks of a
-    group of blocks.  On the blocks of basis (the group's _hermitian_basis)
-    it is that of U^H E U U^H X, which has E X's singular values and is
-    real: dgesdd, not zgesdd."""
+    group of blocks.  On a block of basis (the group's _hermitian_basis)
+    where U^H X is real, as it is for the columns spectral_split finds, it
+    is that of the real U^H E U U^H X: dgesdd, not zgesdd.  Every other
+    block takes E X as it is; other orthonormal columns of the same span
+    make U^H X complex."""
     if X.shape[-1] == 1:
         return np.abs(E * X).max()
-    tops = []
-    if basis is None or basis.general.any():
-        keep = slice(None) if basis is None else basis.general
-        tops.append(_svdvals(_stacked_gemm(E[keep], X[keep]))[:, 0])
+    tops, general = [], np.ones(len(X), dtype=bool)
     if basis is not None:
-        UX = _rotate(X[basis.blocks], basis, adjoint=True).real
-        tops.append(_svdvals(_stacked_gemm(_to_real(E, basis), UX))[:, 0])
+        UX = _rotate(X[basis.blocks], basis, adjoint=True)
+        real = ~UX.imag.any(axis=(1, 2))
+        if real.any():
+            tops.append(_svdvals(_stacked_gemm(
+                _to_real(E, basis)[real], UX.real[real]))[:, 0])
+            general[basis.blocks[real]] = False
+    if general.any():
+        tops.append(_svdvals(_stacked_gemm(E[general], X[general]))[:, 0])
     return max(top.max() for top in tops)
 
 
@@ -643,10 +648,13 @@ def _fixed_point_kernel(M: np.ndarray, split: SpectralSplit) -> np.ndarray:
     block B lies in its iso part, whose columns W are orthonormal Schur
     vectors: B W = W C with C = W^H B W, so it is W null(C), one SVD of the
     block's iso count.  The rank is decided for M as a whole: singular
-    values of C above d^2 eps ||M||_F count."""
+    values of C above max(d^2, 100) eps ||M||_F count.  The floor is the
+    one spectral_split puts under |Re lambda|: for d = 2 the rounding of a
+    zero eigenvalue in C reached d^2 eps ||M||_F itself, and hid the
+    kernel."""
     n = split.dim ** 2
     stacks = [_stack(M, group) for group in split.groups]
-    cutoff = n * np.finfo(float).eps * _frobenius(stacks)
+    cutoff = max(n, 100) * np.finfo(float).eps * _frobenius(stacks)
     cols = [np.zeros((n, 0), dtype=complex)]
     for group, S, P, W in zip(split.groups, stacks, split.projections,
                               split.block_bases):

@@ -55,7 +55,6 @@ import scipy.linalg
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .operators import (
-    _UNTHREADED_MACS,
     DimensionMismatchError,
     ValidationError,
     _gemm,
@@ -116,21 +115,17 @@ class _JumpList:
         self.dim = dim
         self.ops = ops
         self.adjoints = tuple(V.conj().T for V in ops)
-        # numpy's matmul for the d x d products wherever OpenBLAS runs them
-        # on the calling thread, which spares each step of the sieve's
-        # descent a dispatch per product
-        self.matmul = _matmul if _threaded(dim, dim, dim) else np.matmul
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for V, Vh in zip(self.ops, self.adjoints):
-            out += self.matmul(self.matmul(V, X), Vh)
+            out += _matmul(_matmul(V, X), Vh)
         return out
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for V, Vh in zip(self.ops, self.adjoints):
-            out += self.matmul(self.matmul(Vh, X), V)
+            out += _matmul(_matmul(Vh, X), V)
         return out
 
     def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
@@ -142,7 +137,7 @@ class _JumpList:
 
     def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
         e = projector(psi)
-        return self.matmul(self.apply(e) + self.apply_adjoint(e), psi)
+        return _matmul(self.apply(e) + self.apply_adjoint(e), psi)
 
     def matrix(self) -> np.ndarray:
         """sum_k kron(conj V_k, V_k) in real arithmetic: each real term is
@@ -523,12 +518,13 @@ class _HermitianBasis:
 def _hermitian_basis(M: np.ndarray,
                      group: np.ndarray) -> _HermitianBasis | None:
     """The blocks of a group that are factorised in real arithmetic, or None
-    if there are none.  Blocks whose product takes at most _UNTHREADED_MACS
-    multiply-adds (s <= 32) stay complex, as _expm hands their stacks to
+    if there are none.  Blocks whose products OpenBLAS keeps on the calling
+    thread (see _threaded: s <= 32) stay complex, as _expm hands their stacks to
     scipy whole: there the change of basis costs more than it saves (one
     block of 16, custom d = 4: propagator 89 -> 269 us with it; two blocks
     of 128, QBM N = 16: 25 -> 12 ms; 2-core machine, one BLAS thread)."""
-    if group.shape[1] ** 3 <= _UNTHREADED_MACS:
+    s = group.shape[1]
+    if not _threaded(s, s, s):
         return None
     basis = _HermitianBasis(_stack(M, group), group, math.isqrt(len(M)))
     return basis if basis.blocks.size else None
@@ -658,10 +654,10 @@ def _expm(A: np.ndarray) -> np.ndarray:
     (2009)) bit for bit, with the squarings it does on numpy's matmul done
     on _gemm.
     Triangular slices, which scipy squares by a path of its own, and stacks
-    below _UNTHREADED_MACS go to scipy whole.
+    of slices whose products OpenBLAS would not thread go to scipy whole.
     """
     s = A.shape[-1]
-    if s ** 3 <= _UNTHREADED_MACS:
+    if not _threaded(s, s, s):
         return scipy.linalg.expm(A)
     triangular = np.array([0 in scipy.linalg.bandwidth(a) for a in A], bool)
     E = np.empty_like(A)

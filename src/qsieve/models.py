@@ -70,8 +70,9 @@ class DiscQuadrature:
 
     def integrate(self, values: np.ndarray) -> float:
         # ddot, numpy's dot, on scipy's BLAS: OpenBLAS threads a dot
-        # product above 10,000 terms, and a rule has n_r n_theta nodes
-        return float(scipy.linalg.blas.ddot(self.weights, values))
+        # product above 10,000 terms, and a rule has n_r n_theta nodes.  The
+        # weights are real, so Re(w . v) = w . Re(v) for complex values
+        return float(scipy.linalg.blas.ddot(self.weights, np.real(values)))
 
     def moment_errors(self, ns=(0, 1, 2)) -> dict[int, float]:
         """Deviation of the quadrature from the exact coherent moments."""

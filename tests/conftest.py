@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qsieve import (
     pointer_model,
     qbm_model,
 )
+import qsieve.operators as operators
 from qsieve.liouville import _CoherentMeasure, superoperator_blocks
 from qsieve.operators import normalize_state
 
@@ -29,6 +31,14 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="qsieve-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def every_product_threaded():
+    """A patch under which every product counts as one that OpenBLAS would
+    thread: products go to scipy's BLAS, every block of a Hermitian group
+    is factorised in real arithmetic and _expm squares every slice itself."""
+    return mock.patch.multiple(operators, _UNTHREADED_MACS=0,
+                               _THREADED_GEMV=0)
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

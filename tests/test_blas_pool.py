@@ -45,15 +45,23 @@ _CONFIGS = [
 ]
 
 # Numpy's workers are the threads that `import numpy` starts, before scipy
-# (and its own pool) is imported.  They spin once as OpenBLAS starts them,
-# so the count starts after a settling pause that outlasts the spinning.
-# Each config's figure is the CPU the workers took from its start until the
-# next config starts, the last one's after another such pause.
+# (and its own pool) is imported.  Where scipy maps no BLAS library of its
+# own, the two packages share one library and one pool, and there is no
+# second pool to keep asleep.  The workers spin once as OpenBLAS starts
+# them, so the count starts after a settling pause that outlasts the
+# spinning.  Each config's figure is the CPU the workers took from its start
+# until the next config starts, the last one's after another such pause.
 _SCRIPT = textwrap.dedent("""
     import json, os, sys, time
 
     def threads():
         return set(os.listdir("/proc/self/task"))
+
+    def blas_libraries():
+        with open("/proc/self/maps") as f:
+            paths = {line.split()[-1] for line in f if ".so" in line}
+        return {path for path in paths if any(
+            name in os.path.basename(path).lower() for name in ("blas", "mkl"))}
 
     def cpu(tids):
         total = 0
@@ -66,8 +74,13 @@ _SCRIPT = textwrap.dedent("""
     before = threads()
     import numpy
     workers = threads() - before
+    numpy_blas = blas_libraries()
+    import scipy.linalg
     if not workers:
-        print(json.dumps(None))
+        print(json.dumps("numpy's BLAS starts no worker thread here"))
+        sys.exit()
+    if not blas_libraries() - numpy_blas:
+        print(json.dumps("numpy and scipy share one BLAS library here"))
         sys.exit()
     from qsieve.cli import parse_config, run_config
     configs, out = json.loads(sys.argv[1]), sys.argv[2]
@@ -96,8 +109,8 @@ def test_numpy_blas_pool_never_wakes(tmp_path):
         capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     taken = json.loads(run.stdout)
-    if taken is None:
-        pytest.skip("numpy's OpenBLAS starts no worker thread here")
+    if isinstance(taken, str):
+        pytest.skip(taken)
     per_config = {f"{c['command']} {c['model']['type']}": t
                   for c, t in zip(configs, taken)}
     assert sum(taken) < WAKE_CPU, per_config

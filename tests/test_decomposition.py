@@ -7,7 +7,6 @@ import gc
 import pickle
 import tracemalloc
 from dataclasses import fields, replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,6 +65,7 @@ from conftest import (
     block_models,
     blocks_of,
     dense_projection,
+    every_product_threaded,
     random_grw,
     random_hermitian,
     random_jump_list,
@@ -668,8 +668,15 @@ def test_verify_split_depolarizing_sweep_decay():
 def test_sweep_decay_does_not_depend_on_the_sweep_basis():
     # check (e) is the norm of exp(tM) on sweep, so a unitary change of the
     # sweep columns inside each block leaves it as it is; the largest entry
-    # of exp(tM) on those columns, reported before, moves
-    M = build_superoperator(block_models()["qbm8"][0])
+    # of exp(tM) on those columns, reported before, moves.  QBM N = 12 has
+    # blocks of 72 rows with a Hermitian basis, where the check runs in real
+    # arithmetic on the split's own columns and not on the rotated ones
+    for gen in (block_models()["qbm8"][0], qbm_model(12, 0.5)):
+        _assert_sweep_decay_does_not_depend_on_the_sweep_basis(gen)
+
+
+def _assert_sweep_decay_does_not_depend_on_the_sweep_basis(gen):
+    M = build_superoperator(gen)
     split = spectral_split(M)
     rng = np.random.default_rng(5)
     bases = [W.copy() for W in split.block_bases]
@@ -1120,7 +1127,7 @@ def assert_matches_the_dense_complex_reference(gen):
 def test_block_rules_match_the_dense_complex_reference(kind, seed, d):
     # the real path on every block, small ones included; the generator is
     # built under the patch, so that no structure found without it is read
-    with mock.patch.object(liouville, "_UNTHREADED_MACS", 0):
+    with every_product_threaded():
         gen = _DRAWS[kind](seed, d)
         M = build_superoperator(gen)
         (basis,) = [basis for group, basis in zip(superoperator_blocks(M),
@@ -1140,12 +1147,20 @@ def _sparse_jump(d: int, entries: dict, energies: list) -> LindbladGenerator:
 def test_block_rules_on_mixed_involutions():
     # one group of self-conjugate blocks whose entries the transpose swaps
     # in two different patterns
-    with mock.patch.object(liouville, "_UNTHREADED_MACS", 0):
+    with every_product_threaded():
         gen = _sparse_jump(3, {(0, 1): 0.5, (1, 0): -0.7}, [1.0, 0.0, 1.0])
         M = build_superoperator(gen)
         assert any(basis is not None and len(basis.frames) > 1
                    for basis in _hermitian_bases(M))
         assert_matches_the_dense_complex_reference(gen)
+
+
+def test_kernel_survives_the_rounding_of_a_small_generator():
+    # d = 2: the zero singular value of C = W^H B W on the iso block read
+    # d^2 eps ||M||_F to rounding, as large as a cutoff set there, and the
+    # kernel of a trace-preserving generator came out empty
+    assert_matches_the_dense_complex_reference(
+        _not_hermiticity_preserving(2856981, 2))
 
 
 def _frame_unitary(frame: tuple, s: int) -> np.ndarray:
@@ -1168,7 +1183,7 @@ def _frame_unitary(frame: tuple, s: int) -> np.ndarray:
 def test_change_of_basis_is_the_unitary_of_each_frame(make):
     # the row operation that stands for U, against U formed densely
     rng = np.random.default_rng(0)
-    with mock.patch.object(liouville, "_UNTHREADED_MACS", 0):
+    with every_product_threaded():
         M = build_superoperator(make())
         bases = _hermitian_bases(M)
     checked = 0

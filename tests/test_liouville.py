@@ -3,8 +3,6 @@ environment-induced-semigroup checks."""
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -30,6 +28,7 @@ from qsieve import (
     toy_model,
 )
 import qsieve.liouville as liouville
+import qsieve.operators as operators
 from qsieve.liouville import (
     EisReport,
     _block_structure,
@@ -47,6 +46,7 @@ from conftest import (
     block_models,
     blocks_of,
     davies_jump_tensor,
+    every_product_threaded,
     random_density,
     random_grw,
     random_hermitian,
@@ -307,7 +307,7 @@ def test_block_structure_of_random_generators(kind, seed, d):
     # or of a view afresh.  The generator is built under the patch, which
     # gives every block of more than one row a Hermitian basis to find, so
     # that no structure found without it is read
-    with mock.patch.object(liouville, "_UNTHREADED_MACS", 0):
+    with every_product_threaded():
         M = build_superoperator(_STRUCTURE_DRAWS[kind](seed, d))
         groups = superoperator_blocks(M)
         reference = _csgraph_blocks(M)
@@ -344,7 +344,8 @@ def _scaled_expm_model(name: str):
                                   "davies24"])
 def test_scaled_expm_is_scipy_expm_bit_for_bit(name, monkeypatch):
     # every slice takes the pre-scaled path, small ones included
-    monkeypatch.setattr(liouville, "_UNTHREADED_MACS", 0)
+    monkeypatch.setattr(operators, "_UNTHREADED_MACS", 0)
+    monkeypatch.setattr(operators, "_THREADED_GEMV", 0)
     M = build_superoperator(_scaled_expm_model(name))
     for group in superoperator_blocks(M):
         S = _stack(M, group)
@@ -382,7 +383,8 @@ def test_expm_squares_general_slices_on_scipy_blas(monkeypatch):
     S = 10.0 * _stack(M, group)
     _expm(S)
     for A in handed:
-        assert (A.shape[-1] ** 3 <= liouville._UNTHREADED_MACS
+        s = A.shape[-1]
+        assert (not operators._threaded(s, s, s)
                 or 0 in scipy.linalg.bandwidth(A))
     assert len(picked) == len(S) and min(picked) > 0
     assert len(products) == sum(picked)

@@ -209,6 +209,16 @@ def test_disc_quadrature_moments():
         assert err <= 1e-6
 
 
+def test_disc_quadrature_integrates_the_real_part_of_complex_values():
+    # Re sum_j w_j v_j, as for real values and with no ComplexWarning
+    quad = disc_quadrature()
+    r2 = np.abs(quad.nodes) ** 2
+    values = (1.0 - r2) ** 2 * (1.0 + 1j * quad.nodes.real)
+    assert quad.integrate(values) == quad.integrate(values.real)
+    assert quad.integrate(values) == pytest.approx(
+        np.real(np.dot(quad.weights, values)), rel=1e-13)
+
+
 def test_coherent_state_amplitudes():
     N = 400
     assert np.allclose(su11_coherent_state(N, 0.0), basis_state(N, 0),
