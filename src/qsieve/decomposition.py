@@ -31,7 +31,6 @@ from .liouville import (
     _rotate,
     _stack,
     _stacked_gemm,
-    _svdvals,
     _to_real,
     _transpose_map,
     apply_generator,
@@ -45,6 +44,7 @@ from .operators import (
     ValidationError,
     _eigh,
     _matmul,
+    _svdvals,
     hs_norm,
     join_projectors,
     projector,
@@ -329,8 +329,8 @@ def iso_membership(split: SpectralSplit, e) -> float:
 
 #: entries of SplitVerification.residuals that are health figures, not
 #: residuals: the split basis conditioning (1 is best) and the sweep decay,
-#: the operator norm of exp(tM) on the sweeping subspace at the final time
-#: (at least exp(-gap t), small only for a large enough gap)
+#: the operator norm of exp(tM) on the sweeping subspace at time t (at least
+#: exp(-gap t), small only for a large enough gap)
 HEALTH_FIGURES = ("c_basis_conditioning", "e_sweep_decay")
 
 
@@ -346,33 +346,25 @@ class SplitVerification:
         return max(vals) if vals else 0.0
 
 
-#: the sample pairs per time of check (d) and the seed they are drawn from
-ISO_SAMPLES = 10
-ISO_SAMPLE_SEED = 0
-
-
 def verify_split_properties(M: np.ndarray, split: SpectralSplit,
-                            times=(1.0, 5.0, 20.0)) -> SplitVerification:
+                            t: float = 20.0) -> SplitVerification:
     """Numeric residuals for the structural properties of the split:
     *-invariance, trace orthogonality, completeness, isometry and
-    multiplicativity of the peripheral flow, sweep decay at the final time,
-    product closure, and join closure for rank-1 projectors in iso.
+    multiplicativity of the peripheral flow for every t >= 0, decided from
+    M (relative to ||M||_F), sweep decay at time t, product closure, and
+    join closure for rank-1 projectors in iso.
 
-    exp(tM) and the projection act one stack of equal-size blocks at a
+    M, exp(tM) and the projection act one stack of equal-size blocks at a
     time.  Checks (a), (b) and (e) stay inside the blocks, on the split's
     own block bases; a split whose blocks are not those of M, or are not
     carried onto one another by X -> X^T, is checked as one block."""
-    rng = np.random.default_rng(ISO_SAMPLE_SEED)
     M = np.asarray(M, dtype=complex)
-    n = split.dim ** 2
+    d, n = split.dim, split.dim ** 2
     if M.shape != (n, n):
         raise DimensionMismatchError(
-            f"superoperator shape {M.shape} does not match split dim "
-            f"{split.dim}")
-    times = tuple(times)
-    if not times or min(times) < 0:
-        raise ValidationError(
-            "verification needs at least one time, each t >= 0")
+            f"superoperator shape {M.shape} does not match split dim {d}")
+    if not t >= 0:
+        raise ValidationError(f"verification time {t} is not >= 0")
     swept_norm = lambda X: float(np.linalg.norm(X - split.project(X), axis=0)
                                  .max(initial=0.0))
     iso = split.iso_basis
@@ -382,17 +374,16 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     groups, hermitian = zip(*_block_structure(M))
     same = len(groups) == len(split.groups) and all(
         map(np.array_equal, groups, split.groups))
-    rows = _transpose_rows(groups, split.dim) if same else None
+    rows = _transpose_rows(groups, d) if same else None
     if rows is None:
         blocked = _one_block(split)
         groups = blocked.groups
-        rows = _transpose_rows(groups, split.dim)
+        rows = _transpose_rows(groups, d)
         hermitian = [_hermitian_basis(M, groups[0])]
     stacks = [_stack(M, group) for group in groups]
-    expms = {t: [_map_blocks(lambda A: _expm(t * A), S, basis)
-                 for S, basis in zip(stacks, hermitian)] for t in times}
-    star, ortho, decay = _blockwise_residuals(blocked, rows, hermitian,
-                                              expms[max(times)])
+    expms = [_map_blocks(lambda A: _expm(t * A), S, basis)
+             for S, basis in zip(stacks, hermitian)]
+    star, ortho, decay = _blockwise_residuals(blocked, rows, hermitian, expms)
     # (a) *-invariance of iso (and of sweep, which is equivalent here)
     res["a_star_invariance"] = star
     # (b) trace orthogonality tr(phi1 phi2) = 0
@@ -406,36 +397,28 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
         sv <= n * np.finfo(float).eps * sv.max()))
     res["c_basis_conditioning"] = float(sv.min() / sv.max())
 
-    # (d) HS isometry + multiplicativity of the flow on iso
-    iso_norm = iso_mult = 0.0
-    d = split.dim
-    iso_rows = iso.reshape(split.iso_dim, d * d)
-    for t in (times if split.iso_dim else ()):
-        # the stream of one draw of real, then imaginary, parts per sample
-        c = rng.standard_normal((2 * ISO_SAMPLES, 2, split.iso_dim))
-        phis = _gemm(c[:, 0] + 1j * c[:, 1], iso_rows).reshape(-1, d, d)
-        phis /= np.linalg.norm(phis, axis=(1, 2))[:, None, None]
-        phi1, phi2 = phis[0::2], phis[1::2]
-        moved = _block_apply(groups, expms[t], np.hstack(
-            [_vec_columns(phi1), _vec_columns(phi2),
-             _vec_columns(_stacked_gemm(phi1, phi2))]))
-        T1, T2, T12 = np.split(_unvec_columns(moved, split.dim), 3)
-        iso_norm = max(iso_norm, float(np.abs(
-            np.linalg.norm(T1, axis=(1, 2))
-            - np.linalg.norm(phi1, axis=(1, 2))).max()))
-        iso_mult = max(iso_mult, float(
-            np.linalg.norm(T12 - _stacked_gemm(T1, T2), axis=(1, 2)).max()))
-    res["d_iso_isometry"] = iso_norm
-    res["d_iso_multiplicativity"] = iso_mult
+    # (d) exp(tM) is an isometry on iso iff C = W^H B W is skew-Hermitian on
+    # each block's iso columns W, and multiplicative there iff M is a
+    # derivation (Lindblad, CMP 48, 119 (1976)); (i) shares its products
+    scale = _frobenius(stacks) or 1.0
+    res["d_iso_isometry"] = max(
+        (float(_svdvals(C + C.conj().transpose(0, 2, 1)).max()) / scale
+         for _, _, C in map(_iso_compression, stacks, blocked.projections,
+                            blocked.block_bases) if C.size), default=0.0)
+    apply_M = lambda ops: _unvec_columns(
+        _block_apply(groups, stacks, _vec_columns(ops)), d)
+    left_mul = lambda A, ops: _stacked_gemm(np.broadcast_to(A, ops.shape), ops)
+    M_iso, closure, derivation = apply_M(iso), 0.0, 0.0
+    for B1, MB1 in zip(iso, M_iso):
+        products = left_mul(B1, iso)
+        closure = max(closure, swept_norm(_vec_columns(products)))
+        gap = apply_M(products) - left_mul(MB1, iso) - left_mul(B1, M_iso)
+        derivation = max(derivation, np.linalg.norm(gap, axis=(1, 2)).max())
+    res["d_iso_multiplicativity"] = float(derivation) / scale
 
-    # (e) sweeping decay at the largest time; vacuous with no sweeping part
+    # (e) sweeping decay at time t; vacuous with no sweeping part
     res["e_sweep_decay"] = decay if split.sweep_dim else None
-
-    # (i) product closure of iso, one stack of products B1 B2 per B1
-    res["i_product_closure"] = max(
-        (swept_norm(_vec_columns(_stacked_gemm(
-            np.broadcast_to(B1, iso.shape), iso))) for B1 in iso),
-        default=0.0)
+    res["i_product_closure"] = closure  # (i), on the products of (d)
 
     # (ii) join closure for rank-1 projectors found among iso elements
     projs = _rank1_projectors_in(iso)
@@ -656,12 +639,8 @@ def _fixed_point_kernel(M: np.ndarray, split: SpectralSplit) -> np.ndarray:
     stacks = [_stack(M, group) for group in split.groups]
     cutoff = max(n, 100) * np.finfo(float).eps * _frobenius(stacks)
     cols = [np.zeros((n, 0), dtype=complex)]
-    for group, S, P, W in zip(split.groups, stacks, split.projections,
-                              split.block_bases):
-        k = np.count_nonzero(_iso_columns(P), axis=1)
-        # the iso columns, those of a block past its own count zeroed
-        W = W[:, :, :k.max()] * (np.arange(k.max()) < k[:, None])[:, None]
-        C = _stacked_gemm(W.conj().transpose(0, 2, 1), _stacked_gemm(S, W))
+    for group, (k, W, C) in zip(split.groups, map(
+            _iso_compression, stacks, split.projections, split.block_bases)):
         for b in np.flatnonzero(k):
             _, sv, vh = scipy.linalg.svd(C[b, :k[b], :k[b]])
             null = vh[np.count_nonzero(sv > cutoff):].conj().T
@@ -669,6 +648,15 @@ def _fixed_point_kernel(M: np.ndarray, split: SpectralSplit) -> np.ndarray:
                 cols.append(np.zeros((n, null.shape[1]), dtype=complex))
                 cols[-1][group[b]] = _gemm(W[b, :, :k[b]], null)
     return np.hstack(cols)
+
+
+def _iso_compression(S: np.ndarray, P: np.ndarray, W: np.ndarray) -> tuple:
+    """The iso count k of each block of a stack S with projections P and
+    bases W, its iso columns W (those past k zeroed) and C = W^H B W: on a
+    split of M, B W = W C (see _fixed_point_kernel)."""
+    k = np.count_nonzero(_iso_columns(P), axis=1)
+    W = W[:, :, :k.max()] * (np.arange(k.max()) < k[:, None])[:, None]
+    return k, W, _stacked_gemm(W.conj().swapaxes(1, 2), _stacked_gemm(S, W))
 
 
 def _pair_stays_in_iso(split: SpectralSplit, u: np.ndarray, v: np.ndarray,

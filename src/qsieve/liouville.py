@@ -35,11 +35,11 @@ the two norm contractions from L*(I) and L(I).
 Every product or factorisation that OpenBLAS would run on worker threads
 goes to scipy's BLAS and LAPACK, so that a run wakes one BLAS thread pool,
 not numpy's as well (see operators).  Factorisations of superoperator-sized
-matrices (M, its blocks, exp(tL)) always do (_svdvals, _expm).  Products
-stay on numpy below OpenBLAS's thresholds, where one numpy call costs less:
-32^3 multiply-adds for a matrix product (_UNTHREADED_MACS), and a matrix of
-64 x 64 entries for a matrix-vector product, however short the vector
-(_THREADED_GEMV); _matmul and _stacked_gemm choose.
+matrices (M, its blocks, exp(tL)) always do (operators._svdvals, _expm).
+Products stay on numpy below OpenBLAS's thresholds, where one numpy call
+costs less: 32^3 multiply-adds for a matrix product (_UNTHREADED_MACS), and
+a matrix of 64 x 64 entries for a matrix-vector product, however short the
+vector (_THREADED_GEMV); _matmul and _stacked_gemm choose.
 """
 from __future__ import annotations
 
@@ -629,23 +629,6 @@ def _stacked_gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if not _threaded(A.shape[-2], A.shape[-1], B.shape[-1]):
         return A @ B
     return np.stack([_gemm(a, b) for a, b in zip(A, B)])
-
-
-def _svdvals(A: np.ndarray) -> np.ndarray:
-    """Singular values of each slice of a (..., s, s) stack: LAPACK zgesdd
-    (dgesdd for a real stack), which np.linalg.svd calls, on scipy's
-    library, with one workspace query for the stack."""
-    s = A.shape[-1]
-    lapack = scipy.linalg.lapack
-    gesdd, gesdd_lwork = (lapack.dgesdd, lapack.dgesdd_lwork) if _real(A) \
-        else (lapack.zgesdd, lapack.zgesdd_lwork)
-    work, _ = gesdd_lwork(s, s, compute_uv=0)
-    out = np.empty(A.shape[:-1])
-    for B, sv in zip(A.reshape(-1, s, s), out.reshape(-1, s)):
-        _, sv[:], _, info = gesdd(B, compute_uv=0, lwork=int(work.real))
-        if info:
-            raise np.linalg.LinAlgError("SVD did not converge")
-    return out
 
 
 def _expm(A: np.ndarray) -> np.ndarray:

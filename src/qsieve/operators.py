@@ -7,10 +7,10 @@ All functions are pure; nothing mutates its inputs.
 
 numpy and scipy each bundle an OpenBLAS with its own pool of worker threads,
 which spin for about 0.13 s of CPU after each threaded call; two pools awake
-at once contend for the cores.  So a product or an eigh that OpenBLAS would
-thread runs on scipy's library (_matmul, _gemm, _gemv, _eigh), the same
-BLAS or LAPACK call that numpy makes, and numpy's pool never wakes.  Smaller
-ones stay on numpy, which costs less per call.
+at once contend for the cores.  So a product, an eigh or an SVD that
+OpenBLAS would thread runs on scipy's library (_matmul, _gemm, _gemv, _eigh,
+_svdvals), the same BLAS or LAPACK call that numpy makes, and numpy's pool
+never wakes.  Smaller ones stay on numpy, which costs less per call.
 """
 from __future__ import annotations
 
@@ -120,11 +120,18 @@ def hs_norm(A) -> float:
 
 def trace_norm(A) -> float:
     """Sum of singular values (trace norm)."""
-    return float(np.linalg.svd(_as_square(A), compute_uv=False).sum())
+    return float(_singular_values(A).sum())
 
 
 def operator_norm(A) -> float:
-    return float(np.linalg.norm(_as_square(A), ord=2))
+    return float(_singular_values(A).max())
+
+
+def _singular_values(A) -> np.ndarray:
+    """numpy's below _THREADED_SVD rows, _svdvals from there on."""
+    A = _as_square(A)
+    return _svdvals(A) if len(A) >= _THREADED_SVD \
+        else np.linalg.svd(A, compute_uv=False)
 
 
 def fix_phase(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -253,6 +260,10 @@ _THREADED_GEMV = 64 ** 2
 #: conquer (LAPACK's SMLSIZ is 25)
 _THREADED_EIGH = 26
 
+#: rows from which numpy's svd (LAPACK zgesdd) woke numpy's pool on the same
+#: machine: none at 64 rows, 0.13-0.15 s of worker CPU at 65 to 200
+_THREADED_SVD = 65
+
 
 def _threaded(m: int, k: int, n: int) -> bool:
     """Would OpenBLAS thread the product of an m x k and a k x n matrix?  A
@@ -325,3 +336,20 @@ def _eigh(A: np.ndarray) -> tuple:
     if A.shape[-1] < _THREADED_EIGH:
         return np.linalg.eigh(A)
     return scipy.linalg.eigh(A, driver="evd")
+
+
+def _svdvals(A: np.ndarray) -> np.ndarray:
+    """Singular values of each slice of a (..., s, s) stack: LAPACK zgesdd
+    (dgesdd for a real stack), which np.linalg.svd calls, on scipy's
+    library, with one workspace query for the stack."""
+    s = A.shape[-1]
+    lapack = scipy.linalg.lapack
+    gesdd, gesdd_lwork = (lapack.dgesdd, lapack.dgesdd_lwork) if _real(A) \
+        else (lapack.zgesdd, lapack.zgesdd_lwork)
+    work, _ = gesdd_lwork(s, s, compute_uv=0)
+    out = np.empty(A.shape[:-1])
+    for B, sv in zip(A.reshape(-1, s, s), out.reshape(-1, s)):
+        _, sv[:], _, info = gesdd(B, compute_uv=0, lwork=int(work.real))
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+    return out

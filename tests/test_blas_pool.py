@@ -40,6 +40,9 @@ _CONFIGS = [
      "model": {"type": "qbm", "n_levels": 16, "D": 0.5}},
     {"command": "evolve", "times": [0.5, 1.0, 2.0],
      "model": {"type": "grw", "grid": _grid(40), "kappa": 1.0, "alpha": 1.0}},
+    # its trace-norm distances take SVDs of 70 rows
+    {"command": "evolve", "times": [0.5, 1.0, 2.0],
+     "model": {"type": "grw", "grid": _grid(70), "kappa": 1.0, "alpha": 1.0}},
     {"command": "classify",
      "model": {"type": "davies", "kappa": 1.0, "n_levels": 40}},
 ]
@@ -111,8 +114,8 @@ def test_numpy_blas_pool_never_wakes(tmp_path):
     taken = json.loads(run.stdout)
     if isinstance(taken, str):
         pytest.skip(taken)
-    per_config = {f"{c['command']} {c['model']['type']}": t
-                  for c, t in zip(configs, taken)}
+    per_config = {f"{i} {c['command']} {c['model']['type']}": t
+                  for i, (c, t) in enumerate(zip(configs, taken))}
     assert sum(taken) < WAKE_CPU, per_config
 
 
