@@ -22,7 +22,7 @@ from qsieve import (
     trace_norm,
     validate_density_matrix,
 )
-from qsieve.operators import fix_phase, random_pure_state
+from qsieve.operators import fix_phase, operator_norm, random_pure_state
 
 from conftest import basis_state, random_density, random_pure
 
@@ -72,6 +72,19 @@ def test_hs_inner_is_trace_of_adjoint_product(rng):
 def test_trace_norm_examples():
     assert trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0)
     assert trace_norm(projector(basis_state(3, 1))) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d", [64, 65, 70])
+def test_norms_on_either_side_of_the_svd_switch(d):
+    # numpy's svd below 65 rows, the same zgesdd on scipy's LAPACK from 65
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    sv = np.linalg.svd(A, compute_uv=False)
+    assert trace_norm(A) == pytest.approx(sv.sum(), rel=1e-13)
+    assert operator_norm(A) == pytest.approx(sv.max(), rel=1e-13)
+    if d < 65:
+        assert trace_norm(A) == float(sv.sum())
+        assert operator_norm(A) == np.linalg.norm(A, 2)
 
 
 def test_hs_norm_bounded_by_trace_norm_bulk():
