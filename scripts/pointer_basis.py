@@ -34,13 +34,12 @@ def main() -> None:
 
     gen = pointer_model(args.energies)
     d = gen.dim
-    M = build_superoperator(gen)
-    split = spectral_split(M)
+    split = spectral_split(build_superoperator(gen))
     print(f"dimension {d}: iso dim {split.iso_dim}, "
           f"sweep dim {split.sweep_dim} "
           f"(expected {d} and {d * d - d})")
 
-    report = verify_split_properties(M, split)
+    report = verify_split_properties(split)
     for key, val in sorted(report.residuals.items()):
         print(f"  {key}: {val if val is None else f'{val:.3e}'}")
 

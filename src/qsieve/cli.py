@@ -532,9 +532,8 @@ def _cmd_sieve(gen: LindbladGenerator, config: dict):
 
 
 def _cmd_decompose(gen: LindbladGenerator, config: dict):
-    M = build_superoperator(gen)
-    split = spectral_split(M, tol=config["tol"])
-    verification = verify_split_properties(M, split)
+    split = spectral_split(build_superoperator(gen), tol=config["tol"])
+    verification = verify_split_properties(split)
     return {
         "iso_dim": split.iso_dim,
         "sweep_dim": split.sweep_dim,
@@ -550,8 +549,7 @@ def _cmd_decompose(gen: LindbladGenerator, config: dict):
 
 
 def _cmd_classify(gen: LindbladGenerator, config: dict):
-    M = build_superoperator(gen)
-    split = spectral_split(M)
+    split = spectral_split(build_superoperator(gen))
     result = classical_states(gen, split, seed=config["seed"],
                               residual_tol=config["residual_tol"])
     projs = result.projectors

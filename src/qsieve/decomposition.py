@@ -11,7 +11,6 @@ zeros, so this is exact.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ from .liouville import (
     _from_real,
     _gemm,
     _gemv,
-    _hermitian_basis,
     _map_blocks,
     _rotate,
     _stack,
@@ -74,14 +72,18 @@ class DefectivePeripheralSpectrumError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralSplit:
-    """The split in block form.  The first k columns of a block's basis, k
-    the rank of its projection, span its part of iso; the rest, of sweep."""
+    """The split in block form, with the blocks of the M it was computed on:
+    its verification and the fixed-point kernel read M from here.  The
+    first k columns of a block's basis, k the rank of its projection, span
+    its part of iso; the rest, of sweep."""
     peripheral_eigenvalues: np.ndarray
     spectral_gap: float          # min |Re lambda| over the swept spectrum
     tol: float
     groups: tuple        # superoperator_blocks of the M it was computed on
     projections: tuple   # per group, (m, s, s): onto iso along sweep
     block_bases: tuple   # per group, (m, s, s): [iso | sweep] columns
+    stacks: tuple        # per group, (m, s, s): the blocks of M
+    hermitian: tuple     # per group, its _hermitian_basis (or None)
 
     @property
     def dim(self) -> int:
@@ -147,16 +149,16 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     arithmetic in its Hermitian basis (real Schur form, dtrsen, dtrsyl; see
     liouville._hermitian_basis) and mapped back; every other block runs
     zgees, ztrsen and ztrsyl.  The blocks and their bases come from
-    liouville._block_structure, found once per read-only M.  An eigenvalue
-    is peripheral when |Re lambda| <= tol, by default the larger of 1e-9
-    max |Re lambda| and 100 eps ||M||_F."""
+    liouville._block_structure, found once per read-only M, and the split
+    keeps them.  An eigenvalue is peripheral when |Re lambda| <= tol, by
+    default the larger of 1e-9 max |Re lambda| and 100 eps ||M||_F."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0] if M.ndim == 2 else 0
     d = int(round(np.sqrt(n)))
     if n == 0 or M.shape != (d * d, d * d):
         raise ValidationError(f"M has shape {M.shape}, not d^2 x d^2")
     groups, hermitian = zip(*_block_structure(M))
-    stacks = [_stack(M, group) for group in groups]
+    stacks = tuple(_stack(M, group) for group in groups)
     # one Schur form per block; its (quasi-)diagonal holds the block's
     # eigenvalues
     schurs = [_schur_forms(S, basis) for S, basis in zip(stacks, hermitian)]
@@ -195,7 +197,7 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     swept_res = np.abs(all_evs.real)[np.abs(all_evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
     return SpectralSplit(periph, gap, tol, groups, tuple(projections),
-                         tuple(bases))
+                         tuple(bases), stacks, hermitian)
 
 
 def _frobenius(stacks: list) -> float:
@@ -346,7 +348,7 @@ class SplitVerification:
         return max(vals) if vals else 0.0
 
 
-def verify_split_properties(M: np.ndarray, split: SpectralSplit,
+def verify_split_properties(split: SpectralSplit,
                             t: float = 20.0) -> SplitVerification:
     """Numeric residuals for the structural properties of the split:
     *-invariance, trace orthogonality, completeness, isometry and
@@ -354,36 +356,21 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     M (relative to ||M||_F), sweep decay at time t, product closure, and
     join closure for rank-1 projectors in iso.
 
-    M, exp(tM) and the projection act one stack of equal-size blocks at a
-    time.  Checks (a), (b) and (e) stay inside the blocks, on the split's
-    own block bases; a split whose blocks are not those of M, or are not
-    carried onto one another by X -> X^T, is checked as one block."""
-    M = np.asarray(M, dtype=complex)
-    d, n = split.dim, split.dim ** 2
-    if M.shape != (n, n):
-        raise DimensionMismatchError(
-            f"superoperator shape {M.shape} does not match split dim {d}")
+    M is read from the split's blocks, and M, exp(tM) and the projection
+    act one stack of equal-size blocks at a time; exp(tM) is formed only on
+    groups with sweep columns.  Checks (a), (b) and (e) stay inside the
+    blocks, on the split's own block bases.  A split whose blocks X -> X^T
+    does not carry onto blocks of their own group, which an M that does not
+    preserve Hermiticity can give, raises ValidationError."""
     if not t >= 0:
         raise ValidationError(f"verification time {t} is not >= 0")
+    d, n = split.dim, split.dim ** 2
     swept_norm = lambda X: float(np.linalg.norm(X - split.project(X), axis=0)
                                  .max(initial=0.0))
     iso = split.iso_basis
     res: dict[str, float | None] = {}
 
-    blocked = split
-    groups, hermitian = zip(*_block_structure(M))
-    same = len(groups) == len(split.groups) and all(
-        map(np.array_equal, groups, split.groups))
-    rows = _transpose_rows(groups, d) if same else None
-    if rows is None:
-        blocked = _one_block(split)
-        groups = blocked.groups
-        rows = _transpose_rows(groups, d)
-        hermitian = [_hermitian_basis(M, groups[0])]
-    stacks = [_stack(M, group) for group in groups]
-    expms = [_map_blocks(lambda A: _expm(t * A), S, basis)
-             for S, basis in zip(stacks, hermitian)]
-    star, ortho, decay = _blockwise_residuals(blocked, rows, hermitian, expms)
+    star, ortho, decay = _blockwise_residuals(split, t)
     # (a) *-invariance of iso (and of sweep, which is equivalent here)
     res["a_star_invariance"] = star
     # (b) trace orthogonality tr(phi1 phi2) = 0
@@ -400,13 +387,14 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     # (d) exp(tM) is an isometry on iso iff C = W^H B W is skew-Hermitian on
     # each block's iso columns W, and multiplicative there iff M is a
     # derivation (Lindblad, CMP 48, 119 (1976)); (i) shares its products
-    scale = _frobenius(stacks) or 1.0
+    scale = _frobenius(split.stacks) or 1.0
     res["d_iso_isometry"] = max(
         (float(_svdvals(C + C.conj().transpose(0, 2, 1)).max()) / scale
-         for _, _, C in map(_iso_compression, stacks, blocked.projections,
-                            blocked.block_bases) if C.size), default=0.0)
+         for _, _, C in map(_iso_compression, split.stacks,
+                            split.projections, split.block_bases)
+         if C.size), default=0.0)
     apply_M = lambda ops: _unvec_columns(
-        _block_apply(groups, stacks, _vec_columns(ops)), d)
+        _block_apply(split.groups, split.stacks, _vec_columns(ops)), d)
     left_mul = lambda A, ops: _stacked_gemm(np.broadcast_to(A, ops.shape), ops)
     M_iso, closure, derivation = apply_M(iso), 0.0, 0.0
     for B1, MB1 in zip(iso, M_iso):
@@ -429,16 +417,15 @@ def verify_split_properties(M: np.ndarray, split: SpectralSplit,
     return SplitVerification(res)
 
 
-def _blockwise_residuals(split: SpectralSplit, rows: list, hermitian: list,
-                         expms: list) -> tuple:
+def _blockwise_residuals(split: SpectralSplit, t: float) -> tuple:
     """Checks (a), (b) and (e) of verify_split_properties, one group of the
     split's blocks at a time: the largest *-invariance residual, the largest
     trace overlap of iso with sweep and the operator norm of exp(tM) on
-    sweep.  rows are _transpose_rows of the split's groups, hermitian their
-    _hermitian_basis, and expms the stacks of exp(tM) on the same groups."""
+    sweep, 0 where there is no sweep."""
     star = ortho = decay = 0.0
-    for P, W, where, basis, E in zip(split.projections, split.block_bases,
-                                     rows, hermitian, expms):
+    rows = _transpose_rows(split.groups, split.dim)
+    for P, W, where, S, basis in zip(split.projections, split.block_bases,
+                                     rows, split.stacks, split.hermitian):
         m, s, _ = W.shape
         iso_cols = _iso_columns(P)
         # Wt[c][:, j] is vec(w^T) for the column w = W[b][:, j] of the block
@@ -460,7 +447,9 @@ def _blockwise_residuals(split: SpectralSplit, rows: list, hermitian: list,
         ortho = max(ortho, np.abs(overlaps[
             iso_t[:, :, None] & ~iso_cols[:, None, :]]).max(initial=0.0))
         # (e) the norm of exp(tM) on the block's orthonormal sweep columns
-        decay = max(decay, _norm_on(E, W * ~iso_cols[:, None, :], basis))
+        if not iso_cols.all():
+            E = _map_blocks(lambda A: _expm(t * A), S, basis)
+            decay = max(decay, _norm_on(E, W * ~iso_cols[:, None, :], basis))
     return float(star), float(ortho), float(decay)
 
 
@@ -486,34 +475,21 @@ def _norm_on(E: np.ndarray, X: np.ndarray, basis) -> float:
     return max(top.max() for top in tops)
 
 
-def _transpose_rows(groups: tuple, d: int) -> list | None:
+def _transpose_rows(groups: tuple, d: int) -> list:
     """Per group of blocks (m, s): where X -> X^T carries each entry, as its
-    row in the group's blocks stacked into m*s rows; None unless every
-    block is carried onto one block of its group.  For a Hermiticity
+    row in the group's blocks stacked into m*s rows.  For a Hermiticity
     preserving L, M[pi i, pi j] = conj(M[i, j]) with pi the index of the
-    transposed entry, so its blocks are."""
+    transposed entry, so X -> X^T carries every block onto one block of its
+    group; ValidationError where it does not."""
     rows = []
     for group in groups:
         s = group.shape[1]
         to = _transpose_map(group, d)
         if (to < 0).any() or (to // s != to[:, :1] // s).any():
-            return None
+            raise ValidationError("M does not preserve Hermiticity: X -> X^T "
+                                  "carries a block of it onto no block")
         rows.append(to)
     return rows
-
-
-def _one_block(split: SpectralSplit) -> SpectralSplit:
-    """The split with its projection and bases as one block of all d^2
-    indices."""
-    n = split.dim ** 2
-    P = np.zeros((n, n), dtype=complex)
-    for group, stack in zip(split.groups, split.projections):
-        P[group[:, :, None], group[:, None, :]] = stack
-    basis = np.hstack([_vec_columns(split.iso_basis),
-                       _vec_columns(split.sweep_basis)])
-    return dataclasses.replace(split, groups=(np.arange(n)[None],),
-                               projections=(P[None],),
-                               block_bases=(basis[None],))
 
 
 def _rank1_projectors_in(basis: np.ndarray, tol: float = 1e-8) -> list:
@@ -556,12 +532,13 @@ def classical_states(gen: LindbladGenerator,
 
     Candidates come from diagonalizing a generic Hermitian element of ker L,
     read off the split; the superposition exclusion is exact to
-    residual_tol, one closed-form test per candidate pair.
+    residual_tol, one closed-form test per candidate pair.  Candidates that
+    a degenerate kernel element leaves ambiguous, or that are not pairwise
+    orthogonal, raise np.linalg.LinAlgError: a numerical failure.
     """
-    M = build_superoperator(gen)
     if split is None:
-        split = spectral_split(M)
-    vectors = _fixed_point_candidates(gen, M, split, seed, residual_tol)
+        split = spectral_split(build_superoperator(gen))
+    vectors = _fixed_point_candidates(gen, split, seed, residual_tol)
 
     excluded = [False] * len(vectors)
     for i in range(len(vectors)):
@@ -579,20 +556,19 @@ def classical_states(gen: LindbladGenerator,
             overlaps[i, j] = abs(_matmul(kept[i], kept[j]).trace())
     off = overlaps - np.diag(np.diag(overlaps))
     if m and off.max() > residual_tol:
-        raise ValidationError(
+        raise np.linalg.LinAlgError(
             f"classical candidates are not pairwise orthogonal "
             f"(max overlap {off.max():.3e})")
     return ClassicalSet(tuple(kept), overlaps, residuals)
 
 
-def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
-                            split: SpectralSplit, seed: int,
-                            residual_tol: float) -> list:
+def _fixed_point_candidates(gen: LindbladGenerator, split: SpectralSplit,
+                            seed: int, residual_tol: float) -> list:
     """Unit eigenvectors of a generic Hermitian element of ker L whose
     projectors are semigroup fixed points lying in iso; none if iso holds
     no kernel vector."""
     rng = np.random.default_rng(seed)
-    kernel = _fixed_point_kernel(M, split)
+    kernel = _fixed_point_kernel(split)
     if not kernel.size:
         return []
 
@@ -620,27 +596,27 @@ def _fixed_point_candidates(gen: LindbladGenerator, M: np.ndarray,
     if degenerate and vectors:
         # with a degenerate kernel element the eigenbasis is ambiguous, so
         # surviving candidates cannot be trusted
-        raise ValidationError(
+        raise np.linalg.LinAlgError(
             "kernel element degenerate after retries while fixed-point "
             "candidates survive; cannot resolve the classical set")
     return vectors
 
 
-def _fixed_point_kernel(M: np.ndarray, split: SpectralSplit) -> np.ndarray:
-    """Orthonormal basis of ker M, read off the split.  The kernel of a
-    block B lies in its iso part, whose columns W are orthonormal Schur
-    vectors: B W = W C with C = W^H B W, so it is W null(C), one SVD of the
-    block's iso count.  The rank is decided for M as a whole: singular
-    values of C above max(d^2, 100) eps ||M||_F count.  The floor is the
-    one spectral_split puts under |Re lambda|: for d = 2 the rounding of a
-    zero eigenvalue in C reached d^2 eps ||M||_F itself, and hid the
-    kernel."""
+def _fixed_point_kernel(split: SpectralSplit) -> np.ndarray:
+    """Orthonormal basis of ker M, read off the split and the blocks of M it
+    holds.  The kernel of a block B lies in its iso part, whose columns W
+    are orthonormal Schur vectors: B W = W C with C = W^H B W, so it is
+    W null(C), one SVD of the block's iso count.  The rank is decided for M
+    as a whole: singular values of C above max(d^2, 100) eps ||M||_F
+    count.  The floor is the one spectral_split puts under |Re lambda|: for
+    d = 2 the rounding of a zero eigenvalue in C reached d^2 eps ||M||_F
+    itself, and hid the kernel."""
     n = split.dim ** 2
-    stacks = [_stack(M, group) for group in split.groups]
-    cutoff = max(n, 100) * np.finfo(float).eps * _frobenius(stacks)
+    cutoff = max(n, 100) * np.finfo(float).eps * _frobenius(split.stacks)
     cols = [np.zeros((n, 0), dtype=complex)]
     for group, (k, W, C) in zip(split.groups, map(
-            _iso_compression, stacks, split.projections, split.block_bases)):
+            _iso_compression, split.stacks, split.projections,
+            split.block_bases)):
         for b in np.flatnonzero(k):
             _, sv, vh = scipy.linalg.svd(C[b, :k[b], :k[b]])
             null = vh[np.count_nonzero(sv > cutoff):].conj().T

@@ -259,9 +259,8 @@ def test_criterion_8_property_suite():
         assert report.max_trace_norm_growth <= 1e-9
         assert report.max_operator_norm_growth <= 1e-9
 
-        M = build_superoperator(gen)
-        split = spectral_split(M)
-        verification = verify_split_properties(M, split)
+        split = spectral_split(build_superoperator(gen))
+        verification = verify_split_properties(split)
         assert verification.residuals["c_basis_conditioning"] >= 1e-3
         for key, val in verification.residuals.items():
             if val is not None and key not in ("e_sweep_decay",

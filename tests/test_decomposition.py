@@ -130,7 +130,7 @@ def test_default_tol_stays_above_the_rounding_of_a_unitary_generator(d):
         M = build_superoperator(gen)
         split = spectral_split(M)
         assert (split.iso_dim, split.sweep_dim) == (d * d, 0)
-        assert verify_split_properties(M, split).max_residual <= 1e-7
+        assert verify_split_properties(split).max_residual <= 1e-7
 
 
 def test_split_projection_is_idempotent_and_commutes():
@@ -265,7 +265,8 @@ def dense_spectral_split(M, tol=None) -> SpectralSplit:
     swept_res = np.abs(evs.real)[np.abs(evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
     return SpectralSplit(periph.copy(), gap, tol, (np.arange(n)[None],),
-                         (P[None],), (np.hstack([Q[:, :k], sweep_q])[None],))
+                         (P[None],), (np.hstack([Q[:, :k], sweep_q])[None],),
+                         (M[None],), (None,))
 
 
 def assert_same_multiset(a, b, tol):
@@ -293,11 +294,11 @@ def test_block_split_matches_dense_split(name):
     assert np.abs(dense_projection(split)
                   - dense_projection(dense)).max() <= 1e-10
     assert split.spectral_gap == pytest.approx(dense.spectral_gap, rel=1e-9)
-    report = verify_split_properties(M, split)
+    report = verify_split_properties(split)
     assert report.max_residual <= 1e-7
     # the one-block split gives the same residuals; the health figures
     # depend on the choice of sweep basis, which differs
-    reference = verify_split_properties(M, dense).residuals
+    reference = verify_split_properties(dense).residuals
     assert report.residuals.keys() == reference.keys()
     for key, value in report.residuals.items():
         if key in decomposition.HEALTH_FIGURES:
@@ -392,7 +393,7 @@ def loop_verify_split_properties(M, split, t=20.0) -> dict:
 def test_block_verification_matches_loop_reference(gen):
     M = build_superoperator(gen)
     split = spectral_split(M)
-    report = verify_split_properties(M, split).residuals
+    report = verify_split_properties(split).residuals
     reference = loop_verify_split_properties(M, split)
     assert report.keys() == reference.keys()
     for key, value in report.items():
@@ -402,25 +403,17 @@ def test_block_verification_matches_loop_reference(gen):
             assert abs(value - reference[key]) <= 1e-12, key
 
 
-@pytest.mark.parametrize("split_from, checked_on, mismatch", [
-    ("unstructured4", "pointer4", 0.0), ("pointer4", "unstructured4", 1e-3)])
-def test_verification_reports_a_split_of_another_matrix(split_from,
-                                                        checked_on, mismatch):
-    # the blocks come from the M passed in, not from the split, so a split
-    # whose structure does not match M shows the same residuals as the
-    # dense loop does; the identity, the one iso element of the unital
-    # unstructured model, is a fixed point of the pointer model as well
-    split = spectral_split(build_superoperator(block_models()[split_from][0]))
-    M = build_superoperator(block_models()[checked_on][0])
-    report = verify_split_properties(M, split)
-    reference = loop_verify_split_properties(M, split)
-    assert report.residuals.keys() == reference.keys()
-    for key, value in report.residuals.items():
-        if value is None:
-            assert reference[key] is None, key
-        else:
-            assert abs(value - reference[key]) <= 1e-12, key
-    assert report.max_residual >= mismatch
+def test_verification_rejects_an_m_that_does_not_preserve_hermiticity():
+    # M[1, 0] joins the entries (0, 0) and (1, 0) into one block, which
+    # X -> X^T carries onto the entries (0, 0) and (0, 1): no block of M.
+    # The split stands, but its properties assume a Hermiticity preserving
+    # M, and the verification says so
+    M = np.diag([0.0, -1.0, -2.0, 0.0]).astype(complex)
+    M[1, 0] = 1.0
+    split = spectral_split(M)
+    assert (split.iso_dim, split.sweep_dim) == (2, 2)
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        verify_split_properties(split)
 
 
 def _counting_searches(monkeypatch) -> list:
@@ -442,11 +435,49 @@ def test_the_blocks_of_a_superoperator_are_searched_once(monkeypatch):
     gen = davies_model(24, 1.0)
     M = build_superoperator(gen)
     split = spectral_split(M)
-    verify_split_properties(M, split)
+    verify_split_properties(split)
     classical_states(gen, split)
     propagator(gen, 0.3)
     propagator(gen, 2.0)
     assert len(calls) == 1
+
+
+def test_verification_and_classical_states_gather_no_block_of_m(
+        monkeypatch):
+    # the split holds the blocks of M: neither consumer gathers them again
+    gen = davies_model(8, 1.0)
+    split = spectral_split(build_superoperator(gen))
+    calls = []
+    real = decomposition._stack
+
+    def counting(M, group):
+        calls.append(1)
+        return real(M, group)
+
+    monkeypatch.setattr(decomposition, "_stack", counting)
+    verify_split_properties(split)
+    classical_states(gen, split)
+    assert calls == []
+
+
+def test_verification_takes_no_exponential_without_a_sweeping_part(
+        monkeypatch):
+    # check (e) is vacuous when the whole space is iso: a Hamiltonian alone
+    rng = np.random.default_rng(3)
+    gen = LindbladGenerator(12, random_hermitian(12, rng))
+    split = spectral_split(build_superoperator(gen))
+    assert split.sweep_dim == 0
+    calls = []
+    real = decomposition._expm
+
+    def counting(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(decomposition, "_expm", counting)
+    report = verify_split_properties(split)
+    assert report.residuals["e_sweep_decay"] is None
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["decompose", "classify"])
@@ -494,7 +525,7 @@ def test_split_verification_and_propagator_call_no_numpy_lapack(monkeypatch):
     for name in ("eigvals", "qr", "svd", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     split = spectral_split(M)
-    assert verify_split_properties(M, split).max_residual <= 1e-7
+    assert verify_split_properties(split).max_residual <= 1e-7
     propagator(gen, 1.0)
     channel_applier(gen, 0.5)(rho)
     steady_state(gen, rho, 10.0)
@@ -538,7 +569,7 @@ def test_verification_peaks_well_below_the_superoperator():
     split = spectral_split(M)
     tracemalloc.start()
     try:
-        report = verify_split_properties(M, split)
+        report = verify_split_properties(split)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -550,7 +581,7 @@ def test_verification_peaks_well_below_the_superoperator():
 def test_block_kernel_spans_the_null_space(name):
     gen, _ = block_models()[name]
     M = build_superoperator(gen)
-    kernel = _fixed_point_kernel(M, spectral_split(M))
+    kernel = _fixed_point_kernel(spectral_split(M))
     reference = scipy.linalg.null_space(M)
     assert kernel.shape == reference.shape
     assert np.abs(kernel.conj().T @ kernel
@@ -615,7 +646,7 @@ def test_iso_membership_unitary_case(rng):
 def test_verify_split_pointer_all_residuals_small():
     gen = pointer_model([0.0, 1.0, 2.5])
     M = build_superoperator(gen)
-    report = verify_split_properties(M, spectral_split(M), t=20.0)
+    report = verify_split_properties(spectral_split(M), t=20.0)
     assert report.residuals["c_basis_conditioning"] >= 1e-3
     for key, val in report.residuals.items():
         if val is not None and key != "c_basis_conditioning":
@@ -626,7 +657,7 @@ def test_verify_split_max_residual_skips_health_figures():
     # the basis conditioning is ~1 on a healthy split; it is not a residual
     gen = pointer_model([0.0, 1.0, 2.5])
     M = build_superoperator(gen)
-    report = verify_split_properties(M, spectral_split(M))
+    report = verify_split_properties(spectral_split(M))
     assert report.residuals["c_basis_conditioning"] >= 1e-3
     assert report.max_residual <= 1e-7
 
@@ -636,14 +667,14 @@ def test_verify_split_counts_directions_iso_and_sweep_share():
     # direction short: check (c) counts it, and it fails the verification
     M = build_superoperator(block_models()["qbm8"][0])
     split = spectral_split(M)
-    assert verify_split_properties(M, split).residuals["c_completeness"] \
+    assert verify_split_properties(split).residuals["c_completeness"] \
         == 0.0
     # the first block holds the one iso column, then 31 sweep columns
     assert np.trace(split.projections[0][0]).real == pytest.approx(1.0)
     bases = [W.copy() for W in split.block_bases]
     bases[0][0, :, -1] = bases[0][0, :, 0]
     broken = replace(split, block_bases=tuple(bases))
-    report = verify_split_properties(M, broken)
+    report = verify_split_properties(broken)
     assert report.residuals["c_completeness"] > 0
     assert report.max_residual > 0
 
@@ -651,7 +682,7 @@ def test_verify_split_counts_directions_iso_and_sweep_share():
 def test_verify_split_depolarizing_sweep_decay():
     gen = toy_model()
     M = build_superoperator(gen)
-    report = verify_split_properties(M, spectral_split(M), t=20.0)
+    report = verify_split_properties(spectral_split(M), t=20.0)
     assert report.residuals["e_sweep_decay"] <= np.exp(-2.0 * 20.0) + 1e-9
 
 
@@ -677,8 +708,8 @@ def _assert_sweep_decay_does_not_depend_on_the_sweep_basis(gen):
                                 + 1j * rng.standard_normal((k, k)))[0]
             W[b][:, sweep] = W[b][:, sweep] @ U
     rotated = replace(split, block_bases=tuple(bases))
-    decay = verify_split_properties(M, split).residuals["e_sweep_decay"]
-    assert verify_split_properties(M, rotated).residuals["e_sweep_decay"] \
+    decay = verify_split_properties(split).residuals["e_sweep_decay"]
+    assert verify_split_properties(rotated).residuals["e_sweep_decay"] \
         == pytest.approx(decay, rel=1e-12)
     E = scipy.linalg.expm(20.0 * M)
 
@@ -693,19 +724,12 @@ def _assert_sweep_decay_does_not_depend_on_the_sweep_basis(gen):
         > 1e-3 * decay
 
 
-def test_verify_split_rejects_a_superoperator_of_another_dim():
-    split = spectral_split(build_superoperator(pointer_model([0.0, 1.0, 2.5])))
-    M = build_superoperator(pointer_model([0.0, 1.0, 2.5, 3.7]))
-    with pytest.raises(DimensionMismatchError):
-        verify_split_properties(M, split)
-
-
 @pytest.mark.parametrize("t", [-5.0, np.nan], ids=["negative", "nan"])
 def test_verify_split_rejects_bad_times(t):
     # the semigroup is defined for t >= 0 only
     M = build_superoperator(pointer_model([0.0, 1.0, 2.5]))
     with pytest.raises(ValidationError):
-        verify_split_properties(M, spectral_split(M), t=t)
+        verify_split_properties(spectral_split(M), t=t)
 
 
 @settings(max_examples=50, deadline=None)
@@ -726,7 +750,7 @@ def test_split_residuals_vanish_on_unital_draws(seed, d, diagonal_h, jumps):
     assert hs_norm(apply_generator(gen, np.eye(d))) <= 1e-12
     M = build_superoperator(gen)
     residuals = {key: value for key, value in verify_split_properties(
-        M, spectral_split(M)).residuals.items()
+        spectral_split(M)).residuals.items()
         if value is not None and key not in decomposition.HEALTH_FIGURES}
     assert max(residuals.values()) <= 1e-9, residuals
 
@@ -734,7 +758,7 @@ def test_split_residuals_vanish_on_unital_draws(seed, d, diagonal_h, jumps):
 def test_verify_split_unitary_sweep_vacuous():
     gen = hamiltonian_only(3)
     M = build_superoperator(gen)
-    report = verify_split_properties(M, spectral_split(M))
+    report = verify_split_properties(spectral_split(M))
     assert report.residuals["e_sweep_decay"] is None
 
 
@@ -784,7 +808,7 @@ def test_classical_states_of_a_split_whose_iso_misses_the_kernel():
     M = build_superoperator(gen)
     split = spectral_split(M, tol=1e-300)
     assert split.iso_dim == 0 and scipy.linalg.null_space(M).shape[1] == 1
-    assert _fixed_point_kernel(M, split).shape == (4, 0)
+    assert _fixed_point_kernel(split).shape == (4, 0)
     assert len(classical_states(gen, split)) == 0
 
 
@@ -816,9 +840,8 @@ def grid_excluded_projectors(gen, split, residual_tol=1e-8,
                              grid=(24, 16)) -> list:
     """Reference: the candidates of classical_states kept by sampling every
     ordered pair's superpositions on a modulus-ratio x phase grid."""
-    M = build_superoperator(gen)
     candidates = [projector(u) for u in
-                  _fixed_point_candidates(gen, M, split, 0, residual_tol)]
+                  _fixed_point_candidates(gen, split, 0, residual_tol)]
     kept = []
     for i, e in enumerate(candidates):
         excluded = False
@@ -912,7 +935,7 @@ def test_classical_states_of_random_generators(kind, seed, d):
     overlaps = result.pairwise_overlaps
     assert np.abs(overlaps - np.diag(np.diag(overlaps))).max(
         initial=0.0) <= 1e-8
-    kernel = _fixed_point_kernel(M, split)
+    kernel = _fixed_point_kernel(split)
     reference = scipy.linalg.null_space(M)
     assert kernel.shape == reference.shape
     assert np.abs(kernel.conj().T @ kernel
@@ -1009,7 +1032,7 @@ def test_hermitian_bases_are_found_once_per_superoperator(monkeypatch):
     gen = qbm_model(16, 0.5)
     M = build_superoperator(gen)
     split = spectral_split(M)
-    verify_split_properties(M, split)
+    verify_split_properties(split)
     classical_states(gen, split)
     propagator(gen, 0.3)
     propagator(gen, 2.0)
@@ -1017,12 +1040,17 @@ def test_hermitian_bases_are_found_once_per_superoperator(monkeypatch):
 
 
 def test_a_writable_superoperator_has_its_bases_found_again(monkeypatch):
-    # a writable M may change after the split, so nothing is reused
+    # a writable M may change after the split, so nothing is kept for it:
+    # its verification reads the bases the split holds, and a second split
+    # of the same M finds them again
     built = _counting_bases(monkeypatch)
     M = build_superoperator(qbm_model(16, 0.5)).copy()
     split = spectral_split(M)
-    report = verify_split_properties(M, split)
-    assert len(built) == 2 and report.max_residual <= 1e-7
+    assert id(M) not in liouville._STRUCTURES
+    report = verify_split_properties(split)
+    assert len(built) == 1 and report.max_residual <= 1e-7
+    spectral_split(M)
+    assert len(built) == 2
 
 
 def test_the_kept_block_structures_die_with_their_superoperators():
@@ -1046,10 +1074,10 @@ def test_a_split_pickles_and_verifies():
     restored = pickle.loads(pickle.dumps(split))
     assert np.array_equal(restored.peripheral_eigenvalues,
                           split.peripheral_eigenvalues)
-    for name in ("groups", "projections", "block_bases"):
+    for name in ("groups", "projections", "block_bases", "stacks"):
         assert all(map(np.array_equal, getattr(split, name),
                        getattr(restored, name)))
-    assert verify_split_properties(M, restored).max_residual <= 1e-7
+    assert verify_split_properties(restored).max_residual <= 1e-7
 
 
 def test_blocks_of_at_most_32_rows_stay_complex(monkeypatch):
@@ -1088,7 +1116,7 @@ def test_qbm_split_and_verification_run_in_real_arithmetic(monkeypatch):
     monkeypatch.setattr(liouville, "pick_pade_structure", recording(
         liouville.pick_pade_structure, "pade"))
     M = build_superoperator(qbm_model(16, 0.5))
-    report = verify_split_properties(M, spectral_split(M))
+    report = verify_split_properties(spectral_split(M))
     assert report.max_residual <= 1e-7
     names = [name for name, _ in handed]
     assert names.count("schur") == 2 and names.count("pade") == 2
@@ -1124,7 +1152,7 @@ def assert_matches_the_dense_complex_reference(gen):
                          dense.peripheral_eigenvalues, 1e-10)
     assert np.abs(dense_projection(split)
                   - dense_projection(dense)).max() <= 1e-10
-    kernel = _fixed_point_kernel(M, split)
+    kernel = _fixed_point_kernel(split)
     reference = scipy.linalg.null_space(M)
     assert kernel.shape == reference.shape
     assert np.abs(kernel @ kernel.conj().T
