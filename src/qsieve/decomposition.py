@@ -519,10 +519,6 @@ class ClassicalSet:
         return len(self.projectors)
 
 
-#: draws of a kernel element before its spectrum counts as degenerate
-KERNEL_DRAWS = 5
-
-
 def classical_states(gen: LindbladGenerator,
                      split: SpectralSplit | None = None,
                      seed: int = 0,
@@ -530,11 +526,12 @@ def classical_states(gen: LindbladGenerator,
     """Enumerate the pairwise-orthogonal family of pure semigroup fixed points
     whose superpositions with every other fixed point leave the robust set.
 
-    Candidates come from diagonalizing a generic Hermitian element of ker L,
-    read off the split; the superposition exclusion is exact to
+    Candidates are the eigenvectors of the simple eigenvalues of one generic
+    Hermitian element of ker L, read off the split (see
+    _fixed_point_candidates); the superposition exclusion is exact to
     residual_tol, one closed-form test per candidate pair.  Candidates that
-    a degenerate kernel element leaves ambiguous, or that are not pairwise
-    orthogonal, raise np.linalg.LinAlgError: a numerical failure.
+    are not pairwise orthogonal raise np.linalg.LinAlgError: a numerical
+    failure.
     """
     if split is None:
         split = spectral_split(build_superoperator(gen))
@@ -564,41 +561,36 @@ def classical_states(gen: LindbladGenerator,
 
 def _fixed_point_candidates(gen: LindbladGenerator, split: SpectralSplit,
                             seed: int, residual_tol: float) -> list:
-    """Unit eigenvectors of a generic Hermitian element of ker L whose
-    projectors are semigroup fixed points lying in iso; none if iso holds
-    no kernel vector."""
-    rng = np.random.default_rng(seed)
+    """Unit eigenvectors of the simple eigenvalues of one generic Hermitian
+    element of ker L whose projectors are semigroup fixed points lying in
+    iso; none if iso holds no kernel vector.
+
+    No pure fixed point is lost, with probability 1 over the draw: ker L
+    is 0 on the decaying subspace D and x_k (x) omega_k on each summand of
+    the rest, omega_k a fixed faithful state (M. M. Wolf, Quantum Channels
+    & Operations, 2012, ch. 6; Baumgartner & Narnhofer, J. Phys. A 41,
+    395303 (2008)).  A pure fixed point needs omega_k of rank 1, where a
+    generic element has simple eigenvalues; a repeated eigenvalue comes
+    from D or from omega_k of rank >= 2, which hold none."""
     kernel = _fixed_point_kernel(split)
     if not kernel.size:
         return []
 
-    degenerate = True
-    for _ in range(KERNEL_DRAWS):
-        # a Hermiticity preserving L has ker L closed under X -> X^dag, so
-        # the Hermitian part of a generic element is a generic Hermitian one
-        c = rng.standard_normal((2, kernel.shape[1]))
-        B = unvec(_gemv(kernel, c[0] + 1j * c[1]))
-        w, V = _eigh(0.5 * (B + B.conj().T))
-        scale = max(np.abs(w).max(), 1.0)
-        gaps = np.diff(np.sort(w))
-        if gaps.size == 0 or gaps.min() > 1e-10 * scale:
-            degenerate = False
-            break
+    # a Hermiticity preserving L has ker L closed under X -> X^dag, so the
+    # Hermitian part of a generic element is a generic Hermitian one
+    c = np.random.default_rng(seed).standard_normal((2, kernel.shape[1]))
+    B = unvec(_gemv(kernel, c[0] + 1j * c[1]))
+    w, V = _eigh(0.5 * (B + B.conj().T))  # w ascending
+    gaps = np.diff(w) > 1e-10 * max(np.abs(w).max(), 1.0)
+    simple = np.append(gaps, True) & np.insert(gaps, 0, True)
 
     vectors = []
-    for i in range(V.shape[1]):
+    for i in np.flatnonzero(simple):
         u = V[:, i] / np.linalg.norm(V[:, i])
         e = projector(u)
         if (hs_norm(apply_generator(gen, e)) <= residual_tol
                 and iso_membership(split, e) <= residual_tol):
             vectors.append(u)
-
-    if degenerate and vectors:
-        # with a degenerate kernel element the eigenbasis is ambiguous, so
-        # surviving candidates cannot be trusted
-        raise np.linalg.LinAlgError(
-            "kernel element degenerate after retries while fixed-point "
-            "candidates survive; cannot resolve the classical set")
     return vectors
 
 

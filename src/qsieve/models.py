@@ -52,7 +52,8 @@ class DiscQuadrature:
     The arrays are read-only copies and instances compare and hash by
     identity: a rule is shared by every model built on it, so the figures
     that depend only on the rule (its moment errors, the Gram matrix of its
-    coherent states) are computed once per instance and kept on it.
+    coherent states and its compatibility error) are computed once per
+    instance and kept on it.
     """
 
     nodes: np.ndarray        # complex, |zeta_j| < 1
@@ -96,6 +97,16 @@ class DiscQuadrature:
             G = _coherent_gram(self, N)
             G.flags.writeable = False
             self._memo[key] = G
+        return self._memo[key]
+
+    def compatibility_error(self, N: int) -> float:
+        """The worst relative error of the rule on the compatibility
+        relation sum_j w_j |<zeta_j|psi>|^2 = psi^dag G psi = 1 over every
+        unit psi of N levels: max |eig(G) - 1|.  Kept per N."""
+        key = ("compatibility", N)
+        if key not in self._memo:
+            w = scipy.linalg.eigvalsh(self.gram(N), driver="evd")
+            self._memo[key] = float(np.abs(w - 1.0).max())
         return self._memo[key]
 
 
@@ -277,17 +288,6 @@ def grw_model(grid, kappa: float, alpha: float) -> LindbladGenerator:
                              kernel=C, label="grw")
 
 
-def _compatibility_sums(quad: DiscQuadrature, N: int,
-                        seed: int) -> np.ndarray:
-    """sum_j w_j |<zeta_j|psi>|^2 = psi^dag G psi for each of the ten seeded
-    random states of the Davies compatibility check; 1 for an exact rule."""
-    rng = np.random.default_rng(seed)
-    psi = np.column_stack([
-        normalize_state(rng.standard_normal(N) + 1j * rng.standard_normal(N))
-        for _ in range(10)])
-    return np.real(np.sum(psi.conj() * _matmul(quad.gram(N), psi), axis=0))
-
-
 def _davies_jump_diagonal(N: int, kappa: float) -> np.ndarray:
     """The population block T[m, m, p, p] of the jump integral's Fock
     coefficients (see the coherent-measure form in liouville)."""
@@ -333,8 +333,7 @@ CONSISTENCY_TOL = 1e-3
 
 def davies_model(N: int, kappa: float, energies=None,
                  quadrature: DiscQuadrature | None = None,
-                 moment_tol: float = 1e-6,
-                 seed: int = 0) -> LindbladGenerator:
+                 moment_tol: float = 1e-6) -> LindbladGenerator:
     """Davies process: L(rho) = -i[H, rho]
     + kappa int dmu(zeta) e_zeta rho e_zeta - 1/2 {kappa int dmu e_zeta, rho}.
 
@@ -355,7 +354,8 @@ def davies_model(N: int, kappa: float, energies=None,
     asked for (evolve, decompose, classify).
 
     Construction validates the disc-quadrature moments and the process
-    compatibility relation tr[J(D, e_psi)] = kappa on random states.
+    compatibility relation tr[J(D, e_psi)] = kappa, decided for every pure
+    state at once from the spectrum of the quadrature's Gram matrix.
     """
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
@@ -380,7 +380,7 @@ def davies_model(N: int, kappa: float, energies=None,
     # compatibility check through the quadrature itself, independent of the
     # closed form: tr[J(D, e_psi)] = kappa sum_j w_j |<zeta_j|psi>|^2
     # = kappa psi^dag G psi
-    worst = float(np.max(np.abs(_compatibility_sums(quad, N, seed) - 1.0)))
+    worst = quad.compatibility_error(N)
     if worst > CONSISTENCY_TOL:
         raise ValidationError(
             f"Davies compatibility tr[J(D, e_psi)] = kappa violated by "

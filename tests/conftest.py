@@ -21,7 +21,6 @@ from qsieve import (
 )
 import qsieve.operators as operators
 from qsieve.liouville import _CoherentMeasure, superoperator_blocks
-from qsieve.operators import normalize_state
 
 # Tier-1 is deterministic: every @given test draws the same examples on
 # every run and keeps no example database.  Hypothesis still caches the
@@ -97,20 +96,16 @@ def davies_map_from_tensor(N: int, kappa: float,
     return S
 
 
-def loop_compatibility_sums(quad, N: int, seed: int) -> np.ndarray:
-    """sum_j w_j |<zeta_j|psi>|^2 node by node for the ten seeded states
-    of the Davies compatibility check: the reference for its Gram form."""
+def loop_gram(quad, N: int) -> np.ndarray:
+    """G = sum_j w_j |zeta_j><zeta_j| node by node, each N-level coherent
+    state (1-|zeta|^2) sum_n sqrt(n+1) zeta^n |n> built on its own: the
+    reference for DiscQuadrature.gram."""
     n = np.arange(N)
-    V = ((1 - np.abs(quad.nodes) ** 2)[None, :]
-         * np.sqrt(n + 1.0)[:, None] * quad.nodes[None, :] ** n[:, None])
-    Vh = V.conj().T
-    rng = np.random.default_rng(seed)
-    sums = []
-    for _ in range(10):
-        psi = normalize_state(rng.standard_normal(N)
-                              + 1j * rng.standard_normal(N))
-        sums.append(float(np.dot(quad.weights, np.abs(Vh @ psi) ** 2)))
-    return np.array(sums)
+    G = np.zeros((N, N), dtype=complex)
+    for zeta, w in zip(quad.nodes, quad.weights):
+        v = (1 - abs(zeta) ** 2) * np.sqrt(n + 1.0) * zeta ** n
+        G += w * np.outer(v, v.conj())
+    return G
 
 
 def loop_lambda(gen: LindbladGenerator, psi: np.ndarray) -> float:

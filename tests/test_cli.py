@@ -468,21 +468,20 @@ def test_decompose_reports_the_unital_residual(tmp_path):
     assert unital_residual(_custom(unstructured_model())) <= 1e-12
 
 
-def test_a_numerical_failure_of_classify_exits_two(tmp_path, capsys):
-    # two enclosures, |0>,|1> and |2>,|3>, each decaying onto its lower
-    # level: every kernel element vanishes on |1> and |3>, so its spectrum
-    # is degenerate on every draw.  The config is valid, so this is a
-    # numerical failure, not exit 1 (the answer should be no classical
-    # state, as |0><2| rotates undamped)
-    ket_bra = lambda i, j: np.outer(np.eye(4)[i], np.eye(4)[j])
-    gen = qsieve.LindbladGenerator(4, np.diag([0.0, 1.0, 2.0, 3.0]),
-                                   jump_ops=(ket_bra(0, 1), ket_bra(2, 3)))
+def test_a_numerical_failure_of_classify_exits_two(tmp_path, capsys,
+                                                 monkeypatch):
+    # a LinAlgError on a valid config is a numerical failure, not exit 1
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("classical candidates are not pairwise "
+                                    "orthogonal")
+
+    monkeypatch.setattr(cli, "classical_states", failing)
     code, out = run_cli(tmp_path, {"command": "classify",
-                                   "model": _custom(gen)})
+                                   "model": FULL_MODELS["pointer"]})
     assert code == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "LinAlgError"
-    assert "degenerate" in err["message"]
+    assert "orthogonal" in err["message"]
     assert not (out / "classify.json").exists()
 
 

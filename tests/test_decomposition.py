@@ -883,6 +883,134 @@ def test_classical_states_block_model_keeps_only_level_two():
         >= 1.0 - 1e-12
 
 
+def _ket_bra(d: int, i: int, j: int) -> np.ndarray:
+    return np.outer(np.eye(d)[i], np.eye(d)[j])
+
+
+def _two_enclosures(dephased: bool) -> LindbladGenerator:
+    """|0>,|1> and |2>,|3>, each decaying onto its lower level; with the
+    dephasing diag(1, 1, -1, -1) between the two if dephased."""
+    jumps = (_ket_bra(4, 0, 1), _ket_bra(4, 2, 3))
+    if dephased:
+        jumps += (np.diag([1.0, 1.0, -1.0, -1.0]),)
+    return LindbladGenerator(4, np.diag([0.0, 1.0, 2.0, 3.0]), jump_ops=jumps)
+
+
+def _unital_with_a_noisy_pair() -> LindbladGenerator:
+    """A dephased level |0> beside span{|1>, |2>}, where sigma_x and sigma_z
+    leave only I as a fixed point: unital, and each eigenvalue of a kernel
+    element on the pair is doubled."""
+    sx = np.zeros((3, 3))
+    sx[1, 2] = sx[2, 1] = 1.0
+    return LindbladGenerator(3, np.diag([0.0, 1.0, 1.0]),
+                             jump_ops=(_ket_bra(3, 0, 0), sx,
+                                       np.diag([0.0, 1.0, -1.0])))
+
+
+# each model with the basis levels of its classical states
+_NON_GENERIC_KERNELS = {
+    "two_enclosures": (lambda: _two_enclosures(False), []),
+    "two_enclosures_dephased": (lambda: _two_enclosures(True), [0, 2]),
+    "unital_noisy_pair": (_unital_with_a_noisy_pair, [0]),
+    "amplitude_damping": (lambda: LindbladGenerator(
+        2, np.zeros((2, 2)), jump_ops=(_ket_bra(2, 0, 1),)), [0]),
+    "v_system": (lambda: LindbladGenerator(
+        3, np.diag([0.0, 1.0, 2.0]),
+        jump_ops=(_ket_bra(3, 0, 2), _ket_bra(3, 1, 2))), []),
+    "dephasing_plus_decay": (lambda: LindbladGenerator(
+        3, np.diag([0.0, 1.0, 2.0]),
+        jump_ops=(_ket_bra(3, 0, 2), np.diag([1.0, -1.0, 0.0]))), [0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_GENERIC_KERNELS))
+def test_classical_states_where_kernel_elements_repeat_an_eigenvalue(name):
+    # the first three raised "kernel element degenerate after retries":
+    # every kernel element vanishes on a decaying subspace of 2 levels, or
+    # is a multiple of I on the noisy pair; a repeated eigenvalue is
+    # skipped, as its eigenspace holds no pure fixed point
+    build, levels = _NON_GENERIC_KERNELS[name]
+    gen = build()
+    result = classical_states(gen)
+    found = [int(np.argmax(np.diag(e).real)) for e in result.projectors]
+    assert sorted(found) == levels
+    for e, k in zip(result.projectors, found):
+        assert hs_norm(e - projector(basis_state(gen.dim, k))) <= 1e-8
+
+
+def test_classical_states_diagonalise_one_kernel_element(monkeypatch):
+    # QBM's kernel is span{I}: no redraw of a degenerate element
+    gen = qbm_model(6, 0.5)
+    split = spectral_split(build_superoperator(gen))
+    calls = []
+    real = decomposition._eigh
+
+    def counting(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(decomposition, "_eigh", counting)
+    assert len(classical_states(gen, split)) == 0
+    assert len(calls) == 1
+
+
+@st.composite
+def _enclosed_jump_lists(draw):
+    """A jump list on d <= 5 levels: decaying levels, each jumping into a
+    recurrent one, and the recurrent levels in enclosures of 1-3 levels,
+    each under Hermitian noise (irreducible on 2 or 3 levels) or dephased,
+    with optional dephasing between enclosures.  Returns the generator and
+    its decaying levels."""
+    d = draw(st.integers(2, 5))
+    n_decaying = draw(st.integers(1, d - 1))
+    sizes = []
+    while sum(sizes) < d - n_decaying:
+        sizes.append(draw(st.integers(1, min(3, d - n_decaying - sum(sizes)))))
+    noisy = draw(st.lists(st.booleans(), min_size=len(sizes),
+                          max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = np.zeros((d, d), dtype=complex)
+    jumps = []
+    start = n_decaying
+    for size, noise in zip(sizes, noisy):
+        enclosure = slice(start, start + size)
+        if noise:
+            H[enclosure, enclosure] = random_hermitian(size, rng)
+            V = np.zeros((d, d), dtype=complex)
+            V[enclosure, enclosure] = random_hermitian(size, rng)
+        else:
+            H[enclosure, enclosure] = np.diag(rng.uniform(0.0, 3.0, size))
+            V = np.zeros((d, d))
+            V[enclosure, enclosure] = np.diag(rng.uniform(0.5, 2.0, size))
+        jumps.append(V)
+        start += size
+    H[:n_decaying, :n_decaying] = random_hermitian(n_decaying, rng)
+    for j in range(n_decaying):
+        jumps.append(rng.uniform(0.5, 2.0)
+                     * _ket_bra(d, int(rng.integers(n_decaying, d)), j))
+    if draw(st.booleans()):  # dephasing between enclosures
+        labels = np.repeat(rng.standard_normal(len(sizes)), sizes)
+        jumps.append(np.diag(np.concatenate([np.zeros(n_decaying), labels])))
+    return LindbladGenerator(d, H, jump_ops=tuple(jumps)), n_decaying
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=_enclosed_jump_lists())
+def test_classical_states_of_generators_with_a_decaying_subspace(draw):
+    # classify returns; its states are fixed, in iso, off the decaying
+    # levels and pairwise orthogonal
+    gen, n_decaying = draw
+    split = spectral_split(build_superoperator(gen))
+    result = classical_states(gen, split)
+    for e in result.projectors:
+        assert hs_norm(apply_generator(gen, e)) <= 1e-8
+        assert iso_membership(split, e) <= 1e-8
+        assert np.trace(e[:n_decaying, :n_decaying]).real <= 1e-8
+    overlaps = result.pairwise_overlaps
+    assert np.abs(overlaps - np.diag(np.diag(overlaps))).max(
+        initial=0.0) <= 1e-8
+
+
 def test_classical_states_membership_calls_per_candidate_and_pair(
         monkeypatch):
     calls = []

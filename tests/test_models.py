@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qsieve import (
     ValidationError,
@@ -34,7 +35,7 @@ from conftest import (
     basis_state,
     davies_jump_tensor,
     davies_map_from_tensor,
-    loop_compatibility_sums,
+    loop_gram,
     random_pure,
 )
 
@@ -176,28 +177,43 @@ def test_disc_quadrature_is_shared_and_read_only():
 
 
 def test_davies_builds_compute_the_gram_matrix_once(monkeypatch):
-    calls = []
-    build = models._coherent_gram
+    # the Gram matrix and its compatibility figure are kept per N
+    calls, spectra = [], []
+    build, eigvalsh = models._coherent_gram, scipy.linalg.eigvalsh
 
     def counting(quad, N):
         calls.append(N)
         return build(quad, N)
 
+    def counting_eigvalsh(*args, **kwargs):
+        spectra.append(1)
+        return eigvalsh(*args, **kwargs)
+
     monkeypatch.setattr(models, "_coherent_gram", counting)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", counting_eigvalsh)
     models._disc_quadrature.cache_clear()
-    for seed in (0, 0, 1, 2):
-        davies_model(6, 1.0, seed=seed)
+    for _ in range(4):
+        davies_model(6, 1.0)
     davies_model(8, 1.0)
     assert calls == [6, 8]
+    assert len(spectra) == 2
 
 
 @pytest.mark.parametrize("N", [6, 24, 40, 60])
 def test_compatibility_gram_form_matches_the_node_sum(N):
+    # the worst relative error over every unit psi of psi^dag G psi = 1 is
+    # max |eig(G) - 1|; no sampled state exceeds it
     quad = disc_quadrature()
-    sums = models._compatibility_sums(quad, N, 0)
-    reference = loop_compatibility_sums(quad, N, 0)
-    assert np.abs(sums - reference).max() <= 1e-12
-    assert np.abs(sums - 1.0).max() <= 1e-6
+    G, reference = quad.gram(N), loop_gram(quad, N)
+    assert np.abs(G - reference).max() <= 1e-12
+    worst = np.abs(np.linalg.eigvalsh(reference) - 1.0).max()
+    assert quad.compatibility_error(N) == pytest.approx(worst, abs=1e-12)
+    assert quad.compatibility_error(N) <= 1e-6
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        psi = random_pure(N, rng)
+        assert abs(np.vdot(psi, reference @ psi).real - 1.0) \
+            <= quad.compatibility_error(N) + 1e-12
 
 
 def test_disc_quadrature_moments():
@@ -349,7 +365,7 @@ def test_davies_consistency_validation_runs():
     with pytest.raises(ValidationError, match="compatibility"):
         davies_model(6, 1.0, quadrature=flipped, moment_tol=10.0)
     # four angles integrate the moments exactly but not the compatibility
-    # relation at N=10 (off by 0.57); no cached figure may let it pass,
+    # relation at N=10 (off by 1.72); no cached figure may let it pass,
     # also after the default rule passed at the same N
     few = disc_quadrature(n_theta=4)
     assert max(few.moment_errors().values()) <= 1e-12
@@ -357,4 +373,4 @@ def test_davies_consistency_validation_runs():
     for _ in range(2):
         with pytest.raises(ValidationError, match="compatibility") as exc:
             davies_model(10, 1.0, quadrature=few)
-        assert "5.737e-01" in str(exc.value)
+        assert "1.723e+00" in str(exc.value)
