@@ -470,10 +470,6 @@ def _config_states(spec: list, dim: int) -> np.ndarray:
     return normalize_state(_to_complex(spec))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _cmd_evolve(gen: LindbladGenerator, config: dict):
     if config["state"] == "random":
         psi = random_pure_state(gen.dim, np.random.default_rng(config["seed"]))
@@ -584,9 +580,17 @@ def _render_csv(header: dict, table: dict) -> str:
     lines = ["# " + json.dumps(header, sort_keys=True,
                                default=_json_default)]
     lines.append(",".join(table["columns"]))
+    # one C-level format per row, built once per tuple of cell types: %.17g
+    # for a float (the conversion format(x, ".17g") makes), %s otherwise
+    formats = {}
     for row in table["rows"]:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x)
-                              for x in row))
+        row = tuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in types)
+        lines.append(fmt % row)
     return "\n".join(lines) + "\n"
 
 

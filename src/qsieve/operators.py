@@ -290,6 +290,18 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _gemm(A, B)
 
 
+def _matvecs(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ v for each row v of a state (n,) or a stack (..., n), each row by
+    the matrix-vector product it would get alone, so that a row's bits do
+    not depend on the stack around it (a matrix product would not promise
+    that).  numpy's stacked matmul makes one gemv per row; from
+    _THREADED_GEMV entries of A on, each row goes to _gemv."""
+    if A.size < _THREADED_GEMV:
+        return (A @ x[..., None])[..., 0]
+    rows = [_gemv(A, v) for v in x.reshape(-1, x.shape[-1])]
+    return np.reshape(rows, x.shape[:-1] + A.shape[:1])
+
+
 def _gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B on scipy's BLAS: the zgemm (dgemm for two real matrices) that
     numpy's row-major matmul makes.  That call computes (AB)^T = B^T A^T in

@@ -7,12 +7,17 @@ initial rate of linear-entropy production.  Minimization runs multi-start
 Riemannian gradient descent with Barzilai-Borwein steps and backtracking on
 the unit sphere; lambda and its gradient are blind to the global phase, so
 the iterates carry whatever phase the steps give them and only the returned
-minimizer is phase-fixed.  Superposition exclusion is decided exactly: on the
-span of two states lambda is a quadratic form in the Bloch vector, minimized
-in closed form over the band of superpositions the grid would sample.
+minimizer is phase-fixed.  lambda and its gradient take a state (d,) or a
+stack (m, d) and never form e: each form of Phi acts on the state itself,
+and gives each row of a stack the bits that row gets alone.  The starts
+descend one after another.  Superposition exclusion is decided exactly: on
+the span of two states lambda is a quadratic form in the Bloch vector,
+minimized in closed form over the band of superpositions the grid would
+sample, for all pairs of minimizers in one batched pass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +26,7 @@ from .liouville import LindbladGenerator, channel_applier
 from .operators import (
     ValidationError,
     _matmul,
+    _matvecs,
     combine_states,
     fidelity,
     fix_phase,
@@ -54,18 +60,20 @@ def lambda_pure(gen: LindbladGenerator, psi):
 
 
 def _lambda_and_grad(gen: LindbladGenerator, psi: np.ndarray):
-    """Value and Riemannian gradient of psi -> lambda(|psi><psi|).
+    """Value and Riemannian gradient of psi -> lambda(|psi><psi|) for a state
+    (d,), or for each row of a stack (m, d) as for that state alone.
 
     With A = L(e) + L*(e) = (Phi + Phi*)(e) - {G, e}, the gradient is
-    -2 (A psi - <A> psi), tangent to the sphere and phase-gauge free.
+    -2 (A psi - <A> psi), tangent to the sphere and phase-gauge free.  On a
+    unit psi, A psi = b - <G> psi with b = (Phi + Phi*)(e) psi - G psi, and
+    the part along psi drops out: the gradient is -2 (b - <psi|b> psi).
     """
-    gpsi = _matmul(gen._G, psi)
-    g_mean = float(np.real(np.vdot(psi, gpsi)))
+    gpsi = _matvecs(gen._G, psi)
     sym_psi = gen._phi.rank1_sym_action(psi)
-    val = g_mean - 0.5 * float(np.real(np.vdot(psi, sym_psi)))
-    apsi = sym_psi - gpsi - g_mean * psi
-    mean = np.vdot(psi, apsi)
-    grad = -2.0 * (apsi - mean * psi)
+    g_mean = np.vecdot(psi, gpsi)
+    sym_mean = np.vecdot(psi, sym_psi)
+    val = g_mean.real - 0.5 * sym_mean.real
+    grad = -2.0 * (sym_psi - gpsi - (sym_mean - g_mean)[..., None] * psi)
     return val, grad
 
 
@@ -120,6 +128,10 @@ STOP_REASONS = ("gradient", "stagnation", "line_search", "max_iter")
 DEDUP_FIDELITY = 0.999
 
 
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
              max_iter: int):
     """Riemannian gradient descent with Armijo backtracking; returns
@@ -129,15 +141,15 @@ def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
     Steps retract by renormalization alone: re-fixing the phase of each
     iterate would make psi - prev_psi an O(1) phase jump wherever the
     anchoring amplitude is small, and spoil the Barzilai-Borwein step."""
-    psi = psi0 / np.linalg.norm(psi0)
+    psi = psi0 / _norm(psi0)
     val, grad = _lambda_and_grad(gen, psi)
     step = 1.0
     prev_psi = prev_grad = None
     for it in range(max_iter):
-        gnorm = np.linalg.norm(grad)
+        gnorm = _norm(grad)
         scale = max(abs(val), 1.0)
         if gnorm <= tol * scale:
-            return fix_phase(psi), val, True, "gradient"
+            return fix_phase(psi), float(val), True, "gradient"
         if prev_grad is not None:
             # Barzilai-Borwein steps, essential on nearly flat valleys: the
             # long (s.s / s.y) and short (s.y / y.y) ones in turn; where the
@@ -155,7 +167,7 @@ def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
         accepted = False
         for _ in range(40):
             trial = psi - step * grad
-            trial = trial / np.linalg.norm(trial)
+            trial = trial / _norm(trial)
             tval, tgrad = _lambda_and_grad(gen, trial)
             if tval <= val - 1e-4 * step * gnorm ** 2:
                 prev_psi, prev_grad = psi, grad
@@ -167,13 +179,13 @@ def _descend(gen: LindbladGenerator, psi0: np.ndarray, tol: float,
         if accepted and improvement <= 1e-3 * tol * scale:
             # value has stagnated well below tolerance; in a flat valley the
             # gradient norm alone can take thousands of iterations to settle
-            if np.linalg.norm(grad) <= tol ** 0.75 * scale:
-                return fix_phase(psi), val, True, "stagnation"
+            if _norm(grad) <= tol ** 0.75 * scale:
+                return fix_phase(psi), float(val), True, "stagnation"
         if not accepted:
             # line search stalled at machine precision: treat as converged
-            return (fix_phase(psi), val, gnorm <= np.sqrt(tol) * scale,
+            return (fix_phase(psi), float(val), gnorm <= np.sqrt(tol) * scale,
                     "line_search")
-    return fix_phase(psi), val, False, "max_iter"
+    return fix_phase(psi), float(val), False, "max_iter"
 
 
 def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
@@ -182,10 +194,10 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
     """Multi-start minimization of lambda over pure states.
 
     Deterministic for a fixed seed: each start draws from its own spawned
-    bit generator, so the result is independent of execution order.  Each
-    unordered pair of distinct minimizers is tested once, exactly (see
-    _excludes), and a pair whose members are both already rejected is
-    skipped.
+    bit generator, so the result is independent of execution order.  Every
+    unordered pair of distinct minimizers is tested exactly, all in one pass
+    (see _excludes), and a minimizer is flagged iff it passes with every
+    other.
     """
     if n_starts < 1:
         raise ValidationError("n_starts must be >= 1")
@@ -228,17 +240,19 @@ def minimize_lambda(gen: LindbladGenerator, n_starts: int = 16, seed: int = 0,
                 minimizers.append(psi)
                 min_lams.append(v)
 
+    # each flag is the AND of the verdicts on the pairs its minimizer is in
     m = len(minimizers)
-    flags = [not flat and m >= 2] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (flags[i] or flags[j]) and not _excludes(
-                    gen, minimizers[i], minimizers[j], a0 + eps):
-                flags[i] = flags[j] = False
+    flags = np.full(m, not flat and m >= 2)
+    if flags.any():
+        i, j = np.triu_indices(m, 1)
+        stack = np.array(minimizers)
+        excluded = _excludes(gen, stack[i], stack[j], a0 + eps)
+        flags[i[~excluded]] = flags[j[~excluded]] = False
 
     return SieveReport(a0, eps, tuple(minimizers), tuple(min_lams),
-                       tuple(float(v) for v in lambdas), tuple(flags), flat,
-                       failed, seed, n_starts, stop_reasons=stops)
+                       tuple(float(v) for v in lambdas),
+                       tuple(flags.tolist()), flat, failed, seed, n_starts,
+                       stop_reasons=stops)
 
 
 def superposition_grid(e, f, n_ratio: int = 24, n_phase: int = 16) -> list:
@@ -266,111 +280,153 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
 _BAND_RATIOS = np.tan(np.pi / 2 * np.array([1.0, 24.0]) / 25)
 
 
-def _pauli_coords(X: np.ndarray) -> np.ndarray:
-    """tr(sigma_mu X) for mu = 0..3, real for Hermitian X."""
-    return np.einsum("mji,ij->m", _PAULI, X).real
-
-
 def _pair_form(gen: LindbladGenerator, u: np.ndarray,
                w: np.ndarray) -> np.ndarray:
     """Real symmetric 4x4 Q with lambda(psi) = n~^T Q n~ for every unit psi
     in the span of orthonormal u, w, where n~ = (1, n) and n is the Bloch
     vector of psi's coordinates x in (u, w), |x><x| = (I + n.sigma) / 2.
+    For (P, d) stacks u and w, the (P, 4, 4) forms of the P pairs of rows.
 
     With S_mu = W sigma_mu W^dag, W = [u w], the projector is
     e = sum_mu n~_mu S_mu / 2 and lambda(e) = tr(G e) - tr(e Phi(e)); Phi
-    enters through its images of the four matrix units w_a w_b^dag.
+    enters through the sixteen elements <w_i|Phi(w_a w_b^dag)|w_j>, all
+    pairs' in one rank1_element call.
     """
-    W = np.stack([u, w], axis=1)
-    Wh = W.conj().T
-    C = np.array([Wh @ gen._phi.apply(np.outer(W[:, a], Wh[b])) @ W
-                  for a in range(2) for b in range(2)]).reshape(2, 2, 2, 2)
+    W = np.stack([u, w], axis=-2)                          # (..., 2, d)
+    a, b, i, j = np.indices((2, 2, 2, 2)).reshape(4, -1)
+    C = gen._phi.rank1_element(W[..., a, :], W[..., b, :], W[..., i, :],
+                               W[..., j, :]).reshape(W.shape[:-2]
+                                                     + (2, 2, 2, 2))
     # T[mu, nu] = tr(S_mu Phi(S_nu)) = sum_ab sigma_nu[a, b] tr(sigma_mu C_ab)
-    T = np.einsum("vab,mji,abij->mv", _PAULI, _PAULI, C).real
-    g = 0.25 * _pauli_coords(Wh @ gen._G @ W)
-    Q = -0.125 * (T + T.T)
-    Q[0] += g
-    Q[:, 0] += g
+    T = np.einsum("vab,mji,...abij->...mv", _PAULI, _PAULI, C).real
+    G = np.vecdot(W[..., :, None, :], _matvecs(gen._G, W)[..., None, :, :])
+    g = 0.25 * np.einsum("mji,...ij->...m", _PAULI, G).real
+    Q = -0.125 * (T + T.swapaxes(-1, -2))
+    Q[..., 0, :] += g
+    Q[..., :, 0] += g
     return Q
 
 
-def _band_minimum(Q: np.ndarray, c: complex, s: float) -> float:
+def _band_minimum(Q: np.ndarray, c, s):
     """Minimum of n~^T Q n~ over the Bloch vectors of the states
-    z1 u + z2 v, v = c u + s w, with |z2/z1| in the closed exclusion band.
+    z1 u + z2 v, v = c u + s w, with |z2/z1| in the closed exclusion band:
+    a float for one (4, 4) Q with scalar (c, s), a (P,) array for a
+    (P, 4, 4) stack of pairs with (P,) arrays c and s.
 
     In (u, w) coordinates x = (x1, x2), z2 = x2 / s and z1 = x1 - c z2, so
     |z2/z1| = t is the circle |x2|^2 = t^2 |s x1 - c x2|^2: a plane section
     of the Bloch sphere, and the band lies between the two circles of
     _BAND_RATIOS.  The minimum is attained at a stationary point of the
     quadratic on the sphere inside the band, or at one on a boundary circle.
+    Every pair's candidates come from one batched call per factorisation;
+    a candidate that does not exist for a pair is masked out.
     """
-    ell = np.array([s, -c])
-    # plane[k] . n~ >= 0 iff |z2/z1| >= t_k
-    planes = [_pauli_coords(np.diag([0.0, 1.0])
-                            - t * t * np.outer(ell.conj(), ell))
-              for t in _BAND_RATIOS]
-    A, q = Q[1:, 1:], Q[0, 1:]
-    scale = max(np.abs(Q).max(), 1.0)
-    tol = 1e-6 * scale
+    if Q.ndim == 2:
+        return float(_band_minimum(Q[None], np.array([c]), np.array([s]))[0])
+    n_pairs = len(Q)
+    ell = np.stack([s, -c], axis=-1).astype(complex)
+    # planes[:, k] . n~ >= 0 iff |z2/z1| >= t_k
+    X = (np.diag([0.0, 1.0])
+         - (_BAND_RATIOS ** 2)[:, None, None, None]
+         * ell.conj()[:, :, None] * ell[:, None, :]).swapaxes(0, 1)
+    planes = np.einsum("mji,pkij->pkm", _PAULI, X).real
+    A, q = Q[:, 1:, 1:], Q[:, 0, 1:]
+    tol = 1e-6 * np.maximum(np.abs(Q).max(axis=(1, 2)), 1.0)
 
     # interior: A n + q = mu n on |n| = 1.  With y = (A - mu)^{-2} q the
     # multipliers are the real eigenvalues of (A - mu)^2 y = q q^T y,
     # linearised to 6x6, and n = -(A - mu) y.  Where mu meets an eigenvalue
     # of A, n is completed along that eigenvector to unit length if |n| <= 1.
-    lin = np.block([[np.zeros((3, 3)), np.eye(3)],
-                    [np.outer(q, q) - A @ A, 2.0 * A]])
+    lin = np.zeros((n_pairs, 6, 6))
+    lin[:, :3, 3:] = np.eye(3)
+    lin[:, 3:, :3] = q[:, :, None] * q[:, None, :] - A @ A
+    lin[:, 3:, 3:] = 2.0 * A
     mus = np.linalg.eigvals(lin)
     evals, evecs = np.linalg.eigh(A)
-    qe = evecs.T @ q
-    points = []
-    for mu in mus[np.abs(mus.imag) <= tol].real:
-        gap = evals - mu
-        near = np.abs(gap) <= tol
-        n0 = evecs @ np.where(near, 0.0, -qe / np.where(near, 1.0, gap))
-        norm0 = np.linalg.norm(n0)
-        if norm0 > 0.0:
-            points.append(n0 / norm0)
-        rest = np.sqrt(max(1.0 - norm0 ** 2, 0.0))
-        for k in np.flatnonzero(near & (norm0 <= 1.0)):
-            points += [n0 + rest * evecs[:, k], n0 - rest * evecs[:, k]]
-    candidates = []
-    for n in points:
-        nt = np.concatenate([[1.0], n])
-        if planes[0] @ nt >= 0.0 >= planes[1] @ nt:
-            candidates.append(nt)
+    qe = (evecs.swapaxes(1, 2) @ q[..., None])[..., 0]
+    real = np.abs(mus.imag) <= tol[:, None]                    # (P, 6)
+    gap = evals[:, None, :] - mus.real[..., None]              # (P, 6, 3)
+    near = np.abs(gap) <= tol[:, None, None]
+    n0 = (evecs[:, None] @ np.where(near, 0.0, -qe[:, None, :]
+                                    / np.where(near, 1.0, gap))[..., None]
+          )[..., 0]
+    norm0 = np.sqrt(np.vecdot(n0, n0))
+    unit = n0 / np.where(norm0 > 0.0, norm0, 1.0)[..., None]
+    rest = np.sqrt(np.maximum(1.0 - norm0 ** 2, 0.0))
+    # n0 +- rest e_k for each eigenvector e_k: (P, 6, 3, 2, 3)
+    completed = (n0[:, :, None, None, :] + np.array([1.0, -1.0])[:, None]
+                 * rest[:, :, None, None, None]
+                 * evecs.swapaxes(1, 2)[:, None, :, None, :])
+    points = np.concatenate([unit, completed.reshape(n_pairs, -1, 3)], 1)
+    exists = np.concatenate([
+        real & (norm0 > 0.0),
+        np.repeat((real[..., None] & near
+                   & (norm0 <= 1.0)[..., None]).reshape(n_pairs, -1), 2, 1),
+    ], axis=1)
+    nt = np.concatenate([np.ones(points.shape[:-1] + (1,)), points], -1)
+    side = np.einsum("pkm,pjm->pkj", planes, nt)
+    inside = exists & (side[:, 0] >= 0.0) & (side[:, 1] <= 0.0)
+    interior = np.where(inside, np.einsum("pki,pij,pkj->pk", nt, Q, nt),
+                        np.inf).min(axis=1)
 
     # boundary circles n = p + r (cos tau e1 + sin tau e2): there lambda is
     # a0 + a1 cos tau + b1 sin tau + a2 cos 2 tau + b2 sin 2 tau, stationary
     # at the unit roots z = e^{i tau} of a quartic
-    for plane in planes:
-        h = plane[1:]
-        p = -plane[0] * h / (h @ h)
-        r = np.sqrt(max(1.0 - p @ p, 0.0))
-        e1, e2 = np.linalg.svd(h[None, :])[2][1:]
-        P0 = np.concatenate([[1.0], p])
-        P1 = np.concatenate([[0.0], r * e1])
-        P2 = np.concatenate([[0.0], r * e2])
-        a1, b1 = 2.0 * P0 @ Q @ P1, 2.0 * P0 @ Q @ P2
-        a2 = 0.5 * (P1 @ Q @ P1 - P2 @ Q @ P2)
-        b2 = P1 @ Q @ P2
-        roots = np.roots([b2 + 1j * a2, 0.5 * (b1 + 1j * a1), 0.0,
-                          0.5 * (b1 - 1j * a1), b2 - 1j * a2])
-        taus = np.concatenate([[0.0], np.angle(roots)])
-        candidates += list(P0 + np.cos(taus)[:, None] * P1
-                           + np.sin(taus)[:, None] * P2)
-    nt = np.array(candidates)
-    return float(np.einsum("ki,ij,kj->k", nt, Q, nt).min())
+    h = planes[..., 1:]                                         # (P, 2, 3)
+    p = -planes[..., :1] * h / np.vecdot(h, h)[..., None]
+    r = np.sqrt(np.maximum(1.0 - np.vecdot(p, p), 0.0))[..., None]
+    e12 = np.linalg.svd(h[..., None, :])[2][..., 1:, :]         # (P, 2, 2, 3)
+    zero = np.zeros(p.shape[:-1] + (1,))
+    P0 = np.concatenate([zero + 1.0, p], -1)
+    P1 = np.concatenate([zero, r * e12[..., 0, :]], -1)
+    P2 = np.concatenate([zero, r * e12[..., 1, :]], -1)
+    Qb = Q[:, None]
+
+    def form(x, y):
+        return np.einsum("...i,...ij,...j->...", x, Qb, y)
+    a1, b1 = 2.0 * form(P0, P1), 2.0 * form(P0, P2)
+    a2 = 0.5 * (form(P1, P1) - form(P2, P2))
+    b2 = form(P1, P2)
+    coeffs = np.stack([b2 + 1j * a2, 0.5 * (b1 + 1j * a1), 0.0 * b2,
+                       0.5 * (b1 - 1j * a1), b2 - 1j * a2], axis=-1)
+    # roots as np.roots finds them, the companion matrix's eigenvalues;
+    # a quartic with a vanishing leading coefficient keeps np.roots, and
+    # the roots it lacks repeat tau = 0
+    full = coeffs[..., 0] != 0.0
+    companion = np.zeros(coeffs.shape[:-1] + (4, 4), dtype=complex)
+    companion[..., 0, :] = -coeffs[..., 1:] / np.where(full, coeffs[..., 0],
+                                                       1.0)[..., None]
+    companion[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    roots = np.ones(coeffs.shape[:-1] + (4,), dtype=complex)
+    if full.any():
+        roots[full] = np.linalg.eigvals(companion[full])
+    for idx in zip(*np.nonzero(~full)):
+        found = np.roots(coeffs[idx])
+        roots[idx][:len(found)] = found
+    taus = np.concatenate([np.zeros(roots.shape[:-1] + (1,)),
+                           np.angle(roots)], -1)[..., None]
+    ring = (P0[..., None, :] + np.cos(taus) * P1[..., None, :]
+            + np.sin(taus) * P2[..., None, :])                # (P, 2, 5, 4)
+    boundary = np.einsum("pcki,pij,pckj->pck", ring, Q, ring).min(axis=(1, 2))
+    return np.minimum(interior, boundary)
 
 
-def _excludes(gen: LindbladGenerator, u, v, threshold: float) -> bool:
+def _excludes(gen: LindbladGenerator, u, v, threshold: float):
     """True iff every superposition z1 u + z2 v of the unit vectors u and v
     in the band the default superposition_grid samples (|z2/z1| = tan
     theta, theta in [pi/50, 12 pi/25], any relative phase) has lambda above
-    the threshold.  Decided exactly, and symmetric in u and v."""
-    c = np.vdot(u, v)
-    w = v - c * u
-    s = np.linalg.norm(w)
-    return not _band_minimum(_pair_form(gen, u, w / s), c, s) <= threshold
+    the threshold.  Decided exactly, and symmetric in u and v.
+
+    u and v are two states (d,), giving a bool, or two (P, d) stacks of
+    pairs, giving a (P,) bool array: all pairs go through _band_minimum at
+    once."""
+    U, V = np.atleast_2d(u, v)
+    c = np.vecdot(U, V)
+    W = V - c[:, None] * U
+    s = np.sqrt(np.vecdot(W.real, W.real) + np.vecdot(W.imag, W.imag))
+    Q = _pair_form(gen, U, W / s[:, None])
+    excluded = ~(_band_minimum(Q, c, s) <= threshold)
+    return bool(excluded[0]) if np.ndim(u) == 1 else excluded
 
 
 def quasi_classical_test(gen: LindbladGenerator, report: SieveReport,

@@ -45,6 +45,12 @@ _CONFIGS = [
      "model": {"type": "grw", "grid": _grid(70), "kappa": 1.0, "alpha": 1.0}},
     {"command": "classify",
      "model": {"type": "davies", "kappa": 1.0, "n_levels": 40}},
+    # lambda and its gradient on one state at a time, and the exclusion
+    # test's stacked factorisations over all pairs
+    {"command": "sieve", "n_starts": 12,
+     "model": {"type": "davies", "kappa": 1.0, "n_levels": 40}},
+    {"command": "sieve", "n_starts": 8,
+     "model": {"type": "grw", "grid": _grid(32), "kappa": 1.0, "alpha": 1.0}},
 ]
 
 # Numpy's workers are the threads that `import numpy` starts, before scipy

@@ -377,6 +377,66 @@ def test_run_evolve_csv_format(tmp_path):
         assert si == pytest.approx(0.5 * (1 - np.exp(-4 * ti)), abs=1e-9)
 
 
+def _per_cell_csv(header: dict, table: dict) -> str:
+    """The CSV renderer before rows took one format each: every float cell
+    through format(float(x), ".17g"), every other cell through str."""
+    lines = ["# " + json.dumps(header, sort_keys=True,
+                               default=cli._json_default)]
+    lines.append(",".join(table["columns"]))
+    for row in table["rows"]:
+        lines.append(",".join(format(float(x), ".17g")
+                              if isinstance(x, float) else str(x)
+                              for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_rows_are_the_bytes_of_the_per_cell_formatter():
+    header = {"seed": np.int64(3), "flag": np.bool_(True)}
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.2250738585072014e-308,
+            0.1, 1.0 / 3.0, 123456789.0, 1e16, 1e17, float("inf"),
+            -float("inf"), float("nan"), np.float64(0.1), np.float64(-0.0),
+            np.float64(5e-324)]
+    tables = [
+        # lambda: an integer index and a float
+        {"columns": ["state_index", "lambda"],
+         "rows": list(enumerate(edge))},
+        # evolve: times that are integers in some rows and floats in others
+        {"columns": ["t", "S_lin", "dist"],
+         "rows": [(k, x, -x) if k % 2 else (0.5 * k, x, np.float64(x))
+                  for k, x in enumerate(edge)]},
+        # cells of other types, and rows given as lists
+        {"columns": ["a", "b", "c"],
+         "rows": [[np.int64(-7), True, "x"], [np.float32(0.1), None, 2 ** 70],
+                  [1.5, np.int32(4), -0.0]]},
+    ]
+    for table in tables:
+        assert cli._render_csv(header, table) == _per_cell_csv(header, table)
+    rng = np.random.default_rng(0)
+    rows = list(enumerate(rng.standard_normal(500)
+                          * 10.0 ** rng.integers(-300, 300, 500)))
+    table = {"columns": ["state_index", "lambda"], "rows": rows}
+    assert cli._render_csv(header, table) == _per_cell_csv(header, table)
+
+
+@pytest.mark.parametrize("payload", [
+    {"command": "lambda", "seed": 5, "states": "random:50",
+     "model": {"type": "qbm", "n_levels": 6, "D": 0.5}},
+    {"command": "evolve", "seed": 5, "times": [0, 0.25, 1, 2.5],
+     "model": {"type": "pointer", "energies": [0.0, 1.0, 2.5]}},
+], ids=["lambda", "evolve"])
+def test_run_csv_is_the_bytes_of_the_per_cell_formatter(tmp_path, payload,
+                                                         monkeypatch):
+    rendered = []
+    render = cli._render_csv
+    monkeypatch.setattr(cli, "_render_csv", lambda header, table: (
+        rendered.append((header, table)) or render(header, table)))
+    code, out = run_cli(tmp_path, {**payload, "output_format": "csv"})
+    assert code == 0
+    (header, table), = rendered
+    text = (out / f"{payload['command']}.csv").read_text(encoding="utf-8")
+    assert text == _per_cell_csv(header, table)
+
+
 def test_run_sieve_json(tmp_path):
     code, out = run_cli(tmp_path,
                         {"command": "sieve", "model": {"type": "toy"},

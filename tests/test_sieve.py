@@ -27,13 +27,16 @@ from qsieve import (
     superposition_grid,
     toy_model,
 )
-from qsieve.operators import superposition_basis
+from qsieve.liouville import unvec, vec
+from qsieve.operators import random_pure_state, superposition_basis
 from qsieve.sieve import (
     STOP_REASONS,
     _BAND_RATIOS,
     _PAULI,
     _band_minimum,
+    _descend,
     _excludes,
+    _lambda_and_grad,
     _pair_form,
 )
 
@@ -94,6 +97,41 @@ def test_lambda_on_a_stack_matches_the_per_state_formula(name):
     assert abs(single - ref[3]) <= 1e-12 * max(1.0, abs(ref[3]))
     if name == "hamiltonian":
         assert np.all(np.abs(lams) <= 1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_stack_models()))
+def test_sym_action_on_a_stack_matches_the_dense_form(name):
+    # (Phi + Phi*)(|psi><psi|) psi through the dense mat(Phi), for every
+    # form of Phi, the empty jump list and the explicit map included
+    gen = _stack_models()[name]
+    phi = gen._phi
+    S = phi.matrix()
+    rng = np.random.default_rng(12)
+    states = np.array([random_pure(gen.dim, rng) for _ in range(9)])
+    stacked = phi.rank1_sym_action(states)
+    assert stacked.shape == states.shape
+    for psi, row in zip(states, stacked):
+        e = np.outer(psi, psi.conj())
+        ref = unvec((S + S.conj().T) @ vec(e)) @ psi
+        assert np.abs(row - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        # a row of a stack, a one-row stack and a single state: same bits
+        assert np.array_equal(row, phi.rank1_sym_action(psi))
+        assert np.array_equal(row, phi.rank1_sym_action(psi[None])[0])
+
+
+@pytest.mark.parametrize("name", sorted(_stack_models()))
+def test_rank1_element_on_a_stack_matches_apply(name):
+    gen = _stack_models()[name]
+    rng = np.random.default_rng(13)
+    x, y, u, v = (np.array([random_pure(gen.dim, rng) for _ in range(6)])
+                  for _ in range(4))
+    stacked = gen._phi.rank1_element(x, y, u, v)
+    assert stacked.shape == (6,)
+    for k in range(6):
+        ref = np.vdot(u[k], gen._phi.apply(np.outer(x[k], y[k].conj()))
+                      @ v[k])
+        assert abs(stacked[k] - ref) <= 1e-12 * max(1.0, abs(ref))
+
 
 def test_lambda_flat_on_depolarizing(rng):
     gen = toy_model()
@@ -368,6 +406,30 @@ def test_pair_form_reproduces_lambda_on_the_span(rng):
                 <= 1e-12
 
 
+def test_pair_forms_on_a_stack_match_each_pair(rng):
+    for gen in _form_models():
+        pairs = [_pair_coordinates(projector(random_pure(gen.dim, rng)),
+                                   projector(random_pure(gen.dim, rng)))
+                 for _ in range(4)]
+        U, W = (np.array([p[k] for p in pairs]) for k in (0, 1))
+        stacked = _pair_form(gen, U, W)
+        assert stacked.shape == (4, 4, 4)
+        for Q, (u, w, _, _) in zip(stacked, pairs):
+            assert np.array_equal(Q, _pair_form(gen, u, w))
+            # against the form built from Phi's images of the matrix units
+            X = np.stack([u, w], axis=1)
+            C = np.array([X.conj().T @ gen._phi.apply(
+                np.outer(X[:, a], X[:, b].conj())) @ X
+                for a in range(2) for b in range(2)]).reshape(2, 2, 2, 2)
+            T = np.einsum("vab,mji,abij->mv", _PAULI, _PAULI, C).real
+            g = 0.25 * np.einsum("mji,ij->m", _PAULI,
+                                 X.conj().T @ gen._G @ X).real
+            ref = -0.125 * (T + T.T)
+            ref[0] += g
+            ref[:, 0] += g
+            assert np.abs(Q - ref).max() <= 1e-12
+
+
 def test_band_minimum_is_below_the_grid_and_fine_sampling(rng):
     lo, hi = np.arctan(_BAND_RATIOS)
     points = [(t, phi) for t in np.linspace(lo, hi, 49)
@@ -473,6 +535,89 @@ def test_sieve_flags_agree_with_the_grid(gen, n_starts):
             for j, f in enumerate(projs) if j != i)
         for i, e in enumerate(projs))
     assert report.quasi_classical_flags == grid_flags
+
+
+_SIEVE_RUNS = [
+    (pointer_model([0.0, 1.0, 2.5, 3.7, 5.2]), 8),
+    (grw_model(np.linspace(-3, 3, 16), 1.0, 1.0), 8),
+    (qbm_model(16, 0.5), 4),
+]
+_SIEVE_IDS = ["pointer", "grw", "qbm"]
+
+
+@pytest.mark.parametrize("gen, n_starts", _SIEVE_RUNS + [
+    (davies_model(12, 1.0), 4)], ids=_SIEVE_IDS + ["davies12"])
+def test_each_start_descends_as_it_would_alone(gen, n_starts):
+    # minimize_lambda's promise that its result does not depend on the
+    # order of execution: every start's minimiser, value and exit are those
+    # of the start descending alone, bit for bit, and lambda and its
+    # gradient give each row of a stack the bits that row gets alone
+    report = minimize_lambda(gen, n_starts=n_starts, seed=0)
+    starts = np.array([
+        random_pure_state(gen.dim, np.random.default_rng(ss))
+        for ss in np.random.SeedSequence(0).spawn(n_starts)])
+    alone = [_descend(gen, psi0, 1e-8, 2000) for psi0 in starts]
+    assert report.histogram == tuple(val for _, val, ok, _ in alone if ok)
+    assert report.stop_reasons == {
+        reason: sum(r == reason for *_, r in alone) for reason in STOP_REASONS}
+    for psi, val in zip(report.minimizers, report.minimizer_lambdas):
+        assert any(np.array_equal(psi, a[0]) and val == a[1] for a in alone)
+
+    ends = np.array([a[0] for a in alone])
+    for stack in (starts, ends):
+        vals, grads = _lambda_and_grad(gen, stack)
+        for k, psi in enumerate(stack):
+            for single in (psi, psi[None]):
+                val, grad = _lambda_and_grad(gen, single)
+                assert vals[k] == val
+                assert np.array_equal(grads[k], grad.reshape(-1))
+
+
+@pytest.mark.parametrize("gen, n_starts", _SIEVE_RUNS + [
+    (davies_model(40, 1.0), 3), (davies_model(12, 1.0), 6)],
+    ids=_SIEVE_IDS + ["davies40", "davies12"])
+def test_sieve_flags_are_the_per_pair_verdicts(gen, n_starts):
+    # the one pass over all pairs flags what a loop over the pairs would;
+    # on Davies N=12 three pairs of coherent states fail and the rest pass
+    report = minimize_lambda(gen, n_starts=n_starts, seed=0)
+    ms = report.minimizers
+    threshold = report.a0 + report.epsilon
+    flags = [len(ms) >= 2 and not report.flat_landscape] * len(ms)
+    verdicts = []
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            verdicts.append(_excludes(gen, ms[i], ms[j], threshold))
+            if not verdicts[-1]:
+                flags[i] = flags[j] = False
+    assert report.quasi_classical_flags == tuple(flags)
+    i, j = np.triu_indices(len(ms), 1)
+    stacked = _excludes(gen, np.array(ms)[i], np.array(ms)[j], threshold)
+    assert stacked.tolist() == verdicts
+
+
+def test_band_minimum_on_a_stack_matches_each_pair(rng):
+    pairs = [(pointer_model([0.0, 1.0, 2.5]), basis_state(3, 0),
+              basis_state(3, 1))]                     # the degenerate pair
+    gen = davies_model(40, 1.0)
+    ms = minimize_lambda(gen, n_starts=3, seed=0).minimizers
+    pairs += [(gen, ms[i], ms[j])                      # nearby coherent states
+              for i in range(len(ms)) for j in range(i + 1, len(ms))]
+    for model in _form_models():
+        pairs += [(model, random_pure(model.dim, rng),
+                   random_pure(model.dim, rng)) for _ in range(3)]
+    Qs, cs, ss, single = [], [], [], []
+    for gen, u, v in pairs:
+        c = np.vdot(u, v)
+        w = v - c * u
+        s = np.linalg.norm(w)
+        Qs.append(_pair_form(gen, u, w / s))
+        cs.append(c)
+        ss.append(s)
+        single.append(_band_minimum(Qs[-1], c, s))
+    stacked = _band_minimum(np.array(Qs), np.array(cs), np.array(ss))
+    assert stacked.shape == (len(pairs),)
+    assert np.all(np.abs(stacked - single)
+                  <= 1e-12 * np.maximum(1.0, np.abs(single)))
 
 
 # ---------------------------------------------------------------------------
