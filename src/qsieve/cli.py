@@ -58,6 +58,7 @@ from .operators import (
     HERMITICITY_TOL,
     DegenerateInputError,
     ValidationError,
+    _linear_entropy,
     hs_norm,
     is_hermitian,
     linear_entropy,
@@ -497,7 +498,9 @@ def _cmd_evolve(gen: LindbladGenerator, config: dict):
                 prev_dt = dt
             current = validate_density_matrix(applier(current))
         prev_t = t
-        rows.append((t, linear_entropy(current),
+        # a state after a step is validated already, the initial one not
+        entropy = _linear_entropy if dt > 0 else linear_entropy
+        rows.append((t, entropy(current),
                      0.5 * trace_norm(current - steady)))
     return {"columns": ["t", "S_lin", "dist"], "rows": rows}
 

@@ -378,7 +378,9 @@ def verify_split_properties(split: SpectralSplit,
 
     # (c) completeness: the block-basis singular values at the rounding
     # floor, one per direction iso and sweep share; none if either is empty
-    sv = np.concatenate([_svdvals(B).ravel() for B in split.block_bases]) \
+    sv = np.concatenate([
+        part.ravel() for W, basis in zip(split.block_bases, split.hermitian)
+        for part in _svdvals_on(W, basis)]) \
         if split.iso_dim and split.sweep_dim else np.ones(1)
     res["c_completeness"] = float(np.count_nonzero(
         sv <= n * np.finfo(float).eps * sv.max()))
@@ -455,24 +457,35 @@ def _blockwise_residuals(split: SpectralSplit, t: float) -> tuple:
 
 def _norm_on(E: np.ndarray, X: np.ndarray, basis) -> float:
     """The largest singular value of E X over the slices of two stacks of a
-    group of blocks.  On a block of basis (the group's _hermitian_basis)
-    where U^H X is real, as it is for the columns spectral_split finds, it
-    is that of the real U^H E U U^H X: dgesdd, not zgesdd.  Every other
-    block takes E X as it is; other orthonormal columns of the same span
-    make U^H X complex."""
+    group of blocks (see _svdvals_on)."""
     if X.shape[-1] == 1:
         return np.abs(E * X).max()
-    tops, general = [], np.ones(len(X), dtype=bool)
+    return max(sv[:, 0].max() for sv in _svdvals_on(X, basis, E))
+
+
+def _svdvals_on(X: np.ndarray, basis, E: np.ndarray | None = None) -> list:
+    """The singular values of E X, or of X with no E, for each slice of the
+    stacks of a group of blocks: one (blocks, columns) array per route, in
+    no particular block order.  On a block of basis (the group's
+    _hermitian_basis) where U^H X is real, as it is for the columns
+    spectral_split finds, they are those of the real U^H E U U^H X: dgesdd,
+    not zgesdd.  Every other block takes E X as it is; other orthonormal
+    columns of the same span make U^H X complex."""
+    parts, general = [], np.ones(len(X), dtype=bool)
     if basis is not None:
         UX = _rotate(X[basis.blocks], basis, adjoint=True)
         real = ~UX.imag.any(axis=(1, 2))
         if real.any():
-            tops.append(_svdvals(_stacked_gemm(
-                _to_real(E, basis)[real], UX.real[real]))[:, 0])
+            Y = UX.real[real]
+            if E is not None:
+                Y = _stacked_gemm(_to_real(E, basis)[real], Y)
+            parts.append(_svdvals(Y))
             general[basis.blocks[real]] = False
     if general.any():
-        tops.append(_svdvals(_stacked_gemm(E[general], X[general]))[:, 0])
-    return max(top.max() for top in tops)
+        Y = X[general]
+        parts.append(_svdvals(Y if E is None
+                              else _stacked_gemm(E[general], Y)))
+    return parts
 
 
 def _transpose_rows(groups: tuple, d: int) -> list:

@@ -808,7 +808,7 @@ def choi_matrix(P: np.ndarray) -> np.ndarray:
 
 
 #: EisReport's bounds on -(least Choi eigenvalue), |L*(I)| and the growth
-#: rates of the two norms
+#: rates of the two norms, below its rounding scale (see EisReport)
 CHOI_TOL = 1e-8
 TRACE_TOL = 1e-10
 CONTRACTION_TOL = 1e-9
@@ -819,28 +819,37 @@ class EisReport:
     """Evidence that exp(tL) is an environment-induced semigroup: the rates
     at t = 0+ of the least Choi eigenvalue, the trace error and the growth
     of the trace and the operator norm of exp(tL), whose signs decide these
-    properties for every t >= 0 (see eis_check)."""
+    properties for every t >= 0 (see eis_check).
+
+    The figures scale with the rates of L, and so does their rounding:
+    each verdict allows the larger of its absolute tolerance and
+    rounding_scale, d^2 eps ||M||_F for the superoperator M of L, so that
+    no verdict depends on the unit of time."""
 
     min_choi_eigenvalue: float
     max_trace_deviation: float
     max_trace_norm_growth: float
     max_operator_norm_growth: float
+    rounding_scale: float
+
+    def _bound(self, tol: float) -> float:
+        return max(tol, self.rounding_scale)
 
     @property
     def completely_positive(self) -> bool:
-        return self.min_choi_eigenvalue >= -CHOI_TOL
+        return self.min_choi_eigenvalue >= -self._bound(CHOI_TOL)
 
     @property
     def trace_preserving(self) -> bool:
-        return self.max_trace_deviation <= TRACE_TOL
+        return self.max_trace_deviation <= self._bound(TRACE_TOL)
 
     @property
     def trace_norm_contractive(self) -> bool:
-        return self.max_trace_norm_growth <= CONTRACTION_TOL
+        return self.max_trace_norm_growth <= self._bound(CONTRACTION_TOL)
 
     @property
     def operator_norm_contractive(self) -> bool:
-        return self.max_operator_norm_growth <= CONTRACTION_TOL
+        return self.max_operator_norm_growth <= self._bound(CONTRACTION_TOL)
 
     @property
     def passed(self) -> bool:
@@ -871,7 +880,8 @@ def eis_check(gen: LindbladGenerator) -> EisReport:
       T_t*(I) and L*(I).  So these two decide contraction for a CP L.
     """
     d = gen.dim
-    C = choi_matrix(build_superoperator(gen))
+    M = build_superoperator(gen)
+    C = choi_matrix(M)
     D = np.arange(d) * (d + 1)  # the entries of vec(I)
     s = 1.0 / math.sqrt(d)
     w = np.full(d, s)  # h = I - w w^T / (1 + s) on D, with w^T w = 2 + 2s
@@ -886,4 +896,5 @@ def eis_check(gen: LindbladGenerator) -> EisReport:
             apply_generator(gen, np.eye(d))))
     return EisReport(
         float(choi[0]) if d > 1 else 0.0,  # d = 1: L = 0, no complement
-        float(np.abs(trace).max()), float(trace[-1]), float(unital[-1]))
+        float(np.abs(trace).max()), float(trace[-1]), float(unital[-1]),
+        d * d * np.finfo(float).eps * float(scipy.linalg.norm(M.ravel())))

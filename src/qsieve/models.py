@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .liouville import LindbladGenerator
-from .operators import ValidationError, _gemm, _matmul, normalize_state
+from .operators import ValidationError, _matmul, normalize_state
 
 __all__ = [
     "DiscQuadrature",
@@ -43,11 +43,16 @@ def coherent_moment(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DiscQuadrature:
-    """Nodes and weights for the SU(1,1)-invariant measure on the unit disc.
+    """Product rule for the SU(1,1)-invariant measure on the unit disc:
+    nodes zeta = r_i e^{i theta_t} with weights a_i / n_theta, from the
+    radii r_i, their radial weights a_i and the angles theta_t.
 
-    The measure dmu = (1/pi) dA / (1 - |zeta|^2)^2 is infinite; the weights
-    carry the singular factor, so sums are finite exactly when the integrand
-    decays like (1 - |zeta|^2)^2, which every trace polynomial in e_zeta does.
+    The measure dmu = (1/pi) dA / (1 - |zeta|^2)^2 is infinite; the radial
+    weights carry the singular factor, so sums are finite exactly when the
+    integrand decays like (1 - |zeta|^2)^2, which every trace polynomial in
+    e_zeta does.  The flat nodes and weights, n_r n_theta of each, are
+    formed from the factors once; the Gram matrix of the rule's coherent
+    states is read off the factors alone (see gram).
 
     The arrays are read-only copies and instances compare and hash by
     identity: a rule is shared by every model built on it, so the figures
@@ -56,18 +61,37 @@ class DiscQuadrature:
     instance and kept on it.
     """
 
-    nodes: np.ndarray        # complex, |zeta_j| < 1
-    weights: np.ndarray      # positive
+    radii: np.ndarray            # r_i, 0 <= r_i < 1
+    radial_weights: np.ndarray   # a_i, with the 1/(1 - r_i^2)^2 folded in
+    angles: np.ndarray           # theta_t, each of weight 1/n_theta
     r_max: float
-    n_r: int
-    n_theta: int
+    nodes: np.ndarray = field(init=False)    # complex, row-major (i, t)
+    weights: np.ndarray = field(init=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for name, dtype in (("nodes", complex), ("weights", float)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+        for name in ("radii", "radial_weights", "angles"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.ndim != 1 or not arr.size:
+                raise ValidationError(f"{name} must be a non-empty 1-D array")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if self.radial_weights.size != self.n_r:
+            raise ValidationError("radii and radial_weights differ in length")
+        nodes = (self.radii[:, None]
+                 * np.exp(1j * self.angles)[None, :]).ravel()
+        weights = np.repeat(self.radial_weights / self.n_theta, self.n_theta)
+        for name, arr in (("nodes", nodes), ("weights", weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n_r(self) -> int:
+        return self.radii.size
+
+    @property
+    def n_theta(self) -> int:
+        return self.angles.size
 
     def integrate(self, values: np.ndarray) -> float:
         # ddot, numpy's dot, on scipy's BLAS: OpenBLAS threads a dot
@@ -91,7 +115,11 @@ class DiscQuadrature:
     def gram(self, N: int) -> np.ndarray:
         """G = sum_j w_j |zeta_j><zeta_j| over the N-level coherent states
         (1-|zeta|^2) sum_n sqrt(n+1) zeta^n |n>, so that the quadrature sum
-        sum_j w_j |<zeta_j|psi>|^2 is psi^dag G psi. Read-only, kept per N."""
+        sum_j w_j |<zeta_j|psi>|^2 is psi^dag G psi.  On the product rule
+        it factors as G[m, n] = sqrt((m+1)(n+1)) R[m+n] A[m-n], with the
+        radial sums R[s] = sum_i a_i (1-r_i^2)^2 r_i^s and the angular sums
+        A[k] = sum_t e^{ik theta_t} / n_theta: O(N (n_r + n_theta)) work,
+        no N x n_r n_theta array.  Read-only, kept per N."""
         key = ("gram", N)
         if key not in self._memo:
             G = _coherent_gram(self, N)
@@ -111,17 +139,16 @@ class DiscQuadrature:
 
 
 def _coherent_gram(quad: DiscQuadrature, N: int) -> np.ndarray:
-    # V[n, j] = (1 - |zeta_j|^2) sqrt(n+1) zeta_j^n, built in place: the
-    # only other N x nodes array is V^dag, taken before V is weighted
-    z = quad.nodes
-    V = np.empty((N, z.size), dtype=complex)
-    V[0] = 1 - np.abs(z) ** 2
-    for n in range(1, N):
-        np.multiply(V[n - 1], z, out=V[n])
-    V *= np.sqrt(np.arange(1.0, N + 1.0))[:, None]
-    Vh = V.conj().T
-    V *= quad.weights
-    return _gemm(V, Vh)
+    # A[-k] = conj A[k] makes G exactly Hermitian; an angle count below
+    # 2N - 1 aliases A as the node sum does
+    r, n = quad.radii, np.arange(N)
+    R = _matmul(quad.radial_weights * (1 - r ** 2) ** 2,
+                r[:, None] ** np.arange(2 * N - 1))
+    A = np.exp(1j * n[:, None] * quad.angles).mean(axis=1)
+    A = np.concatenate([A[:0:-1].conj(), A])  # A[k] at k + N - 1
+    root = np.sqrt(n + 1.0)
+    return (np.outer(root, root) * R[n[:, None] + n]
+            * A[n[:, None] - n + N - 1])
 
 
 def disc_quadrature(r_max: float = 1.0 - 1e-9, n_r: int = 64,
@@ -148,9 +175,7 @@ def _disc_quadrature(r_max: float, n_r: int, n_theta: int) -> DiscQuadrature:
     u = 0.5 * u_max * (x + 1.0)
     wu = 0.5 * u_max * w / (1.0 - u) ** 2
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    nodes = (np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    weights = np.repeat(wu / n_theta, n_theta)
-    return DiscQuadrature(nodes, weights, r_max, n_r, n_theta)
+    return DiscQuadrature(np.sqrt(u), wu, theta, r_max)
 
 
 def su11_min_cutoff(zeta: complex, tail_tol: float = 1e-10) -> int:
@@ -355,7 +380,9 @@ def davies_model(N: int, kappa: float, energies=None,
 
     Construction validates the disc-quadrature moments and the process
     compatibility relation tr[J(D, e_psi)] = kappa, decided for every pure
-    state at once from the spectrum of the quadrature's Gram matrix.
+    state at once from the spectrum of the quadrature's Gram matrix, which
+    the product rule gives from its radial and angular sums (see
+    DiscQuadrature.gram) with no matrix of the nodes' coherent states.
     """
     if kappa <= 0:
         raise ValidationError("kappa must be positive")

@@ -102,7 +102,12 @@ def validate_density_matrix(rho, eig_floor: float = DENSITY_EIG_FLOOR,
 
 def linear_entropy(rho) -> float:
     """tr(rho - rho^2); zero exactly on pure states, 1 - 1/d on I/d."""
-    rho = validate_density_matrix(rho)
+    return _linear_entropy(validate_density_matrix(rho))
+
+
+def _linear_entropy(rho: np.ndarray) -> float:
+    """linear_entropy of a density matrix validate_density_matrix
+    returned."""
     return float((rho.trace() - _matmul(rho, rho).trace()).real)
 
 

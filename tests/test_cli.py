@@ -15,6 +15,7 @@ import pytest
 import qsieve
 import qsieve.cli as cli
 import qsieve.liouville as liouville
+import qsieve.operators as operators
 from qsieve import davies_model
 from qsieve.cli import MODEL_SCHEMAS, ConfigError, main, parse_config
 from qsieve.operators import random_pure_state
@@ -481,6 +482,32 @@ def test_run_assembles_the_superoperator_once(tmp_path, monkeypatch,
     code, _ = run_cli(tmp_path, payload)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_evolve_validates_each_state_once(tmp_path, monkeypatch):
+    # S_lin is read off the state its step validated: linear_entropy once
+    # validated it again, one more eigh per step.  The initial state, which
+    # no step validated, is validated for its row
+    calls = []
+    real = operators.validate_density_matrix
+
+    def counting(rho, *args, **kwargs):
+        calls.append(1)
+        return real(rho, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "validate_density_matrix", counting)
+    monkeypatch.setattr(cli, "validate_density_matrix", counting)
+    code, out = run_cli(tmp_path, {
+        "command": "evolve", "times": [0.0, 0.5, 1.5, 2.0],
+        "output_format": "json",
+        "model": {"type": "pointer", "energies": [0.0, 1.0, 2.5]}})
+    assert code == 0
+    assert len(calls) == 4
+    rows = json.loads((out / "evolve.json").read_text(
+        encoding="utf-8"))["result"]["rows"]
+    assert [row[0] for row in rows] == [0.0, 0.5, 1.5, 2.0]
+    assert rows[0][1] == pytest.approx(0.0, abs=1e-12)
+    assert all(0.0 <= row[1] <= 1.0 - 1.0 / 3 + 1e-12 for row in rows)
 
 
 def test_run_decompose_json(tmp_path):

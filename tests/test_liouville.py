@@ -515,7 +515,9 @@ def loop_eis_check(gen, n_samples: int = 10, times=(0.1, 1.0, 5.0),
             max_tn_growth = max(max_tn_growth, trace_norm(out) - trace_norm(A))
             max_on_growth = max(max_on_growth,
                                 operator_norm(out) - operator_norm(A))
-    return EisReport(min_choi, max_trace_dev, max_tn_growth, max_on_growth)
+    # the sampled figures keep the absolute tolerances alone
+    return EisReport(min_choi, max_trace_dev, max_tn_growth, max_on_growth,
+                     0.0)
 
 
 def _transpose_semigroup(d: int) -> LindbladGenerator:
@@ -570,6 +572,40 @@ def test_eis_check_rejects_a_map_that_is_not_completely_positive(gen):
     assert not report.completely_positive
     assert report.trace_preserving
     assert not report.passed
+
+
+def _time_scaled(gen: LindbladGenerator, c: float) -> LindbladGenerator:
+    """The generator c L: the same semigroup in a c times shorter unit of
+    time."""
+    if gen.cp_superop is not None:
+        return LindbladGenerator(gen.dim, c * gen.hamiltonian,
+                                 cp_superop=c * gen.cp_superop)
+    return LindbladGenerator(gen.dim, c * gen.hamiltonian, jump_ops=tuple(
+        np.sqrt(c) * V for V in gen.jump_ops))
+
+
+def test_eis_verdicts_do_not_depend_on_the_unit_of_time():
+    # QBM N=12 is CP by construction, but at D = 1e8 its least Choi
+    # eigenvalue rounds to -2.6e-7, below the absolute CHOI_TOL; the figures
+    # are compared with the rounding scale d^2 eps ||M||_F (6.6e-4) as well
+    gen = qbm_model(12, 1e8)
+    report = eis_check(gen)
+    assert report.min_choi_eigenvalue < -liouville.CHOI_TOL
+    M = build_superoperator(gen)
+    assert report.rounding_scale == pytest.approx(
+        144 * np.finfo(float).eps * np.linalg.norm(M), rel=1e-12)
+    assert report.completely_positive and report.passed
+    # the same semigroups in a unit of time 1e8 times shorter keep their
+    # verdicts; the transpose semigroup is CP in no unit
+    for gen in (qbm_model(12, 0.5), pointer_model([0.0, 1.0, 2.5]),
+                unstructured_model(), _transpose_semigroup(3)):
+        expected = eis_check(gen).as_dict()
+        for c in (1e4, 1e8):
+            report = eis_check(_time_scaled(gen, c))
+            for name in _VERDICTS:
+                assert getattr(report, name) == expected[name], (name, c)
+    assert not eis_check(_time_scaled(_transpose_semigroup(3), 1e8)) \
+        .completely_positive
 
 
 def test_eis_check_choi_figure_is_the_least_eigenvalue_off_vec_identity():

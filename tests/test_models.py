@@ -166,14 +166,34 @@ def test_disc_quadrature_is_shared_and_read_only():
     other = disc_quadrature(n_theta=90)
     assert other is not quad and other.n_theta == 90
     assert len({quad, other, disc_quadrature()}) == 2  # hashed by identity
-    for arr in (quad.nodes, quad.weights, quad.gram(6)):
+    for arr in (quad.radii, quad.radial_weights, quad.angles, quad.nodes,
+                quad.weights, quad.gram(6)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     # a rule built by hand keeps its own copies
-    nodes = np.array([0.5 + 0.0j])
-    hand = models.DiscQuadrature(nodes, np.array([1.0]), 0.5, 1, 1)
-    nodes[0] = 0.0
+    radii = np.array([0.5])
+    hand = models.DiscQuadrature(radii, np.array([1.0]), np.array([0.0]), 0.5)
+    radii[0] = 0.0
+    assert hand.radii[0] == 0.5 and not hand.radii.flags.writeable
     assert hand.nodes[0] == 0.5 and not hand.nodes.flags.writeable
+    assert (hand.n_r, hand.n_theta) == (1, 1)
+
+
+def test_disc_quadrature_nodes_and_weights_come_from_the_factors():
+    # zeta = r_i e^{i theta_t} and w = a_i / n_theta, row-major in (i, t)
+    quad = disc_quadrature(n_r=5, n_theta=7)
+    assert quad.nodes.shape == quad.weights.shape == (35,)
+    zeta = quad.nodes.reshape(5, 7)
+    assert np.allclose(np.abs(zeta), quad.radii[:, None], rtol=1e-15)
+    assert np.allclose(np.angle(zeta[1]) % (2 * np.pi), quad.angles,
+                       atol=1e-14)
+    assert np.array_equal(quad.weights.reshape(5, 7),
+                          np.repeat(quad.radial_weights[:, None] / 7, 7, 1))
+    for radii, radial_weights, angles in (([0.1, 0.2], [1.0], [0.0]),
+                                          ([[0.1]], [1.0], [0.0]),
+                                          ([0.1], [1.0], [])):
+        with pytest.raises(ValidationError):
+            models.DiscQuadrature(radii, radial_weights, angles, 0.5)
 
 
 def test_davies_builds_compute_the_gram_matrix_once(monkeypatch):
@@ -199,21 +219,57 @@ def test_davies_builds_compute_the_gram_matrix_once(monkeypatch):
     assert len(spectra) == 2
 
 
-@pytest.mark.parametrize("N", [6, 24, 40, 60])
-def test_compatibility_gram_form_matches_the_node_sum(N):
+def _negated(quad):
+    return models.DiscQuadrature(quad.radii, -quad.radial_weights,
+                                 quad.angles, quad.r_max)
+
+
+#: product rules on which the factored Gram matrix must be the node sum
+_RULES = {
+    "default": disc_quadrature,
+    "four_angles": lambda: disc_quadrature(n_theta=4),
+    "three_radii": lambda: disc_quadrature(n_r=3),
+    "negated": lambda: _negated(disc_quadrature()),
+    "one_node": lambda: models.DiscQuadrature([0.1], [1.0], [0.0], 0.1),
+}
+_GRAM_CASES = [("default", N) for N in (6, 24, 40, 60)] + [
+    ("four_angles", 10), ("three_radii", 24), ("negated", 24),
+    ("one_node", 10)]
+
+
+@pytest.mark.parametrize(
+    "rule, N", _GRAM_CASES,
+    ids=[str(N) if rule == "default" else f"{rule}-{N}"
+         for rule, N in _GRAM_CASES])
+def test_compatibility_gram_form_matches_the_node_sum(rule, N):
     # the worst relative error over every unit psi of psi^dag G psi = 1 is
     # max |eig(G) - 1|; no sampled state exceeds it
-    quad = disc_quadrature()
+    quad = _RULES[rule]()
     G, reference = quad.gram(N), loop_gram(quad, N)
     assert np.abs(G - reference).max() <= 1e-12
+    assert np.array_equal(G, G.conj().T)
     worst = np.abs(np.linalg.eigvalsh(reference) - 1.0).max()
     assert quad.compatibility_error(N) == pytest.approx(worst, abs=1e-12)
-    assert quad.compatibility_error(N) <= 1e-6
+    if rule == "default":
+        assert quad.compatibility_error(N) <= 1e-6
     rng = np.random.default_rng(0)
     for _ in range(10):
         psi = random_pure(N, rng)
         assert abs(np.vdot(psi, reference @ psi).real - 1.0) \
             <= quad.compatibility_error(N) + 1e-12
+
+
+def test_davies_build_forms_no_coherent_state_matrix():
+    # the node-by-node Gram matrix took two N x 11,520 complex arrays, a
+    # 15.3 MB peak at N=40
+    models._disc_quadrature.cache_clear()
+    tracemalloc.start()
+    try:
+        davies_model(40, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_disc_quadrature_moments():
@@ -352,16 +408,16 @@ def test_davies_consistency_validation_runs():
     # a sick quadrature must be rejected
     from qsieve import DiscQuadrature
 
-    bad = DiscQuadrature(nodes=np.array([0.1 + 0.0j]),
-                         weights=np.array([1.0]),
-                         r_max=0.1, n_r=1, n_theta=1)
+    bad = DiscQuadrature(radii=np.array([0.1]),
+                         radial_weights=np.array([1.0]),
+                         angles=np.array([0.0]), r_max=0.1)
     for _ in range(2):
         with pytest.raises(ValidationError, match="coherent-moment"):
             davies_model(10, 1.0, quadrature=bad)
     # weights of either sign enter the check as they are
     quad = disc_quadrature()
-    flipped = DiscQuadrature(quad.nodes, -quad.weights, quad.r_max,
-                             quad.n_r, quad.n_theta)
+    flipped = _negated(quad)
+    assert np.array_equal(flipped.weights, -quad.weights)
     with pytest.raises(ValidationError, match="compatibility"):
         davies_model(6, 1.0, quadrature=flipped, moment_tol=10.0)
     # four angles integrate the moments exactly but not the compatibility
@@ -369,6 +425,8 @@ def test_davies_consistency_validation_runs():
     # also after the default rule passed at the same N
     few = disc_quadrature(n_theta=4)
     assert max(few.moment_errors().values()) <= 1e-12
+    # the angular modes k = +-4, +-8 alias onto k = 0: G is not diagonal
+    assert np.abs(np.triu(few.gram(10), 1)).max() > 0.1
     davies_model(10, 1.0)
     for _ in range(2):
         with pytest.raises(ValidationError, match="compatibility") as exc:
