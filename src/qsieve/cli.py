@@ -445,9 +445,9 @@ def _header(config: dict) -> dict:
     }
 
 
-#: amplitudes the lambda command draws and scores at once: 'random:<count>'
-#: states go in chunks of _CHUNK_AMPLITUDES // dim, so that memory stays
-#: bounded whatever the count
+#: amplitudes the lambda command draws, scores and writes at once:
+#: 'random:<count>' states go in chunks of _CHUNK_AMPLITUDES // dim, so that
+#: the chunk bounds the command's memory whatever the count
 _CHUNK_AMPLITUDES = 2 ** 14
 
 
@@ -485,7 +485,7 @@ def _cmd_evolve(gen: LindbladGenerator, config: dict):
     times = config["times"]
     steady = steady_state(gen, rho, t_ref=max(times[-1], 1.0))
 
-    rows = []
+    entropies, dists = [], []
     current = rho
     prev_t = 0.0
     applier = None
@@ -500,22 +500,32 @@ def _cmd_evolve(gen: LindbladGenerator, config: dict):
         prev_t = t
         # a state after a step is validated already, the initial one not
         entropy = _linear_entropy if dt > 0 else linear_entropy
-        rows.append((t, entropy(current),
-                     0.5 * trace_norm(current - steady)))
-    return {"columns": ["t", "S_lin", "dist"], "rows": rows}
+        entropies.append(entropy(current))
+        dists.append(0.5 * trace_norm(current - steady))
+    return {"columns": ["t", "S_lin", "dist"],
+            "chunks": [(times, entropies, dists)]}
 
 
 def _cmd_lambda(gen: LindbladGenerator, config: dict):
     spec = config["states"]
     if isinstance(spec, str):
         count = int(spec.partition(":")[2])
-        lams = []
-        for chunk in _random_state_chunks(gen.dim, count, config["seed"]):
-            lams.extend(lambda_pure(gen, chunk).tolist())
+        stacks = _random_state_chunks(gen.dim, count, config["seed"])
     else:
-        lams = lambda_pure(gen, _config_states(spec, gen.dim)).tolist()
+        # checked here, before run_config opens the output file
+        stacks = [_config_states(spec, gen.dim)]
     return {"columns": ["state_index", "lambda"],
-            "rows": list(enumerate(lams))}
+            "chunks": _lambda_chunks(gen, stacks)}
+
+
+def _lambda_chunks(gen: LindbladGenerator, stacks):
+    """The (state_index, lambda) columns of each stack of states, scored
+    only when the table's writer asks for them."""
+    start = 0
+    for psi in stacks:
+        lams = lambda_pure(gen, psi).tolist()
+        yield range(start, start + len(lams)), lams
+        start += len(lams)
 
 
 def _cmd_sieve(gen: LindbladGenerator, config: dict):
@@ -566,12 +576,14 @@ def _cmd_classify(gen: LindbladGenerator, config: dict):
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, pieces) -> None:
+    """Write the strings of pieces, in order, to a temporary file beside
+    path, which replaces path only once the last piece is written."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qsieve-")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(data)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -579,22 +591,36 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _render_csv(header: dict, table: dict) -> str:
-    lines = ["# " + json.dumps(header, sort_keys=True,
-                               default=_json_default)]
-    lines.append(",".join(table["columns"]))
-    # one C-level format per row, built once per tuple of cell types: %.17g
-    # for a float (the conversion format(x, ".17g") makes), %s otherwise
-    formats = {}
-    for row in table["rows"]:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(
-                "%.17g" if issubclass(t, float) else "%s" for t in types)
-        lines.append(fmt % row)
-    return "\n".join(lines) + "\n"
+def _render_csv(header: dict, table: dict):
+    """The CSV text of a table, its header lines and then one string per
+    chunk of rows.  A table is {"columns": names, "chunks": iterable}, each
+    chunk a tuple of equal-length columns of cells."""
+    yield "# " + json.dumps(header, sort_keys=True,
+                            default=_json_default) + "\n"
+    yield ",".join(table["columns"]) + "\n"
+    for columns in table["chunks"]:
+        yield _render_chunk(columns)
+
+
+def _render_chunk(columns) -> str:
+    """The CSV lines of one chunk through one C-level %-format over its
+    interleaved cells: %.17g (the conversion format(x, ".17g") makes) for a
+    column of floats; a column of any other cells takes %s, with its float
+    cells formatted by %.17g first."""
+    k, m = len(columns), len(columns[0])
+    cells = [None] * (k * m)
+    specs = []
+    for j, column in enumerate(columns):
+        floats = [issubclass(t, float) for t in set(map(type, column))]
+        if all(floats):
+            specs.append("%.17g")
+        else:
+            specs.append("%s")
+            if any(floats):
+                column = ["%.17g" % x if isinstance(x, float) else x
+                          for x in column]
+        cells[j::k] = column
+    return ((",".join(specs) + "\n") * m) % tuple(cells)
 
 
 def _json_default(obj):
@@ -630,8 +656,9 @@ def run_config(config: dict, out_dir: str) -> str:
     else:
         if "columns" in body:  # tables requested as json
             body = {"columns": body["columns"],
-                    "rows": [list(r) for r in body["rows"]]}
-        _atomic_write(path, _render_json(header, body))
+                    "rows": [list(row) for columns in body["chunks"]
+                             for row in zip(*columns)]}
+        _atomic_write(path, [_render_json(header, body)])
     return path
 
 

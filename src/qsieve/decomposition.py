@@ -41,11 +41,12 @@ from .operators import (
     DimensionMismatchError,
     ValidationError,
     _eigh,
+    _join_states,
     _matmul,
     _svdvals,
     hs_norm,
-    join_projectors,
     projector,
+    state_from_projector,
 )
 
 __all__ = [
@@ -410,10 +411,11 @@ def verify_split_properties(split: SpectralSplit,
     res["e_sweep_decay"] = decay if split.sweep_dim else None
     res["i_product_closure"] = closure  # (i), on the products of (d)
 
-    # (ii) join closure for rank-1 projectors found among iso elements
-    projs = _rank1_projectors_in(iso)
-    joins = [join_projectors(projs[a], projs[b])
-             for a in range(len(projs)) for b in range(a + 1, len(projs))]
+    # (ii) join closure for rank-1 projectors found among iso elements, each
+    # projector's vector recovered once
+    states = [state_from_projector(e) for e in _rank1_projectors_in(iso)]
+    joins = [_join_states(states[a], states[b])
+             for a in range(len(states)) for b in range(a + 1, len(states))]
     res["ii_join_closure"] = swept_norm(_vec_columns(np.array(joins))) \
         if joins else None
     return SplitVerification(res)

@@ -196,8 +196,13 @@ def fidelity(psi, phi) -> float:
 
 def join_projectors(e, f, tol: float = 1e-10) -> np.ndarray:
     """Orthogonal projector onto span(range e, range f) for rank-1 e != f."""
-    u = state_from_projector(e)
-    v = state_from_projector(f)
+    return _join_states(state_from_projector(e), state_from_projector(f), tol)
+
+
+def _join_states(u: np.ndarray, v: np.ndarray,
+                 tol: float = 1e-10) -> np.ndarray:
+    """Orthogonal projector onto span(u, v) for the unit vectors of two
+    distinct rank-1 projectors, as state_from_projector recovers them."""
     if fidelity(u, v) > 1.0 - tol:
         raise DegenerateInputError(
             "e and f coincide; the join of a projector with itself is itself")

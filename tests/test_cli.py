@@ -307,13 +307,55 @@ def test_lambda_command_peaks_below_the_per_state_path():
         finally:
             tracemalloc.stop()
 
+    def streamed():
+        return [row for columns in cli._cmd_lambda(gen, config)["chunks"]
+                for row in zip(*columns)]
+
     ref, ref_peak = traced_peak(per_state)
-    rows, peak = traced_peak(lambda: cli._cmd_lambda(gen, config)["rows"])
+    rows, peak = traced_peak(streamed)
     assert peak <= ref_peak
     assert [i for i, _ in rows] == list(range(4000))
     lams, ref_lams = np.array(rows)[:, 1], np.array(ref)[:, 1]
     assert np.all(np.abs(lams - ref_lams)
                   <= 1e-12 * np.maximum(1.0, np.abs(ref_lams)))
+
+
+def test_lambda_command_memory_does_not_grow_with_the_count(tmp_path):
+    # the table is drawn, scored and written one chunk at a time; a table
+    # held whole grew the peak with the count (4.4 MB at 20,000 toy states,
+    # 44 MB at 200,000)
+    def peak(count):
+        config = parse_config(json.dumps(
+            {"command": "lambda", "seed": 3, "model": {"type": "toy"},
+             "states": f"random:{count}"}))
+        tracemalloc.start()
+        try:
+            cli.run_config(config, str(tmp_path / str(count)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(200_000)
+    assert large <= small + 2 ** 20, (small, large)
+    lines = (tmp_path / "200000" / "lambda.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert len(lines) == 2 + 200_000
+    assert lines[-1].startswith("199999,")
+
+
+def test_lambda_states_are_validated_before_the_output_is_opened(
+        tmp_path, monkeypatch):
+    config = parse_config(json.dumps(
+        {"command": "lambda", "model": {"type": "toy"},
+         "states": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]}))
+    opened = []
+    monkeypatch.setattr(cli, "_atomic_write",
+                        lambda path, pieces: opened.append(path))
+    with pytest.raises(ConfigError) as exc:
+        cli.run_config(config, str(tmp_path))
+    assert exc.value.path == "states[1]"
+    assert opened == []
+
 
 def test_davies_quadratures_in_one_process_are_checked_each(tmp_path,
                                                             capsys):
@@ -384,11 +426,22 @@ def _per_cell_csv(header: dict, table: dict) -> str:
     lines = ["# " + json.dumps(header, sort_keys=True,
                                default=cli._json_default)]
     lines.append(",".join(table["columns"]))
-    for row in table["rows"]:
+    for row in _rows(table):
         lines.append(",".join(format(float(x), ".17g")
                               if isinstance(x, float) else str(x)
                               for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _rows(table: dict) -> list:
+    return [row for columns in table["chunks"] for row in zip(*columns)]
+
+
+def _chunked(columns: list, rows: list, size: int) -> dict:
+    """A table of rows, in chunks of columns of at most size rows."""
+    return {"columns": columns,
+            "chunks": [tuple(zip(*rows[i:i + size]))
+                       for i in range(0, len(rows), size)]}
 
 
 def test_csv_rows_are_the_bytes_of_the_per_cell_formatter():
@@ -399,24 +452,31 @@ def test_csv_rows_are_the_bytes_of_the_per_cell_formatter():
             np.float64(5e-324)]
     tables = [
         # lambda: an integer index and a float
-        {"columns": ["state_index", "lambda"],
-         "rows": list(enumerate(edge))},
+        (["state_index", "lambda"], list(enumerate(edge))),
         # evolve: times that are integers in some rows and floats in others
-        {"columns": ["t", "S_lin", "dist"],
-         "rows": [(k, x, -x) if k % 2 else (0.5 * k, x, np.float64(x))
-                  for k, x in enumerate(edge)]},
+        (["t", "S_lin", "dist"],
+         [(k, x, -x) if k % 2 else (0.5 * k, x, np.float64(x))
+          for k, x in enumerate(edge)]),
         # cells of other types, and rows given as lists
-        {"columns": ["a", "b", "c"],
-         "rows": [[np.int64(-7), True, "x"], [np.float32(0.1), None, 2 ** 70],
-                  [1.5, np.int32(4), -0.0]]},
+        (["a", "b", "c"],
+         [[np.int64(-7), True, "x"], [np.float32(0.1), None, 2 ** 70],
+          [1.5, np.int32(4), -0.0]]),
     ]
-    for table in tables:
-        assert cli._render_csv(header, table) == _per_cell_csv(header, table)
+    # every chunking, so that a column is all floats in some chunks and
+    # mixed in others
+    for columns, rows in tables:
+        for size in range(1, len(rows) + 1):
+            table = _chunked(columns, rows, size)
+            assert "".join(cli._render_csv(header, table)) \
+                == _per_cell_csv(header, table)
     rng = np.random.default_rng(0)
     rows = list(enumerate(rng.standard_normal(500)
                           * 10.0 ** rng.integers(-300, 300, 500)))
-    table = {"columns": ["state_index", "lambda"], "rows": rows}
-    assert cli._render_csv(header, table) == _per_cell_csv(header, table)
+    table = _chunked(["state_index", "lambda"], rows, 409)
+    assert "".join(cli._render_csv(header, table)) \
+        == _per_cell_csv(header, table)
+    assert "".join(cli._render_csv(header, _chunked(["x"], [], 1))) \
+        == _per_cell_csv(header, _chunked(["x"], [], 1))
 
 
 @pytest.mark.parametrize("payload", [
@@ -427,15 +487,100 @@ def test_csv_rows_are_the_bytes_of_the_per_cell_formatter():
 ], ids=["lambda", "evolve"])
 def test_run_csv_is_the_bytes_of_the_per_cell_formatter(tmp_path, payload,
                                                          monkeypatch):
+    # the tables passed to _render_csv, each with its chunks as they stream
     rendered = []
     render = cli._render_csv
-    monkeypatch.setattr(cli, "_render_csv", lambda header, table: (
-        rendered.append((header, table)) or render(header, table)))
+
+    def recording(header, table):
+        chunks = []
+        rendered.append((header, {"columns": table["columns"],
+                                  "chunks": chunks}))
+
+        def passing():
+            for columns in table["chunks"]:
+                chunks.append(columns)
+                yield columns
+
+        return render(header, {**table, "chunks": passing()})
+
+    monkeypatch.setattr(cli, "_render_csv", recording)
     code, out = run_cli(tmp_path, {**payload, "output_format": "csv"})
     assert code == 0
     (header, table), = rendered
     text = (out / f"{payload['command']}.csv").read_text(encoding="utf-8")
     assert text == _per_cell_csv(header, table)
+
+
+def _whole_lambda_table(payload) -> dict:
+    """The lambda table as it was built whole: every chunk's values in one
+    list, then one (index, lambda) tuple per row."""
+    config = parse_config(json.dumps(payload))
+    gen = cli.build_model(config)
+    spec = config["states"]
+    if isinstance(spec, str):
+        lams = []
+        for chunk in cli._random_state_chunks(
+                gen.dim, int(spec.partition(":")[2]), config["seed"]):
+            lams.extend(cli.lambda_pure(gen, chunk).tolist())
+    else:
+        lams = cli.lambda_pure(
+            gen, cli._config_states(spec, gen.dim)).tolist()
+    return {"columns": ["state_index", "lambda"],
+            "chunks": [tuple(zip(*enumerate(lams)))]}
+
+
+@pytest.mark.parametrize("payload", [
+    # 1000 states of d=40 stream as chunks of 409, 409 and 182
+    {"command": "lambda", "seed": 9, "states": "random:1000",
+     "model": {"type": "davies", "kappa": 1.0, "n_levels": 40}},
+    {"command": "lambda", "states": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                     [[0.5, 0.0], [0.0, -0.5], [1.0, 0.0]],
+                                     [[0.0, 0.0], [1e-3, 0.0], [0.0, 2.0]]],
+     "model": {"type": "pointer", "energies": [0.0, 1.0, 2.5]}},
+], ids=["davies40_three_chunks", "explicit_states"])
+def test_streamed_lambda_table_is_the_whole_table(tmp_path, payload):
+    table = _whole_lambda_table(payload)
+    header = cli._header(parse_config(json.dumps(payload)))
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    assert (out / "lambda.csv").read_text(encoding="utf-8") \
+        == _per_cell_csv(header, table)
+    payload = {**payload, "output_format": "json"}
+    header = cli._header(parse_config(json.dumps(payload)))
+    code, out = run_cli(tmp_path, payload)
+    assert code == 0
+    rows = [list(row) for row in _rows(table)]
+    assert (out / "lambda.json").read_text(encoding="utf-8") \
+        == cli._render_json(header, {"columns": table["columns"],
+                                     "rows": rows})
+
+
+def test_a_failure_mid_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the second chunk's lambda fails after the first chunk is written
+    calls = []
+    real = cli.lambda_pure
+
+    def failing(gen, psi):
+        calls.append(len(psi))
+        if len(calls) == 2:
+            raise FloatingPointError("second chunk")
+        return real(gen, psi)
+
+    monkeypatch.setattr(cli, "lambda_pure", failing)
+    payload = {"command": "lambda", "model": {"type": "toy"},
+               "states": "random:20000"}
+    out = tmp_path / "direct"
+    with pytest.raises(FloatingPointError):
+        cli.run_config(parse_config(json.dumps(payload)), str(out))
+    assert calls == [cli._CHUNK_AMPLITUDES // 2] * 2
+    assert os.listdir(out) == []
+
+    calls.clear()
+    code, out = run_cli(tmp_path, payload)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] \
+        == "FloatingPointError"
+    assert os.listdir(out) == []
 
 
 def test_run_sieve_json(tmp_path):

@@ -46,6 +46,7 @@ from qsieve import (
 
 import qsieve.decomposition as decomposition
 import qsieve.liouville as liouville
+import qsieve.operators as operators
 from qsieve.cli import _cmd_classify, _cmd_decompose
 from qsieve.decomposition import _fixed_point_candidates, _fixed_point_kernel
 from qsieve.liouville import (
@@ -440,6 +441,33 @@ def test_the_blocks_of_a_superoperator_are_searched_once(monkeypatch):
     propagator(gen, 0.3)
     propagator(gen, 2.0)
     assert len(calls) == 1
+
+
+def test_join_closure_recovers_each_projector_once(monkeypatch):
+    # the joins of k rank-1 projectors need their k vectors; recovering
+    # both vectors of every pair took k (k - 1) eigh calls, 30 on GRW 6
+    split = spectral_split(build_superoperator(
+        grw_model(np.linspace(-3.0, 3.0, 6), 1.0, 1.0)))
+    calls = []
+    real = operators.state_from_projector
+
+    def counting(e, *args, **kwargs):
+        calls.append(1)
+        return real(e, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "state_from_projector", counting)
+    monkeypatch.setattr(decomposition, "state_from_projector", counting,
+                        raising=False)
+    join = verify_split_properties(split).residuals["ii_join_closure"]
+    assert len(calls) == 6
+    monkeypatch.undo()
+
+    # the bits of joining the pairs' projectors one pair at a time
+    projs = decomposition._rank1_projectors_in(split.iso_basis)
+    X = decomposition._vec_columns(np.array(
+        [join_projectors(projs[a], projs[b])
+         for a in range(6) for b in range(a + 1, 6)]))
+    assert join == float(np.linalg.norm(X - split.project(X), axis=0).max())
 
 
 def test_verification_and_classical_states_gather_no_block_of_m(
