@@ -40,11 +40,11 @@ from .liouville import (
     CONTRACTION_TOL,
     TRACE_TOL,
     LindbladGenerator,
+    _steady_state_after,
     apply_generator,
     build_superoperator,
     channel_applier,
     eis_check,
-    steady_state,
 )
 from .models import (
     davies_model,
@@ -483,17 +483,20 @@ def _cmd_evolve(gen: LindbladGenerator, config: dict):
         psi = normalize_state(_to_complex(amps))
         rho = np.outer(psi, psi.conj())
     times = config["times"]
-    steady = steady_state(gen, rho, t_ref=max(times[-1], 1.0))
+    # the limit is read off the exponential of the first positive step
+    prev_dt = next((t - prev for prev, t in zip([0.0, *times], times)
+                    if t - prev > 0), None)
+    applier = None if prev_dt is None else channel_applier(gen, prev_dt)
+    steady = _steady_state_after(gen, rho, applier,
+                                 t_ref=max(times[-1], 1.0))
 
     entropies, dists = [], []
     current = rho
     prev_t = 0.0
-    applier = None
-    prev_dt = None
     for t in times:
         dt = t - prev_t
         if dt > 0:
-            if applier is None or dt != prev_dt:
+            if dt != prev_dt:
                 applier = channel_applier(gen, dt)
                 prev_dt = dt
             current = validate_density_matrix(applier(current))

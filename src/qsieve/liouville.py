@@ -26,6 +26,10 @@ given in four ways:
                    lambda never touch a d^2 x d^2 array, and mat(Phi) is
                    scattered from its O(d^3) allowed entries
 
+The semigroup exp(tL) is held in the diagonal blocks of M (_Semigroup):
+channel_applier and steady_state act one block at a time, and only
+propagator scatters the blocks into a d^2 x d^2 matrix.
+
 A purely Hamiltonian generator is a jump list with no operators.  The
 environment-induced-semigroup check (eis_check) decides each property of
 exp(tL) for every t >= 0 from L alone: complete positivity from the Choi
@@ -58,7 +62,6 @@ from .operators import (
     DimensionMismatchError,
     ValidationError,
     _gemm,
-    _gemv,
     _matmul,
     _matvecs,
     _real,
@@ -101,8 +104,22 @@ def _frozen_array(a, dtype=complex) -> np.ndarray:
     return a
 
 
-# Each form of Phi offers apply (Phi), apply_adjoint (Phi*) and matrix
-# (mat Phi) on general operators.  The sieve only ever feeds Phi rank-1
+def _kron_rows(A: np.ndarray, B: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows of d x d blocks of np.kron(A, B), bit for bit, as the
+    (a, i, b, j) array A[a, b] B[i, j]: the entries [a d + i, b d + j]."""
+    return A[rows, None, :, None] * B[None, :, None, :]
+
+
+def _block_rows(d: int) -> list:
+    """Slices of the d rows of d x d blocks of a d^2 x d^2 matrix, each of
+    at most 2^14 entries (one row from d = 26 on)."""
+    step = max(1, 2 ** 14 // d ** 3)
+    return [slice(a, a + step) for a in range(0, d, step)]
+
+
+# Each form of Phi offers apply (Phi), apply_adjoint (Phi*), matrix
+# (mat Phi) and fill (mat Phi written into a superoperator M, in place) on
+# general operators.  The sieve only ever feeds Phi rank-1
 # operators, so each form also answers its three questions about them:
 # rank1_expectation (<psi|Phi(e)|psi> with e = |psi><psi|, for lambda),
 # rank1_sym_action ((Phi + Phi*)(e) psi, for its gradient) and rank1_element
@@ -185,6 +202,23 @@ class _JumpList:
                 M.imag += antisymmetric
         return M
 
+    def fill(self, M: np.ndarray) -> None:
+        """matrix() written into M, which holds zeros, a few rows of d x d
+        blocks of each kron at a time (_block_rows): its bits, with no
+        d^2 x d^2 temporary."""
+        M4 = M.reshape((self.dim,) * 4)
+        re, im = M4.real, M4.imag
+        for V in self.ops:
+            Vr, Vi = V.real, V.imag
+            imaginary = Vi.any()
+            for a in _block_rows(self.dim):
+                re[a] += _kron_rows(Vr, Vr, a)
+                if imaginary:
+                    re[a] += _kron_rows(Vi, Vi, a)
+                    antisymmetric = _kron_rows(Vr, Vi, a)
+                    antisymmetric -= _kron_rows(Vi, Vr, a)
+                    im[a] += antisymmetric
+
 
 class _HadamardKernel:
     """Phi(X) = C * X entrywise."""
@@ -217,6 +251,9 @@ class _HadamardKernel:
 
     def matrix(self) -> np.ndarray:
         return np.diag(vec(self.C))
+
+    def fill(self, M: np.ndarray) -> None:
+        np.einsum("ii->i", M)[:] = vec(self.C)
 
 
 class _ExplicitCP:
@@ -266,6 +303,9 @@ class _ExplicitCP:
 
     def matrix(self) -> np.ndarray:
         return self.S
+
+    def fill(self, M: np.ndarray) -> None:
+        M[:] = self.S
 
 
 class _CoherentMeasure:
@@ -350,15 +390,23 @@ class _CoherentMeasure:
                 + np.vecdot(u * v.conj(), _matvecs(self.plan.T, x * y.conj())))
 
     def matrix(self) -> np.ndarray:
-        """Dense mat(Phi), real: the allowed entries of T scattered into
-        place, plus the compensator on the population block."""
+        """Dense mat(Phi), real."""
+        S = np.zeros((self.dim ** 2, self.dim ** 2))
+        self._scatter(S)
+        return S
+
+    def fill(self, M: np.ndarray) -> None:
+        self._scatter(M.real)
+
+    def _scatter(self, S: np.ndarray) -> None:
+        """The allowed entries of T scattered into place in the real S,
+        which holds zeros, plus the compensator on the population block."""
         N = self.dim
         m, n, p = np.indices((N, N, N)).reshape(3, -1)
         q = n + p - m
         keep = (q >= 0) & (q < N)
         m, n, p, q = m[keep], n[keep], p[keep], q[keep]
         s = m + q
-        S = np.zeros((N * N, N * N))
         # vec is column stacked: entry (m, n) sits at index n*N + m, so the
         # slot for output (m, n) from input (p, q) is [nN+m, qN+p]
         S[n * N + m, q * N + p] = self.kappa * (
@@ -366,7 +414,6 @@ class _CoherentMeasure:
             * 2.0 / ((s + 1) * (s + 2) * (s + 3)))
         diag_idx = np.arange(N) * (N + 1)
         S[np.ix_(diag_idx, diag_idx)] += self.plan.T
-        return S
 
 
 @dataclass(frozen=True)
@@ -475,15 +522,25 @@ def apply_generator_adjoint(gen: LindbladGenerator, A) -> np.ndarray:
 
 def build_superoperator(gen: LindbladGenerator) -> np.ndarray:
     """Dense d^2 x d^2 matrix M with M vec(rho) = vec(L(rho)), built on first
-    use and kept, read-only, on the generator; it owns its data (np.kron
-    returns a view), so _block_structure keeps the structure found for it."""
+    use and kept, read-only, on the generator; it owns its data, so
+    _block_structure keeps the structure found for it.
+
+    Built in place: the form of Phi writes mat(Phi) into M, and
+    I (x) K + conj(K) (x) I is added a few rows of d x d blocks at a time
+    through M's (d, d, d, d) view, so no d^2 x d^2 temporary is made.  The
+    bits are those of (kron(I, K) + kron(conj K, I)) + mat(Phi), sign bits
+    of zeros included: the two products are numpy's, and their sum is
+    formed before it meets mat(Phi)."""
     if gen._M is None:
         d, I, K = gen.dim, np.eye(gen.dim), gen._K
-        M = np.empty((d * d, d * d), dtype=complex)
-        np.multiply(I[:, None, :, None], K[None, :, None, :],
-                    out=M.reshape(d, d, d, d))
-        M += np.kron(K.conj(), I)
-        M += gen._phi.matrix()
+        Kc = K.conj()
+        M = np.zeros((d * d, d * d), dtype=complex)
+        gen._phi.fill(M)
+        M4 = M.reshape(d, d, d, d)
+        for a in _block_rows(d):
+            terms = _kron_rows(I, K, a)
+            terms += _kron_rows(Kc, I, a)
+            M4[a] += terms
         M.setflags(write=False)
         object.__setattr__(gen, "_M", M)
     return gen._M
@@ -530,8 +587,27 @@ def superoperator_blocks(M: np.ndarray) -> tuple:
 
 def _stack(M: np.ndarray, group: np.ndarray) -> np.ndarray:
     """The diagonal blocks of M indexed by the rows of group, as one
-    (m, s, s) stack."""
-    return M[group[:, :, None], group[:, None, :]]
+    (m, s, s) stack; the one block (s, s) of a single row."""
+    return M[group[..., :, None], group[..., None, :]]
+
+
+class _Blocks:
+    """The diagonal blocks of M indexed by the rows of group, gathered from
+    M only when indexed, as _stack(M, group)[i] is, so that a loop over
+    them holds one at a time."""
+
+    def __init__(self, M: np.ndarray, group: np.ndarray):
+        self.M, self.group = M, group
+        self.shape = group.shape + group.shape[-1:]
+
+    def __len__(self) -> int:
+        return len(self.group)
+
+    def __getitem__(self, key) -> np.ndarray:
+        """_stack(M, group)[key] for key = i, or (i, rows) with i an int."""
+        i, rows = key if isinstance(key, tuple) else (key, slice(None))
+        g = self.group[i]
+        return self.M[g[..., rows, None], g[..., None, :]]
 
 
 def _transpose_map(group: np.ndarray, d: int) -> np.ndarray:
@@ -555,15 +631,12 @@ class _HermitianBasis:
     other blocks of the group are general.
     """
 
-    def __init__(self, S: np.ndarray, group: np.ndarray, d: int):
+    def __init__(self, S, group: np.ndarray, d: int):
         m, s = group.shape
         to = _transpose_map(group, d)
         perm = to % s  # where each entry goes in its image block
         own = np.flatnonzero((to // s == np.arange(m)[:, None]).all(axis=1))
-        p = perm[own]
-        mirrored = S[own[:, None, None], p[:, :, None], p[:, None, :]]
-        mirrored.imag *= -1
-        real = own[(mirrored == S[own]).all(axis=(1, 2))]
+        real = [b for b in own if _self_conjugate(S[b], perm[b])]
         self.general = np.ones(m, dtype=bool)
         self.general[real] = False
         # grouped by involution; per involution the rows of its blocks in
@@ -582,6 +655,13 @@ class _HermitianBasis:
             start += len(blocks)
 
 
+def _self_conjugate(B: np.ndarray, p: np.ndarray) -> bool:
+    """Is B[p i, p j] = conj(B[i, j]) exactly, entry for entry?"""
+    mirrored = B[p[:, None], p[None, :]]
+    mirrored.imag *= -1
+    return bool((mirrored == B).all())
+
+
 def _hermitian_basis(M: np.ndarray,
                      group: np.ndarray) -> _HermitianBasis | None:
     """The blocks of a group that are factorised in real arithmetic, or None
@@ -593,7 +673,7 @@ def _hermitian_basis(M: np.ndarray,
     s = group.shape[1]
     if not _threaded(s, s, s):
         return None
-    basis = _HermitianBasis(_stack(M, group), group, math.isqrt(len(M)))
+    basis = _HermitianBasis(_Blocks(M, group), group, math.isqrt(len(M)))
     return basis if basis.blocks.size else None
 
 
@@ -628,65 +708,114 @@ def _block_structure(M: np.ndarray) -> tuple:
 # into the real matrix U^H B U (a Hermiticity preserving map is real in a
 # Hermitian basis; M. M. Wolf, Quantum Channels & Operations, 2012).
 
+def _chunks(n: int, width: int) -> list:
+    """Slices of range(n), the rows of an array of width entries per row,
+    of at most 2^12 entries each (one row at least)."""
+    step = max(1, 2 ** 12 // max(width, 1))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _rotate_rows(X: np.ndarray, F, P, Q, out: np.ndarray,
+                 adjoint: bool) -> None:
+    """U X, or U^H X, of the rows (axis -2) of X, written into out, for one
+    involution (F, P, Q).  U X has the rows X_f at F and (X_c +- i X_e)/sqrt2
+    at P and Q, where X_f, X_c and X_e are the rows of the elements F, C and
+    E; U^H takes them back.  U^H X may be written over X: the rows it reads
+    are copied first."""
+    r = math.sqrt(0.5)
+    split = [len(F), len(F) + len(P)]
+    if adjoint:
+        # copies, so that out may be X
+        XP, XQ, XF = X[..., P, :], X[..., Q, :], X[..., F, :]
+        f, c, e = np.split(out, split, axis=-2)
+        f[...] = XF
+        np.add(XP, XQ, out=c)
+        c *= r
+        np.subtract(XP, XQ, out=e)
+        e *= -1j * r
+    else:
+        # r (c +- i e), a few pairs at a time
+        f, c, e = np.split(X, split, axis=-2)
+        out[..., F, :] = f
+        for k in _chunks(len(P), X[..., :1, :].size):
+            for rows, combine in ((P[k], np.add), (Q[k], np.subtract)):
+                Z = np.multiply(1j, e[..., k, :])
+                combine(c[..., k, :], Z, out=Z)
+                out[..., rows, :] = np.multiply(r, Z, out=Z)
+
+
 def _rotate(X: np.ndarray, basis: _HermitianBasis,
             adjoint: bool = False) -> np.ndarray:
     """U X, or U^H X, of each slice of an (m, s, c) stack X of the blocks
-    basis.blocks, in that order.  U X has the rows X_f at F and (X_c +- i
-    X_e)/sqrt2 at P and Q, where X_f, X_c and X_e are the rows of the
-    elements F, C and E; U^H takes them back."""
+    basis.blocks, in that order (see _rotate_rows)."""
     Z = np.empty(X.shape, dtype=complex)
-    r = math.sqrt(0.5)
     for rows, F, P, Q in basis.frames:
-        Xw, Zw = X[rows], Z[rows]
-        if adjoint:
-            f, c, e = np.split(Zw, [len(F), len(F) + len(P)], axis=1)
-            XP, XQ = Xw[:, P], Xw[:, Q]
-            f[:] = Xw[:, F]
-            np.add(XP, XQ, out=c)
-            c *= r
-            np.subtract(XP, XQ, out=e)
-            e *= -1j * r
-        else:
-            f, c, e = np.split(Xw, [len(F), len(F) + len(P)], axis=1)
-            Zw[:, F] = f
-            Zw[:, P] = r * (c + 1j * e)
-            Zw[:, Q] = r * (c - 1j * e)
+        _rotate_rows(X[rows], F, P, Q, Z[rows], adjoint)
     return Z
 
 
-def _to_real(S: np.ndarray, basis: _HermitianBasis) -> np.ndarray:
-    """U^H B U = (U^H (U^H B)^H)^H, real, of the blocks B of the group's
-    stack S that basis holds, in the order basis.blocks."""
-    R = _rotate(S[basis.blocks], basis, adjoint=True)
-    R = _rotate(np.conjugate(R, out=R).swapaxes(1, 2), basis, adjoint=True)
-    return np.ascontiguousarray(R.real.swapaxes(1, 2))
+def _frame_blocks(basis: _HermitianBasis):
+    """(j, F, P, Q) for the j-th block of basis.blocks and its involution."""
+    for rows, F, P, Q in basis.frames:
+        for j in range(rows.start, rows.stop):
+            yield j, F, P, Q
 
 
-def _from_real(X: np.ndarray, basis: _HermitianBasis,
-               both: bool = True) -> np.ndarray:
+def _real_block(S, b: int, F, P, Q, scale: float | None = None
+                ) -> np.ndarray:
+    """U^H B U = (U^H (U^H B)^H)^H, real, of the block B = S[b] of a stack
+    of blocks of M or of a _Blocks, times scale if one is given.  A few
+    rows of U^H B at a time, each from its own rows of B (the rows f of F,
+    and c, e of the pairs (P, Q)), conjugated and turned by the outer U^H:
+    the bits of the two rotations of the whole block, with no complex copy
+    of it."""
+    s, nF, nP = S.shape[-1], len(F), len(P)
+    R = np.empty((s, s))
+    pieces = [(F[k], P[:0], Q[:0], np.arange(nF)[k])
+              for k in _chunks(nF, s)]
+    pieces += [(F[:0], P[k], Q[k], np.r_[nF + np.arange(nP)[k],
+                                          nF + nP + np.arange(nP)[k]])
+               for k in _chunks(nP, s)]
+    for f, p, q, at in pieces:
+        X = S[b, np.concatenate([f, p, q])]
+        i = np.arange(len(X))
+        _rotate_rows(X, i[:len(f)], i[len(f):len(f) + len(p)],
+                     i[len(f) + len(p):], X, adjoint=True)
+        Z = np.empty((s, len(X)), dtype=complex)
+        _rotate_rows(np.conjugate(X, out=X).T, F, P, Q, Z, adjoint=True)
+        R[at] = Z.real.T
+        if scale is not None:
+            R[at] *= scale
+    return R
+
+
+def _to_real(S, basis: _HermitianBasis) -> np.ndarray:
+    """U^H B U, real, of the blocks B of the group's stack S (or _Blocks)
+    that basis holds, in the order basis.blocks (see _real_block)."""
+    R = np.empty((len(basis.blocks),) + S.shape[1:])
+    for (j, F, P, Q), b in zip(_frame_blocks(basis), basis.blocks):
+        R[j] = _real_block(S, b, F, P, Q)
+    return R
+
+
+def _from_real(X: np.ndarray, basis: _HermitianBasis, both: bool = True,
+               out: np.ndarray | None = None) -> np.ndarray:
     """U X U^H = (U (U X)^H)^H (or U X alone) of each real slice of a stack
     in the Hermitian bases of the blocks basis.blocks: back in the basis of
-    M."""
-    Z = _rotate(X, basis)
-    if both:
-        Z = _rotate(np.conjugate(Z, out=Z).swapaxes(1, 2), basis)
-        Z = np.conjugate(Z, out=Z).swapaxes(1, 2)
+    M.  Block by block, the outer U on a few rows at a time; slice j goes to
+    out[basis.blocks[j]] of a stack out of the group's blocks if one is
+    given, else to slice j of a new stack."""
+    Z = np.empty(X.shape, dtype=complex) if out is None else out
+    at = range(len(X)) if out is None else basis.blocks
+    for (j, F, P, Q), i in zip(_frame_blocks(basis), at):
+        _rotate_rows(X[j], F, P, Q, Z[i], adjoint=False)
+        if both:
+            for rows in _chunks(X.shape[-1], X.shape[-1]):
+                W = np.conjugate(Z[i, rows]).T
+                Y = np.empty(W.shape, dtype=complex)
+                _rotate_rows(W, F, P, Q, Y, adjoint=False)
+                Z[i, rows] = np.conjugate(Y, out=Y).T
     return Z
-
-
-def _map_blocks(f, S: np.ndarray, basis: _HermitianBasis | None
-                ) -> np.ndarray:
-    """f of each block of the stack S of a group of blocks of M, for a stack
-    function f that commutes with unitary similarity, as exp(tM) does: on
-    the blocks of basis (the group's _hermitian_basis) in real arithmetic,
-    on the others as they are."""
-    if basis is None:
-        return f(S)
-    out = np.empty(S.shape, dtype=complex)
-    if basis.general.any():
-        out[basis.general] = f(S[basis.general])
-    out[basis.blocks] = _from_real(f(_to_real(S, basis)), basis)
-    return out
 
 
 def _stacked_gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -698,49 +827,202 @@ def _stacked_gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.stack([_gemm(a, b) for a, b in zip(A, B)])
 
 
-def _expm(A: np.ndarray) -> np.ndarray:
-    """exp of each slice of an (m, s, s) real or complex stack:
-    scipy.linalg.expm (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
-    (2009)) bit for bit, with the squarings it does on numpy's matmul done
-    on _gemm.
-    Triangular slices, which scipy squares by a path of its own, and stacks
-    of slices whose products OpenBLAS would not thread go to scipy whole.
+#: the Pade degree _expm reports for a slice that scipy.linalg.expm ran
+#: whole (a small stack, or a triangular slice)
+_SCIPY_RAN = 0
+
+
+def _expm(A, degrees: np.ndarray | None = None) -> np.ndarray:
+    """exp of each slice of an (m, s, s) real or complex stack, or of each
+    (s, s) slice an iterable yields: scipy.linalg.expm (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009)) bit for bit, with the
+    squarings it does on numpy's matmul done on _gemm.
+    Triangular slices, which scipy squares by a path of its own, and slices
+    whose products OpenBLAS would not thread go to scipy (a stack of them
+    whole).  Where an int array degrees is given, the degree of the Pade
+    approximant of each slice goes into it, _SCIPY_RAN for those scipy
+    ran.  Each approximant has a work space of its own, the slice it came
+    from is let go once it is in there, and the squarings wait for the last
+    approximant: so a stack of equal blocks, the other slices yielded one
+    at a time, holds at most one work space (five slices) and the
+    approximants made so far.
     """
-    s = A.shape[-1]
-    if not _threaded(s, s, s):
+    s = A.shape[-1] if isinstance(A, np.ndarray) else None
+    if s is not None and not _threaded(s, s, s):
+        if degrees is not None:
+            degrees[:] = _SCIPY_RAN
         return scipy.linalg.expm(A)
-    triangular = np.array([0 in scipy.linalg.bandwidth(a) for a in A], bool)
-    E = np.empty_like(A)
-    E[triangular] = scipy.linalg.expm(A[triangular])
-    work = np.empty((5, s, s), dtype=A.dtype)
-    for i in np.flatnonzero(~triangular):
-        work[0] = A[i]
-        degree, squarings = pick_pade_structure(work)
-        info = pade_UV_calc(work, degree) if degree >= 0 else degree
-        if info:
-            raise np.linalg.LinAlgError(
-                f"scipy's expm kernels failed (error code {info})")
-        E[i] = work[0]
-        for _ in range(squarings):
+    E, squarings = [], []
+    for a in A:  # not enumerate, whose reused tuple would keep a
+        i = len(E)
+        s = a.shape[-1]
+        if not _threaded(s, s, s) or 0 in scipy.linalg.bandwidth(a):
+            degree, count = _SCIPY_RAN, 0
+            E.append(scipy.linalg.expm(a))
+        else:
+            work = np.empty((5, s, s), dtype=a.dtype)
+            work[0] = a
+            del a
+            degree, count = pick_pade_structure(work)
+            info = pade_UV_calc(work, degree) if degree >= 0 else degree
+            if info:
+                raise np.linalg.LinAlgError(
+                    f"scipy's expm kernels failed (error code {info})")
+            E.append(work[0].copy())
+            del work
+        if degrees is not None:
+            degrees[i] = degree
+        squarings.append(count)
+    for i, count in enumerate(squarings):
+        for _ in range(count):
             E[i] = _gemm(E[i], E[i])
-    return E
+    return np.array(E)
+
+
+def _doubled(E: np.ndarray, degrees: np.ndarray, k: int, afresh) -> tuple:
+    """The exponentials at 2^k t of a stack E of _expm's at t, whose Pade
+    degrees are degrees, and their degrees.  A slice of degree 13 is
+    squared k times: _expm at 2^k t scales the same matrix (a power of 2
+    scales exactly) and picks the same degree with k more squarings, so
+    this is its result bit for bit.  The other slices are afresh(again,
+    degrees), _expm at 2^k t of the slices at the bool rows again, which
+    writes their degrees."""
+    out, out_degrees = np.empty_like(E), degrees.copy()
+    again = degrees != 13
+    for i in np.flatnonzero(~again):
+        X = E[i]
+        for _ in range(k):
+            X = _gemm(X, X)
+        out[i] = X
+    if again.any():
+        fresh = np.empty(np.count_nonzero(again), dtype=int)
+        out[again] = afresh(again, fresh)
+        out_degrees[again] = fresh
+    return out, out_degrees
+
+
+class _BlockExp:
+    """exp(tB) of each block B of one group (m, s) of diagonal blocks of M,
+    as propagator has always computed it: the blocks of the group's
+    _hermitian_basis as one real stack in that basis (real, in the order
+    basis.blocks), every other block as one complex stack (general, in the
+    order of the group), either None where it has no slices.  Each stack
+    comes with the Pade degree of each slice (see _expm), by which doubled
+    squares it."""
+
+    @staticmethod
+    def _general_rows(basis: _HermitianBasis | None, m: int) -> np.ndarray:
+        """The rows of the group that are not in basis."""
+        rows = np.arange(m)
+        return rows if basis is None else rows[basis.general]
+
+    def __init__(self, basis: _HermitianBasis | None, t: float, shape: tuple,
+                 general, general_degrees, real, real_degrees):
+        self.basis, self.t, self.shape = basis, t, shape
+        self.general, self.general_degrees = general, general_degrees
+        self.real, self.real_degrees = real, real_degrees
+
+    @classmethod
+    def of(cls, S, basis: _HermitianBasis | None, t: float) -> _BlockExp:
+        """exp(tB) of each block of the stack S of a group of blocks of M,
+        or of a _Blocks of them, whose _hermitian_basis is basis."""
+        def expm(A, m):
+            if not m:
+                return None, None
+            degrees = np.empty(m, dtype=int)
+            return _expm(A, degrees), degrees
+        rows = cls._general_rows(basis, len(S))
+        general = expm(t * S[rows], len(rows))
+        real = (None, None)
+        if basis is not None:
+            # one block at a time, each into scipy's work space as it comes
+            real = expm((_real_block(S, b, F, P, Q, t) for (_, F, P, Q), b
+                         in zip(_frame_blocks(basis), basis.blocks)),
+                        len(basis.blocks))
+        return cls(basis, t, S.shape, *general, *real)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The (m, s, s) complex stack of the exponentials, in the order of
+        the group, in the basis of M."""
+        if self.basis is None:
+            return self.general
+        out = np.empty(self.shape, dtype=complex)
+        if self.general is not None:
+            out[self.basis.general] = self.general
+        return _from_real(self.real, self.basis, out=out)
+
+    def doubled(self, k: int, S) -> _BlockExp:
+        """exp(2^k t B) of each block (see _doubled); S, the stack of the
+        blocks of M or a _Blocks of them, serves the slices exponentiated
+        afresh."""
+        tau = self.t * 2 ** k
+        general = real = (None, None)
+        if self.general is not None:
+            rows = self._general_rows(self.basis, len(S))
+            general = _doubled(
+                self.general, self.general_degrees, k,
+                lambda again, degrees: _expm(tau * S[rows[again]], degrees))
+        if self.real is not None:
+            real = _doubled(
+                self.real, self.real_degrees, k,
+                lambda again, degrees: _expm(
+                    tau * _to_real(S, self.basis)[again], degrees))
+        return _BlockExp(self.basis, tau, self.shape, *general, *real)
+
+
+class _Semigroup:
+    """T_t = exp(tL) held in the blocks of the superoperator M of L: one
+    _BlockExp per group of _block_structure(M).  It applies to vec columns
+    block by block, and as a map A -> T_t(A); no d^2 x d^2 array is formed
+    but the one dense() scatters for propagator."""
+
+    def __init__(self, M: np.ndarray, t: float, parts=None):
+        self.M, self.t = M, t
+        self.parts = parts if parts is not None else [
+            (group, _BlockExp.of(_Blocks(M, group), basis, t))
+            for group, basis in _block_structure(M)]
+
+    def dense(self) -> np.ndarray:
+        """The d^2 x d^2 matrix of T_t, zero between the blocks."""
+        E = np.zeros(self.M.shape, dtype=complex)
+        for group, exp in self.parts:
+            E[group[:, :, None], group[:, None, :]] = exp.stack
+        return E
+
+    def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """T_t x, or T_t^dag x, for a vec column x: each block's product,
+        the adjoint's with the block's conjugate transpose."""
+        out = np.empty(x.shape, dtype=complex)
+        for group, exp in self.parts:
+            E = exp.stack.conj().swapaxes(1, 2) if adjoint else exp.stack
+            out[group] = _stacked_gemm(E, x[group][..., None])[..., 0]
+        return out
+
+    def __call__(self, A) -> np.ndarray:
+        return unvec(self.apply(vec(A)))
+
+    def doubled(self, k: int) -> _Semigroup:
+        """T at 2^k t (see _BlockExp.doubled)."""
+        if k == 0:
+            return self
+        return _Semigroup(self.M, self.t * 2 ** k, [
+            (group, exp.doubled(k, _Blocks(self.M, group)))
+            for group, exp in self.parts])
 
 
 def propagator(gen: LindbladGenerator, t: float) -> np.ndarray:
-    """Superoperator matrix of T_t = exp(tL) (scaling-and-squaring Pade, one
-    stack of equal-size blocks of M at a time).  A block of more than 32
-    rows that X -> X^T carries onto its own conjugate is exponentiated in
-    real arithmetic in its Hermitian basis (see _hermitian_basis); every
-    other block as it is.  The blocks and their bases are found once per
-    generator (see _block_structure)."""
+    """Superoperator matrix of T_t = exp(tL), the dense d^2 x d^2 scatter of
+    the block-form semigroup: scaling-and-squaring Pade, one stack of
+    equal-size blocks of M at a time.  A block of more than 32 rows that
+    X -> X^T carries onto its own conjugate is exponentiated in real
+    arithmetic in its Hermitian basis (see _hermitian_basis); every other
+    block as it is.  The blocks and their bases are found once per
+    generator (see _block_structure).  Nothing in qsieve needs the dense
+    matrix; channel_applier and steady_state act in the blocks."""
     if t < 0:
         raise ValidationError("the semigroup is defined for t >= 0 only")
-    M = build_superoperator(gen)
-    E = np.zeros(M.shape, dtype=complex)
-    for group, basis in _block_structure(M):
-        E[group[:, :, None], group[:, None, :]] = _map_blocks(
-            lambda A: _expm(t * A), _stack(M, group), basis)
-    return E
+    return _Semigroup(build_superoperator(gen), t).dense()
 
 
 def _entrywise_kernel(gen: LindbladGenerator) -> np.ndarray | None:
@@ -756,7 +1038,8 @@ def channel_applier(gen: LindbladGenerator, t: float):
 
     A Hamiltonian-free Hadamard-kernel generator acts entrywise, so its
     semigroup is an entrywise exponential and no d^2 x d^2 matrix is needed;
-    every other form goes through the dense propagator.
+    every other form applies exp(tM) block by block, in the blocks of M
+    (the exponentials as propagator computes them, one product per block).
     """
     if t < 0:
         raise ValidationError("the semigroup is defined for t >= 0 only")
@@ -764,13 +1047,60 @@ def channel_applier(gen: LindbladGenerator, t: float):
     if C is not None:
         E = np.exp(t * C)
         return lambda A: E * np.asarray(A, dtype=complex)
-    P = propagator(gen, t)
-    return lambda A: unvec(_gemv(P, vec(A)))
+    return _Semigroup(build_superoperator(gen), t)
+
+
+#: steps of exp(tau L) the steady-state power iteration takes at most
+_POWER_STEPS = 10_000
+
+
+def _power_limit(T: _Semigroup, rho: np.ndarray) -> np.ndarray:
+    """lim T^n rho by power iteration, stopped at the first step that moves
+    the iterate by at most 1e-13; RuntimeError after _POWER_STEPS steps.
+
+    It runs in the blocks: a block of a _hermitian_basis in its real
+    coordinates, where U^H vec(rho) splits into a real and an imaginary
+    column, both real for a Hermitian rho, and every other block as it
+    is.  U is unitary, so the step is measured in either basis."""
+    x = vec(rho)
+    rows, bases, stacks, v = [], [], [], []  # one entry per stack
+    for group, exp in T.parts:
+        basis = exp.basis
+        if exp.general is not None:
+            rows.append(group[exp._general_rows(basis, len(group))])
+            bases.append(None)
+            stacks.append(exp.general)
+            v.append(x[rows[-1]][..., None])
+        if exp.real is not None:
+            rows.append(group[basis.blocks])
+            bases.append(basis)
+            stacks.append(exp.real)
+            v.append(_rotate(x[rows[-1]][..., None], basis,
+                             adjoint=True).view(float))
+    for _ in range(_POWER_STEPS):
+        nxt = [_stacked_gemm(E, w) for E, w in zip(stacks, v)]
+        step = math.hypot(*(np.linalg.norm(a - b) for a, b in zip(nxt, v)))
+        v = nxt
+        if step <= 1e-13:
+            break
+    else:
+        raise RuntimeError(
+            f"steady-state power iteration did not converge in "
+            f"{_POWER_STEPS} steps of exp(tau L), tau = {T.t:g}: the "
+            f"semigroup may have an oscillating peripheral part, or a "
+            f"spectral gap too small for {_POWER_STEPS} steps of tau")
+    out = np.empty(x.shape, dtype=complex)
+    for at, basis, w in zip(rows, bases, v):
+        if basis is not None:
+            w = _rotate(np.ascontiguousarray(w).view(complex), basis)
+        out[at] = w[..., 0]
+    return unvec(out)
 
 
 def steady_state(gen: LindbladGenerator, rho: np.ndarray,
                  t_ref: float) -> np.ndarray:
-    """Long-time limit of T_t rho by power iteration of a fixed-time channel.
+    """Long-time limit of T_t rho by power iteration of exp(t_ref L), held
+    in the blocks of M (see _power_limit).
 
     A Hamiltonian-free Hadamard-kernel semigroup converges entrywise to the
     mask of kernel zeros, so the limit is available in closed form there.
@@ -778,15 +1108,22 @@ def steady_state(gen: LindbladGenerator, rho: np.ndarray,
     C = _entrywise_kernel(gen)
     if C is not None:
         return rho * (C == 0.0)
-    P = propagator(gen, t_ref)
-    v = vec(rho)
-    for _ in range(10_000):
-        nxt = _gemv(P, v)
-        if np.linalg.norm(nxt - v) <= 1e-13:
-            return unvec(nxt)
-        v = nxt
-    raise RuntimeError("steady-state power iteration did not converge; "
-                       "the semigroup may have an oscillating peripheral part")
+    return _power_limit(_Semigroup(build_superoperator(gen), t_ref), rho)
+
+
+def _steady_state_after(gen: LindbladGenerator, rho: np.ndarray, step,
+                        t_ref: float) -> np.ndarray:
+    """steady_state(gen, rho, .) read off step, the channel_applier of a
+    run's first positive time step dt (None for a run with none): the power
+    iteration of exp(tau L) at tau = dt 2^k, the least such time >= t_ref,
+    whose blocks are mostly the step's squared k times (_Semigroup.doubled).
+    With no step, or an entrywise one, it is steady_state at t_ref."""
+    if not isinstance(step, _Semigroup):
+        return steady_state(gen, rho, t_ref)
+    k = 0
+    while step.t * 2 ** k < t_ref:
+        k += 1
+    return _power_limit(step.doubled(k), rho)
 
 
 def evolve(gen: LindbladGenerator, rho, t: float) -> np.ndarray:

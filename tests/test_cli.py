@@ -613,13 +613,13 @@ def test_run_assembles_the_superoperator_once(tmp_path, monkeypatch,
     # classify once built M in the command and again in classical_states;
     # evolve once rebuilt it for the steady state and for every new dt
     calls = []
-    real = liouville._JumpList.matrix
+    real = liouville._JumpList.fill
 
-    def counting(self):
+    def counting(self, M):
         calls.append(1)
-        return real(self)
+        return real(self, M)
 
-    monkeypatch.setattr(liouville._JumpList, "matrix", counting)
+    monkeypatch.setattr(liouville._JumpList, "fill", counting)
     payload = {"command": command,
                "model": {"type": "pointer", "energies": [0.0, 1.0, 2.5]}}
     if command == "evolve":

@@ -3,6 +3,8 @@ environment-induced-semigroup checks."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -36,10 +38,12 @@ from qsieve.liouville import (
     _stack,
     channel_applier,
     choi_matrix,
+    steady_state,
     superoperator_blocks,
     unvec,
     vec,
 )
+from qsieve.cli import _cmd_evolve
 from qsieve.operators import operator_norm, trace_norm
 
 from conftest import (
@@ -184,6 +188,52 @@ def test_superoperator_is_built_once_and_read_only():
     assert not M.flags.writeable
     with pytest.raises(ValueError):
         M[0, 0] = 1.0
+
+
+def _every_form() -> dict:
+    rng = np.random.default_rng(21)
+    d = 4
+    H = random_hermitian(d, rng)
+    C = random_hermitian(d, rng)
+    np.fill_diagonal(C, 0.0)
+    jumps = tuple(rng.standard_normal((d, d)) + 1j * rng.standard_normal(
+        (d, d)) for _ in range(2))
+    return {
+        "empty jump list": LindbladGenerator(d, H),
+        "real jump list": qbm_model(6, 0.5),
+        "complex jump list": LindbladGenerator(d, H, jump_ops=jumps),
+        "hadamard kernel with an H": LindbladGenerator(d, H, kernel=C),
+        "coherent measure": davies_model(12, 1.0),
+        "explicit map": LindbladGenerator(
+            d, H, cp_superop=build_superoperator(
+                LindbladGenerator(d, np.zeros((d, d)), jump_ops=jumps))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_every_form()))
+def test_superoperator_built_in_place_is_the_kron_sum_bit_for_bit(name):
+    # M was kron(I, K) + kron(conj K, I) + mat(Phi), with two d^2 x d^2
+    # temporaries; the in-place build keeps every bit, signed zeros too
+    gen = _every_form()[name]
+    d, K = gen.dim, gen._K
+    ref = np.kron(np.eye(d), K) + np.kron(K.conj(), np.eye(d))
+    ref = ref + gen._phi.matrix()
+    M = build_superoperator(gen)
+    assert np.array_equal(M, ref)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(M, part)),
+                              np.signbit(getattr(ref, part)))
+
+
+def test_superoperator_build_makes_no_second_superoperator():
+    gen = davies_model(24, 1.0)
+    tracemalloc.start()
+    try:
+        M = build_superoperator(gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * M.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +467,110 @@ def test_trace_preserved_under_evolution(rng):
         for t in (0.2, 1.0, 4.0):
             assert evolve(gen, rho, t).trace().real == pytest.approx(
                 1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the block-form semigroup
+
+def _large_blocks(M: np.ndarray) -> int:
+    """How many blocks of M _expm runs scipy's kernels on itself."""
+    return sum(len(group) for group, _ in _block_structure(M)
+               if operators._threaded(*group.shape[1:] * 3))
+
+
+def test_evolve_takes_one_exponential_per_block_and_no_propagator(
+        monkeypatch):
+    # exp(10 M) for the steady state was a second Pade approximant per
+    # block, and the step and the limit each held a dense 400 x 400
+    # propagator: the steady state is the step exponential squared
+    gen = qbm_model(20, 0.5)
+    M = build_superoperator(gen)
+    calls = []
+    real = liouville.pade_UV_calc
+
+    def counting(work, degree):
+        calls.append(degree)
+        return real(work, degree)
+
+    monkeypatch.setattr(liouville, "pade_UV_calc", counting)
+    config = {"state": "random", "seed": 113,
+              "times": [0.25 * k for k in range(41)]}
+    tracemalloc.start()
+    try:
+        _cmd_evolve(gen, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == _large_blocks(M) == 2
+    assert peak < M.nbytes
+
+
+def _limit_by_eigendecomposition(gen, rho) -> np.ndarray:
+    """P_0 rho: the projection onto the kernel of M along its range, from
+    the kernels of M and M^dag."""
+    M = build_superoperator(gen)
+    R = scipy.linalg.null_space(M, rcond=1e-10)
+    L = scipy.linalg.null_space(M.conj().T, rcond=1e-10)
+    x = R @ np.linalg.solve(L.conj().T @ R, L.conj().T @ vec(rho))
+    return unvec(x)
+
+
+def _limit_models() -> dict:
+    return {"qbm8": qbm_model(8, 0.5), "davies12": davies_model(12, 1.0),
+            "jumps5": random_jump_list(5, 5)}
+
+
+@pytest.mark.parametrize("name", sorted(_limit_models()))
+@pytest.mark.parametrize("first_step", [0.25, 1e-4])
+def test_the_limit_read_off_a_step_is_the_eigendecomposition_limit(
+        name, first_step, rng):
+    gen = _limit_models()[name]
+    rho = random_density(gen.dim, rng)
+    P0 = _limit_by_eigendecomposition(gen, rho)
+    step = channel_applier(gen, first_step)
+    assert np.abs(liouville._steady_state_after(gen, rho, step, 10.0)
+                  - P0).max() <= 1e-12
+    assert np.abs(steady_state(gen, rho, 10.0) - P0).max() <= 1e-12
+    # and so the dist column of an evolve run that starts with that step
+    psi = random_pure(gen.dim, rng)
+    rho = projector(psi)
+    P0 = _limit_by_eigendecomposition(gen, rho)
+    times = [0.0, first_step, 5.0, 10.0]
+    (_, _, dists), = _cmd_evolve(gen, {
+        "state": [[c.real, c.imag] for c in psi], "seed": 0,
+        "times": times})["chunks"]
+    for t, dist in zip(times, dists):
+        assert dist == pytest.approx(
+            0.5 * trace_norm(evolve(gen, rho, t) - P0), abs=1e-12)
+
+
+@pytest.mark.parametrize("n_levels", [16, 20])
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.25, 0.5])
+def test_squared_steps_are_the_scaled_exponentials_bit_for_bit(n_levels, dt):
+    # a Pade approximant of degree 13 squared k times is scipy's expm at
+    # 2^k dt: the same scaled matrix, the same degree, k more squarings
+    M = build_superoperator(qbm_model(n_levels, 0.5))
+    step = liouville._Semigroup(M, dt)
+    k = 5
+    doubled = step.doubled(k)
+    for (group, exp), (_, far) in zip(step.parts, doubled.parts):
+        S = _stack(M, group)
+        basis = exp.basis
+        assert (exp.real_degrees == 13).all()
+        assert np.array_equal(
+            far.real, _expm(dt * 2 ** k * liouville._to_real(S, basis)))
+
+
+def test_steady_state_names_both_causes_when_it_stops(rng):
+    # QBM N=8 at D = 0.001 has gap 4e-4 and no oscillating part: 10,000
+    # steps of exp(2L) do not reach a step of 1e-13
+    gen = qbm_model(8, 0.001)
+    with pytest.raises(RuntimeError) as failure:
+        steady_state(gen, random_density(8, rng), 2.0)
+    message = str(failure.value)
+    assert "10000 steps" in message and "tau = 2" in message
+    assert "oscillating peripheral part" in message
+    assert "spectral gap too small" in message
 
 
 def test_linear_entropy_nondecreasing(rng):
