@@ -12,19 +12,9 @@ Every generator has the GKS-Lindblad shape
 
 where the anticommutator operator G = Phi*(I) is the unique choice making L
 trace preserving.  Then L*(A) = K^dag A + A K + Phi*(A), and the
-superoperator is M = I (x) K + conj(K) (x) I + mat(Phi).  The map Phi can be
-given in four ways:
-
-* jump list        Phi(rho) = sum_k V_k rho V_k^dag
-* Hadamard kernel  Phi(rho)(x, y) = C(x, y) rho(x, y)  with C(x, x) = 0,
-                   so G = diag(conj C) = 0 and L = Phi
-* explicit CP map  Phi given by its d^2 x d^2 matrix S
-* coherent measure Phi(rho) = kappa int dmu(zeta) e_zeta rho e_zeta over the
-                   SU(1,1) coherent states, compressed to the lowest d Fock
-                   levels, plus a diagonal trace compensator; held matrix
-                   free through the selection rule m + q = n + p, so G and
-                   lambda never touch a d^2 x d^2 array, and mat(Phi) is
-                   scattered from its O(d^3) allowed entries
+superoperator is M = I (x) K + conj(K) (x) I + mat(Phi).  The map Phi is
+given as a jump list, a Hadamard kernel, an explicit CP map or a coherent
+measure (see dissipators).
 
 The semigroup exp(tL) is held in the diagonal blocks of M (_Semigroup):
 channel_applier and steady_state act one block at a time, and only
@@ -58,13 +48,21 @@ import scipy.linalg
 # whose signatures test_scaled_expm_is_scipy_expm_bit_for_bit guards
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
+from .dissipators import (
+    _block_rows,
+    _CoherentMeasure,
+    _ExplicitCP,
+    _HadamardKernel,
+    _JumpList,
+    _kron_rows,
+    unvec,
+    vec,
+)
 from .operators import (
     DimensionMismatchError,
     ValidationError,
     _gemm,
     _matmul,
-    _matvecs,
-    _real,
     _threaded,
     is_hermitian,
     validate_density_matrix,
@@ -88,332 +86,10 @@ __all__ = [
 ]
 
 
-def vec(A: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(A, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(x: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(x.size)))
-    return np.asarray(x, dtype=complex).reshape((d, d), order="F")
-
-
 def _frozen_array(a, dtype=complex) -> np.ndarray:
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
-
-
-def _kron_rows(A: np.ndarray, B: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows of d x d blocks of np.kron(A, B), bit for bit, as the
-    (a, i, b, j) array A[a, b] B[i, j]: the entries [a d + i, b d + j]."""
-    return A[rows, None, :, None] * B[None, :, None, :]
-
-
-def _block_rows(d: int) -> list:
-    """Slices of the d rows of d x d blocks of a d^2 x d^2 matrix, each of
-    at most 2^14 entries (one row from d = 26 on)."""
-    step = max(1, 2 ** 14 // d ** 3)
-    return [slice(a, a + step) for a in range(0, d, step)]
-
-
-# Each form of Phi offers apply (Phi), apply_adjoint (Phi*), matrix
-# (mat Phi) and fill (mat Phi written into a superoperator M, in place) on
-# general operators.  The sieve only ever feeds Phi rank-1
-# operators, so each form also answers its three questions about them:
-# rank1_expectation (<psi|Phi(e)|psi> with e = |psi><psi|, for lambda),
-# rank1_sym_action ((Phi + Phi*)(e) psi, for its gradient) and rank1_element
-# (<u|Phi(|x><y|)|v>, for lambda on the span of two states).  Each takes
-# states (d,) or stacks of them (m, d) and answers for each row, without
-# forming the operator.  rank1_sym_action computes each row of a stack as it
-# would that state alone (products by operators._matvecs, convolutions row by
-# row), so a row's bits do not depend on the rows around it.
-
-class _JumpList:
-    """Phi(X) = sum_k V_k X V_k^dag."""
-
-    def __init__(self, dim: int, ops: tuple):
-        self.dim = dim
-        self.ops = ops
-        self.adjoints = tuple(V.conj().T for V in ops)
-
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """(V_1; ...; V_k; V_1^dag; ...; V_k^dag) as one (2 k d, d) matrix,
-        built on first use: one product gives every V_k psi and V_k^dag
-        psi."""
-        return np.concatenate(self.ops + self.adjoints) if self.ops \
-            else np.zeros((0, self.dim), dtype=complex)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for V, Vh in zip(self.ops, self.adjoints):
-            out += _matmul(_matmul(V, X), Vh)
-        return out
-
-    def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for V, Vh in zip(self.ops, self.adjoints):
-            out += _matmul(_matmul(Vh, X), V)
-        return out
-
-    def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
-        """sum_k |<psi|V_k|psi>|^2."""
-        out = np.zeros(psi.shape[:-1])
-        for V in self.ops:
-            out += np.abs(np.vecdot(psi, _matmul(psi, V.T))) ** 2
-        return out
-
-    def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
-        """sum_k conj(a_k) V_k psi + a_k V_k^dag psi with a_k = <psi|V_k psi>:
-        O(k d^2) per state."""
-        k = len(self.ops)
-        y = _matvecs(self.stacked, psi).reshape(
-            psi.shape[:-1] + (2 * k, self.dim))
-        a = np.vecdot(psi[..., None, :], y[..., :k, :])
-        coef = np.concatenate([a.conj(), a], axis=-1)
-        return np.add.reduce(coef[..., None] * y, axis=-2)
-
-    def rank1_element(self, x, y, u, v) -> np.ndarray:
-        """sum_k <u|V_k x> conj(<v|V_k y>)."""
-        k = len(self.ops)
-        ops = self.stacked[:k * self.dim]
-
-        def amplitudes(a, b):   # <a|V_k b> for every k
-            vb = _matvecs(ops, b).reshape(b.shape[:-1] + (k, self.dim))
-            return np.vecdot(a[..., None, :], vb)
-        return np.vecdot(amplitudes(v, y), amplitudes(u, x))
-
-    def matrix(self) -> np.ndarray:
-        """sum_k kron(conj V_k, V_k) in real arithmetic: each real term is
-        symmetric, and the imaginary part of each term antisymmetric, under
-        the transpose of both factors, entry for entry, so M[pi i, pi j] =
-        conj(M[i, j]) holds exactly (see _HermitianBasis); numpy's complex
-        product does not keep it."""
-        d = self.dim
-        M = np.zeros((d * d, d * d), dtype=complex)
-        for V in self.ops:
-            Vr, Vi = V.real, V.imag
-            M.real += np.kron(Vr, Vr)
-            if Vi.any():
-                M.real += np.kron(Vi, Vi)
-                antisymmetric = np.kron(Vr, Vi)
-                antisymmetric -= np.kron(Vi, Vr)
-                M.imag += antisymmetric
-        return M
-
-    def fill(self, M: np.ndarray) -> None:
-        """matrix() written into M, which holds zeros, a few rows of d x d
-        blocks of each kron at a time (_block_rows): its bits, with no
-        d^2 x d^2 temporary."""
-        M4 = M.reshape((self.dim,) * 4)
-        re, im = M4.real, M4.imag
-        for V in self.ops:
-            Vr, Vi = V.real, V.imag
-            imaginary = Vi.any()
-            for a in _block_rows(self.dim):
-                re[a] += _kron_rows(Vr, Vr, a)
-                if imaginary:
-                    re[a] += _kron_rows(Vi, Vi, a)
-                    antisymmetric = _kron_rows(Vr, Vi, a)
-                    antisymmetric -= _kron_rows(Vi, Vr, a)
-                    im[a] += antisymmetric
-
-
-class _HadamardKernel:
-    """Phi(X) = C * X entrywise."""
-
-    def __init__(self, C: np.ndarray):
-        self.C = C
-        self.C_conj = C.conj()
-        self.C_real = np.ascontiguousarray(C.real)
-        # C + conj(C), real
-        self.C_sym = 2.0 * self.C_real
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return self.C * X
-
-    def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
-        return self.C_conj * X
-
-    def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
-        """p^T Re(C) p with p = |psi|^2; Re(C) is symmetric."""
-        p = np.abs(psi) ** 2
-        return np.vecdot(p, _matmul(p, self.C_real))
-
-    def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
-        """psi * (C_sym p) with p = |psi|^2."""
-        return psi * _matvecs(self.C_sym, np.abs(psi) ** 2)
-
-    def rank1_element(self, x, y, u, v) -> np.ndarray:
-        """sum_pq conj(u_p) x_p C_pq conj(y_q) v_q."""
-        return np.vecdot(u * x.conj(), _matvecs(self.C, y.conj() * v))
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(vec(self.C))
-
-    def fill(self, M: np.ndarray) -> None:
-        np.einsum("ii->i", M)[:] = vec(self.C)
-
-
-class _ExplicitCP:
-    """Phi given by its d^2 x d^2 matrix S: vec(Phi(X)) = S vec(X)."""
-
-    def __init__(self, S: np.ndarray):
-        self.S = S
-
-    @cached_property
-    def sym(self) -> np.ndarray:
-        """S + S^dag, cached as a contiguous complex array so that each
-        lambda+gradient evaluation in a descent costs one matvec."""
-        S = self.S
-        return np.ascontiguousarray(S + S.conj().T, dtype=complex)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return unvec(_matmul(self.S, vec(X)))
-
-    def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
-        # S^dag x = conj(x^dag S); avoids a conjugated d^2 x d^2 copy of S
-        return unvec(_matmul(vec(X).conj(), self.S).conj())
-
-    @staticmethod
-    def _vec_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """vec(|x><y|) of each row: vec(|x><y|)[n d + m] = x_m conj(y_n)."""
-        d = x.shape[-1]
-        return (y.conj()[..., :, None] * x[..., None, :]).reshape(
-            x.shape[:-1] + (d * d,))
-
-    def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
-        """vec(e)^dag S vec(e)."""
-        x = self._vec_outer(psi, psi)
-        return np.vecdot(x, _matmul(x, self.S.T)).real
-
-    def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
-        """Y psi with vec(Y) = sym vec(e); a row reshaped in C order is
-        Y^T."""
-        d = psi.shape[-1]
-        Yt = _matvecs(self.sym, self._vec_outer(psi, psi)).reshape(
-            psi.shape[:-1] + (d, d))
-        return np.add.reduce(psi[..., :, None] * Yt, axis=-2)
-
-    def rank1_element(self, x, y, u, v) -> np.ndarray:
-        """vec(|u><v|)^dag S vec(|x><y|)."""
-        return np.vecdot(self._vec_outer(u, v),
-                         _matvecs(self.S, self._vec_outer(x, y)))
-
-    def matrix(self) -> np.ndarray:
-        return self.S
-
-    def fill(self, M: np.ndarray) -> None:
-        M[:] = self.S
-
-
-class _CoherentMeasure:
-    """Phi = Phi_J + Phi_C: the jump integral X -> kappa int dmu(zeta)
-    e_zeta X e_zeta compressed to the lowest N levels, plus the trace
-    compensator Phi_C(X) = diag(plan^T diag X).
-
-    In the Fock basis Phi_J(X)[m, n] = sum_pq T[m, n, p, q] X[p, q].  The
-    angular integral forces m + q = n + p and the radial one is the Beta
-    integral int_0^1 (1-u)^2 u^s du = 2 / ((s+1)(s+2)(s+3)), s = m + q, so
-    T = r_m r_n r_p r_q w_s on its O(N^3) allowed entries, with
-    r_n = sqrt(n+1) and w_s = 2 kappa / ((s+1)(s+2)(s+3)) for s < 2N - 1.
-    Hence Phi_J(X)[m, n] = r_m r_n sum_s w_s (rXr)[s-n, s-m]; Phi_J is real
-    and self-adjoint.  On e = |psi><psi|, with a = r psi and its
-    self-convolution c = a * a, <psi|Phi_J(e)|psi> = sum_s w_s |c_s|^2 and
-    Phi_J(e) psi = r (w c correlated with a): O(N^2) per evaluation.
-    """
-
-    def __init__(self, dim: int, kappa: float, plan: np.ndarray):
-        self.dim = dim
-        self.kappa = kappa
-        self.plan = plan
-        self.plan_sym = plan + plan.T
-        n = np.arange(dim)
-        self.r = np.sqrt(n + 1.0)
-        s = np.arange(2 * dim - 1, dtype=float)
-        self.w = 2.0 * kappa / ((s + 1) * (s + 2) * (s + 3))
-        # Phi_J(X)[m, n] = r_m r_n sum_j w_{m+j} B[j+k, j] with B = rXr and
-        # k = m - n: a Hankel matrix against the diagonals of B
-        self._hankel = self.w[n[:, None] + n[None, :]]
-        rows = np.arange(1 - dim, dim)[:, None] + n[None, :]
-        self._diag_in = (rows >= 0) & (rows < dim)
-        self._diag_rows = np.clip(rows, 0, dim - 1)
-        self._diag_offset = n[:, None] - n[None, :] + dim - 1
-
-    def _jump(self, X: np.ndarray) -> np.ndarray:
-        n = np.arange(self.dim)
-        B = self.r[:, None] * X * self.r[None, :]
-        diags = np.where(self._diag_in, B[self._diag_rows, n], 0.0)
-        Z = _matmul(self._hankel, diags.T)
-        return (self.r[:, None] * Z[n[:, None], self._diag_offset]
-                * self.r[None, :])
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return self._jump(X) + np.diag(_matmul(self.plan.T, np.diag(X)))
-
-    def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
-        return self._jump(X) + np.diag(_matmul(self.plan, np.diag(X)))
-
-    def rank1_expectation(self, psi: np.ndarray) -> np.ndarray:
-        # the self-convolution c = a * a of every row: a cyclic one of
-        # length 2N >= 2N - 1 is the linear one, one FFT pair for the stack
-        N = self.dim
-        c = np.fft.ifft(np.fft.fft(self.r * psi, 2 * N) ** 2)[..., :2 * N - 1]
-        p = np.abs(psi) ** 2
-        return (_matmul(np.abs(c) ** 2, self.w)
-                + np.vecdot(p, _matmul(p, self.plan.T)))
-
-    def rank1_sym_action(self, psi: np.ndarray) -> np.ndarray:
-        """2 r (w c correlated with a) + (plan_sym p) psi.  Row by row: for
-        one state np.convolve and np.correlate cost a third of the four FFTs
-        that rank1_expectation's stacked route would take at N = 40."""
-        a = self.r * psi
-        corr = np.empty_like(a)
-        for x, out in zip(a.reshape(-1, self.dim),
-                          corr.reshape(-1, self.dim)):
-            out[:] = np.correlate(self.w * np.convolve(x, x), x, "valid")
-        return (2.0 * self.r * corr
-                + _matvecs(self.plan_sym, np.abs(psi) ** 2) * psi)
-
-    def rank1_element(self, x, y, u, v) -> np.ndarray:
-        """sum_s w_s (rv * rx)_s conj((ru * ry)_s) for the jump part, the
-        self-convolution's polarised form, plus the compensator's
-        sum_m conj(u_m) v_m (plan^T (x conj(y)))_m; the convolutions are
-        FFTs of length 2N for every row at once."""
-        N = self.dim
-
-        def conv(a, b):
-            fa, fb = (np.fft.fft(self.r * c, 2 * N) for c in (a, b))
-            return np.fft.ifft(fa * fb)[..., :2 * N - 1]
-        return (np.vecdot(conv(u, y), self.w * conv(v, x))
-                + np.vecdot(u * v.conj(), _matvecs(self.plan.T, x * y.conj())))
-
-    def matrix(self) -> np.ndarray:
-        """Dense mat(Phi), real."""
-        S = np.zeros((self.dim ** 2, self.dim ** 2))
-        self._scatter(S)
-        return S
-
-    def fill(self, M: np.ndarray) -> None:
-        self._scatter(M.real)
-
-    def _scatter(self, S: np.ndarray) -> None:
-        """The allowed entries of T scattered into place in the real S,
-        which holds zeros, plus the compensator on the population block."""
-        N = self.dim
-        m, n, p = np.indices((N, N, N)).reshape(3, -1)
-        q = n + p - m
-        keep = (q >= 0) & (q < N)
-        m, n, p, q = m[keep], n[keep], p[keep], q[keep]
-        s = m + q
-        # vec is column stacked: entry (m, n) sits at index n*N + m, so the
-        # slot for output (m, n) from input (p, q) is [nN+m, qN+p]
-        S[n * N + m, q * N + p] = self.kappa * (
-            np.sqrt((m + 1) * (n + 1) * (p + 1) * (q + 1))
-            * 2.0 / ((s + 1) * (s + 2) * (s + 3)))
-        diag_idx = np.arange(N) * (N + 1)
-        S[np.ix_(diag_idx, diag_idx)] += self.plan.T
 
 
 @dataclass(frozen=True)
@@ -587,27 +263,8 @@ def superoperator_blocks(M: np.ndarray) -> tuple:
 
 def _stack(M: np.ndarray, group: np.ndarray) -> np.ndarray:
     """The diagonal blocks of M indexed by the rows of group, as one
-    (m, s, s) stack; the one block (s, s) of a single row."""
-    return M[group[..., :, None], group[..., None, :]]
-
-
-class _Blocks:
-    """The diagonal blocks of M indexed by the rows of group, gathered from
-    M only when indexed, as _stack(M, group)[i] is, so that a loop over
-    them holds one at a time."""
-
-    def __init__(self, M: np.ndarray, group: np.ndarray):
-        self.M, self.group = M, group
-        self.shape = group.shape + group.shape[-1:]
-
-    def __len__(self) -> int:
-        return len(self.group)
-
-    def __getitem__(self, key) -> np.ndarray:
-        """_stack(M, group)[key] for key = i, or (i, rows) with i an int."""
-        i, rows = key if isinstance(key, tuple) else (key, slice(None))
-        g = self.group[i]
-        return self.M[g[..., rows, None], g[..., None, :]]
+    (m, s, s) stack."""
+    return M[group[:, :, None], group[:, None, :]]
 
 
 def _transpose_map(group: np.ndarray, d: int) -> np.ndarray:
@@ -631,12 +288,15 @@ class _HermitianBasis:
     other blocks of the group are general.
     """
 
-    def __init__(self, S, group: np.ndarray, d: int):
+    def __init__(self, S: np.ndarray, group: np.ndarray, d: int):
         m, s = group.shape
         to = _transpose_map(group, d)
         perm = to % s  # where each entry goes in its image block
         own = np.flatnonzero((to // s == np.arange(m)[:, None]).all(axis=1))
-        real = [b for b in own if _self_conjugate(S[b], perm[b])]
+        p = perm[own]
+        mirrored = S[own[:, None, None], p[:, :, None], p[:, None, :]]
+        mirrored.imag *= -1
+        real = own[(mirrored == S[own]).all(axis=(1, 2))]
         self.general = np.ones(m, dtype=bool)
         self.general[real] = False
         # grouped by involution; per involution the rows of its blocks in
@@ -655,13 +315,6 @@ class _HermitianBasis:
             start += len(blocks)
 
 
-def _self_conjugate(B: np.ndarray, p: np.ndarray) -> bool:
-    """Is B[p i, p j] = conj(B[i, j]) exactly, entry for entry?"""
-    mirrored = B[p[:, None], p[None, :]]
-    mirrored.imag *= -1
-    return bool((mirrored == B).all())
-
-
 def _hermitian_basis(M: np.ndarray,
                      group: np.ndarray) -> _HermitianBasis | None:
     """The blocks of a group that are factorised in real arithmetic, or None
@@ -673,7 +326,7 @@ def _hermitian_basis(M: np.ndarray,
     s = group.shape[1]
     if not _threaded(s, s, s):
         return None
-    basis = _HermitianBasis(_Blocks(M, group), group, math.isqrt(len(M)))
+    basis = _HermitianBasis(_stack(M, group), group, math.isqrt(len(M)))
     return basis if basis.blocks.size else None
 
 
@@ -708,113 +361,49 @@ def _block_structure(M: np.ndarray) -> tuple:
 # into the real matrix U^H B U (a Hermiticity preserving map is real in a
 # Hermitian basis; M. M. Wolf, Quantum Channels & Operations, 2012).
 
-def _chunks(n: int, width: int) -> list:
-    """Slices of range(n), the rows of an array of width entries per row,
-    of at most 2^12 entries each (one row at least)."""
-    step = max(1, 2 ** 12 // max(width, 1))
-    return [slice(i, i + step) for i in range(0, n, step)]
-
-
-def _rotate_rows(X: np.ndarray, F, P, Q, out: np.ndarray,
-                 adjoint: bool) -> None:
-    """U X, or U^H X, of the rows (axis -2) of X, written into out, for one
-    involution (F, P, Q).  U X has the rows X_f at F and (X_c +- i X_e)/sqrt2
-    at P and Q, where X_f, X_c and X_e are the rows of the elements F, C and
-    E; U^H takes them back.  U^H X may be written over X: the rows it reads
-    are copied first."""
-    r = math.sqrt(0.5)
-    split = [len(F), len(F) + len(P)]
-    if adjoint:
-        # copies, so that out may be X
-        XP, XQ, XF = X[..., P, :], X[..., Q, :], X[..., F, :]
-        f, c, e = np.split(out, split, axis=-2)
-        f[...] = XF
-        np.add(XP, XQ, out=c)
-        c *= r
-        np.subtract(XP, XQ, out=e)
-        e *= -1j * r
-    else:
-        # r (c +- i e), a few pairs at a time
-        f, c, e = np.split(X, split, axis=-2)
-        out[..., F, :] = f
-        for k in _chunks(len(P), X[..., :1, :].size):
-            for rows, combine in ((P[k], np.add), (Q[k], np.subtract)):
-                Z = np.multiply(1j, e[..., k, :])
-                combine(c[..., k, :], Z, out=Z)
-                out[..., rows, :] = np.multiply(r, Z, out=Z)
-
-
 def _rotate(X: np.ndarray, basis: _HermitianBasis,
             adjoint: bool = False) -> np.ndarray:
     """U X, or U^H X, of each slice of an (m, s, c) stack X of the blocks
-    basis.blocks, in that order (see _rotate_rows)."""
+    basis.blocks, in that order.  U X has the rows X_f at F and (X_c +- i
+    X_e)/sqrt2 at P and Q, where X_f, X_c and X_e are the rows of the
+    elements F, C and E; U^H takes them back."""
     Z = np.empty(X.shape, dtype=complex)
+    r = math.sqrt(0.5)
     for rows, F, P, Q in basis.frames:
-        _rotate_rows(X[rows], F, P, Q, Z[rows], adjoint)
+        Xw, Zw = X[rows], Z[rows]
+        if adjoint:
+            f, c, e = np.split(Zw, [len(F), len(F) + len(P)], axis=1)
+            XP, XQ = Xw[:, P], Xw[:, Q]
+            f[:] = Xw[:, F]
+            np.add(XP, XQ, out=c)
+            c *= r
+            np.subtract(XP, XQ, out=e)
+            e *= -1j * r
+        else:
+            f, c, e = np.split(Xw, [len(F), len(F) + len(P)], axis=1)
+            Zw[:, F] = f
+            Zw[:, P] = r * (c + 1j * e)
+            Zw[:, Q] = r * (c - 1j * e)
     return Z
 
 
-def _frame_blocks(basis: _HermitianBasis):
-    """(j, F, P, Q) for the j-th block of basis.blocks and its involution."""
-    for rows, F, P, Q in basis.frames:
-        for j in range(rows.start, rows.stop):
-            yield j, F, P, Q
+def _to_real(S: np.ndarray, basis: _HermitianBasis) -> np.ndarray:
+    """U^H B U = (U^H (U^H B)^H)^H, real, of the blocks B of the group's
+    stack S that basis holds, in the order basis.blocks."""
+    R = _rotate(S[basis.blocks], basis, adjoint=True)
+    R = _rotate(np.conjugate(R, out=R).swapaxes(1, 2), basis, adjoint=True)
+    return np.ascontiguousarray(R.real.swapaxes(1, 2))
 
 
-def _real_block(S, b: int, F, P, Q, scale: float | None = None
-                ) -> np.ndarray:
-    """U^H B U = (U^H (U^H B)^H)^H, real, of the block B = S[b] of a stack
-    of blocks of M or of a _Blocks, times scale if one is given.  A few
-    rows of U^H B at a time, each from its own rows of B (the rows f of F,
-    and c, e of the pairs (P, Q)), conjugated and turned by the outer U^H:
-    the bits of the two rotations of the whole block, with no complex copy
-    of it."""
-    s, nF, nP = S.shape[-1], len(F), len(P)
-    R = np.empty((s, s))
-    pieces = [(F[k], P[:0], Q[:0], np.arange(nF)[k])
-              for k in _chunks(nF, s)]
-    pieces += [(F[:0], P[k], Q[k], np.r_[nF + np.arange(nP)[k],
-                                          nF + nP + np.arange(nP)[k]])
-               for k in _chunks(nP, s)]
-    for f, p, q, at in pieces:
-        X = S[b, np.concatenate([f, p, q])]
-        i = np.arange(len(X))
-        _rotate_rows(X, i[:len(f)], i[len(f):len(f) + len(p)],
-                     i[len(f) + len(p):], X, adjoint=True)
-        Z = np.empty((s, len(X)), dtype=complex)
-        _rotate_rows(np.conjugate(X, out=X).T, F, P, Q, Z, adjoint=True)
-        R[at] = Z.real.T
-        if scale is not None:
-            R[at] *= scale
-    return R
-
-
-def _to_real(S, basis: _HermitianBasis) -> np.ndarray:
-    """U^H B U, real, of the blocks B of the group's stack S (or _Blocks)
-    that basis holds, in the order basis.blocks (see _real_block)."""
-    R = np.empty((len(basis.blocks),) + S.shape[1:])
-    for (j, F, P, Q), b in zip(_frame_blocks(basis), basis.blocks):
-        R[j] = _real_block(S, b, F, P, Q)
-    return R
-
-
-def _from_real(X: np.ndarray, basis: _HermitianBasis, both: bool = True,
-               out: np.ndarray | None = None) -> np.ndarray:
+def _from_real(X: np.ndarray, basis: _HermitianBasis,
+               both: bool = True) -> np.ndarray:
     """U X U^H = (U (U X)^H)^H (or U X alone) of each real slice of a stack
     in the Hermitian bases of the blocks basis.blocks: back in the basis of
-    M.  Block by block, the outer U on a few rows at a time; slice j goes to
-    out[basis.blocks[j]] of a stack out of the group's blocks if one is
-    given, else to slice j of a new stack."""
-    Z = np.empty(X.shape, dtype=complex) if out is None else out
-    at = range(len(X)) if out is None else basis.blocks
-    for (j, F, P, Q), i in zip(_frame_blocks(basis), at):
-        _rotate_rows(X[j], F, P, Q, Z[i], adjoint=False)
-        if both:
-            for rows in _chunks(X.shape[-1], X.shape[-1]):
-                W = np.conjugate(Z[i, rows]).T
-                Y = np.empty(W.shape, dtype=complex)
-                _rotate_rows(W, F, P, Q, Y, adjoint=False)
-                Z[i, rows] = np.conjugate(Y, out=Y).T
+    M."""
+    Z = _rotate(X, basis)
+    if both:
+        Z = _rotate(np.conjugate(Z, out=Z).swapaxes(1, 2), basis)
+        Z = np.conjugate(Z, out=Z).swapaxes(1, 2)
     return Z
 
 
@@ -827,148 +416,106 @@ def _stacked_gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.stack([_gemm(a, b) for a, b in zip(A, B)])
 
 
-#: the Pade degree _expm reports for a slice that scipy.linalg.expm ran
-#: whole (a small stack, or a triangular slice)
-_SCIPY_RAN = 0
-
-
-def _expm(A, degrees: np.ndarray | None = None) -> np.ndarray:
-    """exp of each slice of an (m, s, s) real or complex stack, or of each
-    (s, s) slice an iterable yields: scipy.linalg.expm (Al-Mohy & Higham,
-    SIAM J. Matrix Anal. Appl. 31, 970 (2009)) bit for bit, with the
-    squarings it does on numpy's matmul done on _gemm.
-    Triangular slices, which scipy squares by a path of its own, and slices
-    whose products OpenBLAS would not thread go to scipy (a stack of them
-    whole).  Where an int array degrees is given, the degree of the Pade
-    approximant of each slice goes into it, _SCIPY_RAN for those scipy
-    ran.  Each approximant has a work space of its own, the slice it came
-    from is let go once it is in there, and the squarings wait for the last
-    approximant: so a stack of equal blocks, the other slices yielded one
-    at a time, holds at most one work space (five slices) and the
-    approximants made so far.
+def _expm(A: np.ndarray, pade: np.ndarray | None = None) -> np.ndarray:
+    """exp of each slice of an (m, s, s) real or complex stack:
+    scipy.linalg.expm (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+    (2009)) bit for bit, with the squarings it does on numpy's matmul done
+    on _gemm.
+    Triangular slices, which scipy squares by a path of its own, and stacks
+    of slices whose products OpenBLAS would not thread go to scipy whole.
+    Where an (m, 2) int array pade is given, each slice's Pade degree and
+    number of squarings go into its row, zeros for the slices scipy ran.
     """
-    s = A.shape[-1] if isinstance(A, np.ndarray) else None
-    if s is not None and not _threaded(s, s, s):
-        if degrees is not None:
-            degrees[:] = _SCIPY_RAN
+    s = A.shape[-1]
+    if pade is not None:
+        pade[:] = 0
+    if not _threaded(s, s, s):
         return scipy.linalg.expm(A)
-    E, squarings = [], []
-    for a in A:  # not enumerate, whose reused tuple would keep a
-        i = len(E)
-        s = a.shape[-1]
-        if not _threaded(s, s, s) or 0 in scipy.linalg.bandwidth(a):
-            degree, count = _SCIPY_RAN, 0
-            E.append(scipy.linalg.expm(a))
-        else:
-            work = np.empty((5, s, s), dtype=a.dtype)
-            work[0] = a
-            del a
-            degree, count = pick_pade_structure(work)
-            info = pade_UV_calc(work, degree) if degree >= 0 else degree
-            if info:
-                raise np.linalg.LinAlgError(
-                    f"scipy's expm kernels failed (error code {info})")
-            E.append(work[0].copy())
-            del work
-        if degrees is not None:
-            degrees[i] = degree
-        squarings.append(count)
-    for i, count in enumerate(squarings):
-        for _ in range(count):
+    triangular = np.array([0 in scipy.linalg.bandwidth(a) for a in A], bool)
+    E = np.empty_like(A)
+    E[triangular] = scipy.linalg.expm(A[triangular])
+    work = np.empty((5, s, s), dtype=A.dtype)
+    for i in np.flatnonzero(~triangular):
+        work[0] = A[i]
+        degree, squarings = pick_pade_structure(work)
+        info = pade_UV_calc(work, degree) if degree >= 0 else degree
+        if info:
+            raise np.linalg.LinAlgError(
+                f"scipy's expm kernels failed (error code {info})")
+        E[i] = work[0]
+        for _ in range(squarings):
             E[i] = _gemm(E[i], E[i])
-    return np.array(E)
+        if pade is not None:
+            pade[i] = degree, squarings
+    return E
 
 
-def _doubled(E: np.ndarray, degrees: np.ndarray, k: int, afresh) -> tuple:
-    """The exponentials at 2^k t of a stack E of _expm's at t, whose Pade
-    degrees are degrees, and their degrees.  A slice of degree 13 is
-    squared k times: _expm at 2^k t scales the same matrix (a power of 2
-    scales exactly) and picks the same degree with k more squarings, so
-    this is its result bit for bit.  The other slices are afresh(again,
-    degrees), _expm at 2^k t of the slices at the bool rows again, which
-    writes their degrees."""
-    out, out_degrees = np.empty_like(E), degrees.copy()
-    again = degrees != 13
-    for i in np.flatnonzero(~again):
-        X = E[i]
-        for _ in range(k):
-            X = _gemm(X, X)
-        out[i] = X
-    if again.any():
-        fresh = np.empty(np.count_nonzero(again), dtype=int)
-        out[again] = afresh(again, fresh)
-        out_degrees[again] = fresh
-    return out, out_degrees
+def _part_blocks(S: np.ndarray, rows: np.ndarray,
+                 basis: _HermitianBasis | None) -> np.ndarray:
+    """The blocks rows of S, in their Hermitian basis if basis is given."""
+    return S[rows] if basis is None else _to_real(S, basis)
 
 
 class _BlockExp:
-    """exp(tB) of each block B of one group (m, s) of diagonal blocks of M,
-    as propagator has always computed it: the blocks of the group's
-    _hermitian_basis as one real stack in that basis (real, in the order
-    basis.blocks), every other block as one complex stack (general, in the
-    order of the group), either None where it has no slices.  Each stack
-    comes with the Pade degree of each slice (see _expm), by which doubled
-    squares it."""
+    """exp(tB) of each block B of one group of diagonal blocks of M, as
+    propagator has always computed it, in parts (rows, basis, E, pade): E
+    the exponentials of the blocks rows of the group, real in their
+    Hermitian basis where basis is given, and pade their Pade structure
+    (see _expm), by which doubled squares them."""
 
-    @staticmethod
-    def _general_rows(basis: _HermitianBasis | None, m: int) -> np.ndarray:
-        """The rows of the group that are not in basis."""
-        rows = np.arange(m)
-        return rows if basis is None else rows[basis.general]
-
-    def __init__(self, basis: _HermitianBasis | None, t: float, shape: tuple,
-                 general, general_degrees, real, real_degrees):
-        self.basis, self.t, self.shape = basis, t, shape
-        self.general, self.general_degrees = general, general_degrees
-        self.real, self.real_degrees = real, real_degrees
+    def __init__(self, t: float, shape: tuple, parts: list):
+        self.t, self.shape, self.parts = t, shape, parts
 
     @classmethod
-    def of(cls, S, basis: _HermitianBasis | None, t: float) -> _BlockExp:
+    def of(cls, S: np.ndarray, basis: _HermitianBasis | None,
+           t: float) -> _BlockExp:
         """exp(tB) of each block of the stack S of a group of blocks of M,
-        or of a _Blocks of them, whose _hermitian_basis is basis."""
-        def expm(A, m):
-            if not m:
-                return None, None
-            degrees = np.empty(m, dtype=int)
-            return _expm(A, degrees), degrees
-        rows = cls._general_rows(basis, len(S))
-        general = expm(t * S[rows], len(rows))
-        real = (None, None)
-        if basis is not None:
-            # one block at a time, each into scipy's work space as it comes
-            real = expm((_real_block(S, b, F, P, Q, t) for (_, F, P, Q), b
-                         in zip(_frame_blocks(basis), basis.blocks)),
-                        len(basis.blocks))
-        return cls(basis, t, S.shape, *general, *real)
+        whose _hermitian_basis is basis: its blocks in one real part, the
+        others in one complex part."""
+        parts = []
+        for rows, b in [(np.arange(len(S)), None)] if basis is None else [
+                (np.flatnonzero(basis.general), None), (basis.blocks, basis)]:
+            if len(rows):
+                pade = np.empty((len(rows), 2), dtype=int)
+                E = _expm(t * _part_blocks(S, rows, b), pade)
+                parts.append((rows, b, E, pade))
+        return cls(t, S.shape, parts)
 
     @cached_property
     def stack(self) -> np.ndarray:
         """The (m, s, s) complex stack of the exponentials, in the order of
         the group, in the basis of M."""
-        if self.basis is None:
-            return self.general
+        if len(self.parts) == 1 and self.parts[0][1] is None:
+            return self.parts[0][2]  # the whole group, as it is
         out = np.empty(self.shape, dtype=complex)
-        if self.general is not None:
-            out[self.basis.general] = self.general
-        return _from_real(self.real, self.basis, out=out)
+        for rows, basis, E, _ in self.parts:
+            out[rows] = E if basis is None else _from_real(E, basis)
+        return out
 
-    def doubled(self, k: int, S) -> _BlockExp:
-        """exp(2^k t B) of each block (see _doubled); S, the stack of the
-        blocks of M or a _Blocks of them, serves the slices exponentiated
-        afresh."""
-        tau = self.t * 2 ** k
-        general = real = (None, None)
-        if self.general is not None:
-            rows = self._general_rows(self.basis, len(S))
-            general = _doubled(
-                self.general, self.general_degrees, k,
-                lambda again, degrees: _expm(tau * S[rows[again]], degrees))
-        if self.real is not None:
-            real = _doubled(
-                self.real, self.real_degrees, k,
-                lambda again, degrees: _expm(
-                    tau * _to_real(S, self.basis)[again], degrees))
-        return _BlockExp(self.basis, tau, self.shape, *general, *real)
+    def doubled(self, k: int, M: np.ndarray, group: np.ndarray) -> _BlockExp:
+        """exp(2^k t B) of each block, group's blocks of M being the B.
+
+        A slice that expm approximated with degree 13 and scaled by 2^-s,
+        s >= 1, is squared k times: at 2^k t expm scales by 2^-(s+k), so it
+        approximates the same matrix and squares it k more times, and this
+        is _expm at 2^k t bit for bit (when s came from the norm bound, not
+        from Al-Mohy & Higham's correction for a non-normal slice alone).
+        Every other slice is exponentiated at 2^k t afresh."""
+        tau, parts = self.t * 2 ** k, []
+        for rows, basis, E, pade in self.parts:
+            E, pade = E.copy(), pade.copy()
+            fresh = (pade[:, 0] != 13) | (pade[:, 1] == 0)
+            for i in np.flatnonzero(~fresh):
+                for _ in range(k):
+                    E[i] = _gemm(E[i], E[i])
+            pade[~fresh, 1] += k
+            if fresh.any():
+                A = _part_blocks(_stack(M, group), rows, basis)[fresh]
+                again = np.empty((len(A), 2), dtype=int)
+                E[fresh] = _expm(tau * A, again)
+                pade[fresh] = again
+            parts.append((rows, basis, E, pade))
+        return _BlockExp(tau, self.shape, parts)
 
 
 class _Semigroup:
@@ -980,7 +527,7 @@ class _Semigroup:
     def __init__(self, M: np.ndarray, t: float, parts=None):
         self.M, self.t = M, t
         self.parts = parts if parts is not None else [
-            (group, _BlockExp.of(_Blocks(M, group), basis, t))
+            (group, _BlockExp.of(_stack(M, group), basis, t))
             for group, basis in _block_structure(M)]
 
     def dense(self) -> np.ndarray:
@@ -1007,7 +554,7 @@ class _Semigroup:
         if k == 0:
             return self
         return _Semigroup(self.M, self.t * 2 ** k, [
-            (group, exp.doubled(k, _Blocks(self.M, group)))
+            (group, exp.doubled(k, self.M, group))
             for group, exp in self.parts])
 
 
@@ -1058,27 +605,21 @@ def _power_limit(T: _Semigroup, rho: np.ndarray) -> np.ndarray:
     """lim T^n rho by power iteration, stopped at the first step that moves
     the iterate by at most 1e-13; RuntimeError after _POWER_STEPS steps.
 
-    It runs in the blocks: a block of a _hermitian_basis in its real
-    coordinates, where U^H vec(rho) splits into a real and an imaginary
-    column, both real for a Hermitian rho, and every other block as it
-    is.  U is unitary, so the step is measured in either basis."""
+    It runs part by part (see _BlockExp): a part held in a Hermitian basis
+    in its real coordinates, where U^H vec(rho) splits into a real and an
+    imaginary column, both real for a Hermitian rho, and every other part
+    as it is.  U is unitary, so the step is measured in either basis."""
     x = vec(rho)
-    rows, bases, stacks, v = [], [], [], []  # one entry per stack
+    at, parts, v = [], [], []  # one entry per part
     for group, exp in T.parts:
-        basis = exp.basis
-        if exp.general is not None:
-            rows.append(group[exp._general_rows(basis, len(group))])
-            bases.append(None)
-            stacks.append(exp.general)
-            v.append(x[rows[-1]][..., None])
-        if exp.real is not None:
-            rows.append(group[basis.blocks])
-            bases.append(basis)
-            stacks.append(exp.real)
-            v.append(_rotate(x[rows[-1]][..., None], basis,
-                             adjoint=True).view(float))
+        for rows, basis, E, _ in exp.parts:
+            at.append(group[rows])
+            parts.append((basis, E))
+            w = x[at[-1]][..., None]
+            v.append(w if basis is None else
+                     _rotate(w, basis, adjoint=True).view(float))
     for _ in range(_POWER_STEPS):
-        nxt = [_stacked_gemm(E, w) for E, w in zip(stacks, v)]
+        nxt = [_stacked_gemm(E, w) for (_, E), w in zip(parts, v)]
         step = math.hypot(*(np.linalg.norm(a - b) for a, b in zip(nxt, v)))
         v = nxt
         if step <= 1e-13:
@@ -1090,10 +631,10 @@ def _power_limit(T: _Semigroup, rho: np.ndarray) -> np.ndarray:
             f"semigroup may have an oscillating peripheral part, or a "
             f"spectral gap too small for {_POWER_STEPS} steps of tau")
     out = np.empty(x.shape, dtype=complex)
-    for at, basis, w in zip(rows, bases, v):
+    for rows, (basis, _), w in zip(at, parts, v):
         if basis is not None:
             w = _rotate(np.ascontiguousarray(w).view(complex), basis)
-        out[at] = w[..., 0]
+        out[rows] = w[..., 0]
     return unvec(out)
 
 
