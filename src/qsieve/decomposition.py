@@ -19,12 +19,13 @@ import scipy.linalg
 
 from .liouville import (
     LindbladGenerator,
-    _BlockExp,
     _Semigroup,
+    _block_apply,
     _block_structure,
     _check_dim,
     _from_real,
     _gemm,
+    _part_exp,
     _rotate,
     _stack,
     _stacked_gemm,
@@ -83,7 +84,7 @@ class SpectralSplit:
     projections: tuple   # per group, (m, s, s): onto iso along sweep
     block_bases: tuple   # per group, (m, s, s): [iso | sweep] columns
     stacks: tuple        # per group, (m, s, s): the blocks of M
-    hermitian: tuple     # per group, its _hermitian_basis (or None)
+    parts: tuple         # per group, its parts (rows, basis) (see _parts)
 
     @property
     def dim(self) -> int:
@@ -108,7 +109,7 @@ class SpectralSplit:
     def project(self, X: np.ndarray) -> np.ndarray:
         """The projection onto iso along sweep of the columns of the
         d^2 x m matrix X, one stack of blocks at a time."""
-        return _block_apply(self.groups, self.projections, X)
+        return _block_apply(zip(self.groups, self.projections), X)
 
 
 def _iso_columns(P: np.ndarray) -> np.ndarray:
@@ -131,15 +132,6 @@ def _unvec_columns(X: np.ndarray, d: int) -> np.ndarray:
     return np.ascontiguousarray(X.T.reshape(-1, d, d).transpose(0, 2, 1))
 
 
-def _block_apply(groups: tuple, stacks: list, X: np.ndarray) -> np.ndarray:
-    """Apply the block-diagonal matrix with the given stacks of diagonal
-    blocks (one per group of superoperator_blocks) to the columns of X."""
-    out = np.zeros(X.shape, dtype=complex)
-    for group, A in zip(groups, stacks):
-        out[group] = _stacked_gemm(A, X[group])
-    return out
-
-
 def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     """Split vectorized operator space into peripheral (isometric) and decaying
     (sweeping) invariant subspaces of the Liouvillian matrix M.
@@ -147,8 +139,8 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     Each diagonal block of M is factorised once.  A block of more than 32
     rows that X -> X^T carries onto its own conjugate is split in real
     arithmetic in its Hermitian basis (real Schur form, dtrsen, dtrsyl; see
-    liouville._hermitian_basis) and mapped back; every other block runs
-    zgees, ztrsen and ztrsyl.  The blocks and their bases come from
+    liouville._parts) and mapped back; every other block runs zgees, ztrsen
+    and ztrsyl.  The blocks and their parts come from
     liouville._block_structure, found once per read-only M, and the split
     keeps them.  An eigenvalue is peripheral when |Re lambda| <= tol, by
     default the larger of 1e-9 max |Re lambda| and 100 eps ||M||_F."""
@@ -157,11 +149,11 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     d = int(round(np.sqrt(n)))
     if n == 0 or M.shape != (d * d, d * d):
         raise ValidationError(f"M has shape {M.shape}, not d^2 x d^2")
-    groups, hermitian = zip(*_block_structure(M))
+    groups, parts = zip(*_block_structure(M))
     stacks = tuple(_stack(M, group) for group in groups)
     # one Schur form per block; its (quasi-)diagonal holds the block's
     # eigenvalues
-    schurs = [_schur_forms(S, basis) for S, basis in zip(stacks, hermitian)]
+    schurs = [_schur_forms(S, p) for S, p in zip(stacks, parts)]
     evs = [[_schur_eigvals(T) for T, _ in blocks] for blocks in schurs]
     all_evs = np.concatenate([ev for group_evs in evs for ev in group_evs])
     if tol is None:
@@ -180,24 +172,25 @@ def spectral_split(M: np.ndarray, tol: float | None = None) -> SpectralSplit:
     periph_scale = max(np.abs(periph).max(initial=0.0), 1.0)
 
     projections, bases = [], []
-    for blocks, group_periph, basis_of in zip(schurs, periphs, hermitian):
+    for blocks, group_periph, group_parts in zip(schurs, periphs, parts):
         m, s = len(blocks), blocks[0][0].shape[0]
         P = np.empty((m, s, s), dtype=complex)
         basis = np.empty_like(P)
         for b, ((T, Q, k), p) in enumerate(zip(blocks, group_periph)):
             _check_semisimple(T[:k, :k], p, tol, periph_scale)
             P[b], basis[b] = _block_split(T, Q, k)
-        if basis_of is not None:
-            real = basis_of.blocks
-            P[real] = _from_real(P[real].real, basis_of)
-            basis[real] = _from_real(basis[real].real, basis_of, both=False)
+        for rows, basis_of in group_parts:
+            if basis_of is not None:
+                P[rows] = _from_real(P[rows].real, basis_of)
+                basis[rows] = _from_real(basis[rows].real, basis_of,
+                                         both=False)
         projections.append(P)
         bases.append(basis)
 
     swept_res = np.abs(all_evs.real)[np.abs(all_evs.real) > tol]
     gap = float(swept_res.min()) if swept_res.size else np.inf
     return SpectralSplit(periph, gap, tol, groups, tuple(projections),
-                         tuple(bases), stacks, hermitian)
+                         tuple(bases), stacks, parts)
 
 
 def _frobenius(stacks: list) -> float:
@@ -206,17 +199,17 @@ def _frobenius(stacks: list) -> float:
     return math.hypot(*(scipy.linalg.norm(S.ravel()) for S in stacks))
 
 
-def _schur_forms(S: np.ndarray, basis) -> list:
-    """The Schur form (T, Q) of each block of the stack S: real, of the block
-    in its Hermitian basis, for a block of basis (the group's
-    _hermitian_basis), complex for every other block."""
-    if basis is None:
-        return [scipy.linalg.schur(B, output="complex") for B in S]
+def _schur_forms(S: np.ndarray, parts: tuple) -> list:
+    """The Schur form (T, Q) of each block of the stack S of a group with
+    the given parts: real, of the block in its Hermitian basis, in a part
+    with one, complex in every other part."""
     forms = [None] * len(S)
-    for b in np.flatnonzero(basis.general):
-        forms[b] = scipy.linalg.schur(S[b], output="complex")
-    for b, R in zip(basis.blocks, _to_real(S, basis)):
-        forms[b] = scipy.linalg.schur(R, output="real")
+    for rows, basis in parts:
+        real = basis is not None
+        for b, B in zip(np.arange(len(S))[rows],
+                        _to_real(S[rows], basis) if real else S[rows]):
+            forms[b] = scipy.linalg.schur(B, output="real" if real
+                                          else "complex")
     return forms
 
 
@@ -379,8 +372,8 @@ def verify_split_properties(split: SpectralSplit,
     # (c) completeness: the block-basis singular values at the rounding
     # floor, one per direction iso and sweep share; none if either is empty
     sv = np.concatenate([
-        part.ravel() for W, basis in zip(split.block_bases, split.hermitian)
-        for part in _svdvals_on(W, basis)]) \
+        route.ravel() for W, parts in zip(split.block_bases, split.parts)
+        for rows, basis in parts for route in _svdvals_on(W[rows], basis)]) \
         if split.iso_dim and split.sweep_dim else np.ones(1)
     res["c_completeness"] = float(np.count_nonzero(
         sv <= n * np.finfo(float).eps * sv.max()))
@@ -395,8 +388,8 @@ def verify_split_properties(split: SpectralSplit,
          for _, _, C in map(_iso_compression, split.stacks,
                             split.projections, split.block_bases)
          if C.size), default=0.0)
-    apply_M = lambda ops: _unvec_columns(
-        _block_apply(split.groups, split.stacks, _vec_columns(ops)), d)
+    apply_M = lambda ops: _unvec_columns(_block_apply(
+        zip(split.groups, split.stacks), _vec_columns(ops)), d)
     left_mul = lambda A, ops: _stacked_gemm(np.broadcast_to(A, ops.shape), ops)
     M_iso, closure, derivation = apply_M(iso), 0.0, 0.0
     for B1, MB1 in zip(iso, M_iso):
@@ -427,8 +420,8 @@ def _blockwise_residuals(split: SpectralSplit, t: float) -> tuple:
     sweep, 0 where there is no sweep."""
     star = ortho = decay = 0.0
     rows = _transpose_rows(split.groups, split.dim)
-    for P, W, where, S, basis in zip(split.projections, split.block_bases,
-                                     rows, split.stacks, split.hermitian):
+    for P, W, where, S, parts in zip(split.projections, split.block_bases,
+                                     rows, split.stacks, split.parts):
         m, s, _ = W.shape
         iso_cols = _iso_columns(P)
         # Wt[c][:, j] is vec(w^T) for the column w = W[b][:, j] of the block
@@ -451,17 +444,21 @@ def _blockwise_residuals(split: SpectralSplit, t: float) -> tuple:
             iso_t[:, :, None] & ~iso_cols[:, None, :]]).max(initial=0.0))
         # (e) the norm of exp(tM) on the block's orthonormal sweep columns
         if not iso_cols.all():
-            # the block form's exponentials, mapped back to complex and, on
-            # the real route, to real again: reading its real stack instead
+            # each part's exponentials, mapped back to complex and, on the
+            # real route, to real again: reading its real stack instead
             # moves the bits of e_sweep_decay (QBM N=16: by one ulp)
-            E = _BlockExp.of(S, basis, t).stack
-            decay = max(decay, _norm_on(E, W * ~iso_cols[:, None, :], basis))
+            X = W * ~iso_cols[:, None, :]
+            for rows, basis in parts:
+                E = _part_exp(S[rows], basis, t)[0]
+                if basis is not None:
+                    E = _from_real(E, basis)
+                decay = max(decay, _norm_on(E, X[rows], basis))
     return float(star), float(ortho), float(decay)
 
 
 def _norm_on(E: np.ndarray, X: np.ndarray, basis) -> float:
     """The largest singular value of E X over the slices of two stacks of a
-    group of blocks (see _svdvals_on)."""
+    part (see _svdvals_on)."""
     if X.shape[-1] == 1:
         return np.abs(E * X).max()
     return max(sv[:, 0].max() for sv in _svdvals_on(X, basis, E))
@@ -469,27 +466,25 @@ def _norm_on(E: np.ndarray, X: np.ndarray, basis) -> float:
 
 def _svdvals_on(X: np.ndarray, basis, E: np.ndarray | None = None) -> list:
     """The singular values of E X, or of X with no E, for each slice of the
-    stacks of a group of blocks: one (blocks, columns) array per route, in
-    no particular block order.  On a block of basis (the group's
-    _hermitian_basis) where U^H X is real, as it is for the columns
-    spectral_split finds, they are those of the real U^H E U U^H X: dgesdd,
-    not zgesdd.  Every other block takes E X as it is; other orthonormal
-    columns of the same span make U^H X complex."""
-    parts, general = [], np.ones(len(X), dtype=bool)
+    stacks of a part: one (blocks, columns) array per route, in no
+    particular block order.  On a block of a part with a Hermitian basis
+    where U^H X is real, as it is for the columns spectral_split finds,
+    they are those of the real U^H E U U^H X: dgesdd, not zgesdd.  Every
+    other block takes E X as it is; other orthonormal columns of the same
+    span make U^H X complex."""
+    routes = []
     if basis is not None:
-        UX = _rotate(X[basis.blocks], basis, adjoint=True)
+        UX = _rotate(X, basis, adjoint=True)
         real = ~UX.imag.any(axis=(1, 2))
         if real.any():
             Y = UX.real[real]
             if E is not None:
                 Y = _stacked_gemm(_to_real(E, basis)[real], Y)
-            parts.append(_svdvals(Y))
-            general[basis.blocks[real]] = False
-    if general.any():
-        Y = X[general]
-        parts.append(_svdvals(Y if E is None
-                              else _stacked_gemm(E[general], Y)))
-    return parts
+            routes.append(_svdvals(Y))
+        X, E = X[~real], None if E is None else E[~real]
+    if len(X):
+        routes.append(_svdvals(X if E is None else _stacked_gemm(E, X)))
+    return routes
 
 
 def _transpose_rows(groups: tuple, d: int) -> list:

@@ -16,9 +16,12 @@ superoperator is M = I (x) K + conj(K) (x) I + mat(Phi).  The map Phi is
 given as a jump list, a Hadamard kernel, an explicit CP map or a coherent
 measure (see dissipators).
 
-The semigroup exp(tL) is held in the diagonal blocks of M (_Semigroup):
-channel_applier and steady_state act one block at a time, and only
-propagator scatters the blocks into a d^2 x d^2 matrix.
+The diagonal blocks of M are found once per M (_block_structure), each
+group of equal-size blocks with its parts: the blocks that run in complex
+arithmetic, and those that run in real arithmetic in their Hermitian basis.
+The split (see decomposition) and the semigroup exp(tL) (_Semigroup) walk
+these parts: channel_applier and steady_state act one block at a time, and
+only propagator scatters the blocks into a d^2 x d^2 matrix.
 
 A purely Hamiltonian generator is a jump list with no operators.  The
 environment-induced-semigroup check (eis_check) decides each property of
@@ -284,8 +287,10 @@ class _HermitianBasis:
     A Hermiticity preserving L has M[pi i, pi j] = conj(M[i, j]), pi the
     index of the transposed entry.  A block that X -> X^T carries onto
     itself, and that passes this test exactly, entry for entry, is real in
-    the basis of Hermitian operators on its entries (see _to_real); the
-    other blocks of the group are general.
+    the basis of Hermitian operators on its entries (see _to_real).  blocks
+    holds these blocks of the group, grouped by involution, and frames, per
+    involution, the rows of its blocks in blocks, its fixed entries F and
+    its pairs (P, Q = perm(P)) with P < Q.
     """
 
     def __init__(self, S: np.ndarray, group: np.ndarray, d: int):
@@ -296,14 +301,8 @@ class _HermitianBasis:
         p = perm[own]
         mirrored = S[own[:, None, None], p[:, :, None], p[:, None, :]]
         mirrored.imag *= -1
-        real = own[(mirrored == S[own]).all(axis=(1, 2))]
-        self.general = np.ones(m, dtype=bool)
-        self.general[real] = False
-        # grouped by involution; per involution the rows of its blocks in
-        # the stack of all of them (blocks), its fixed entries F and its
-        # pairs (P, Q = perm(P)) with P < Q
-        by_perm = {}
-        for block in real:
+        by_perm = {}  # grouped by involution
+        for block in own[(mirrored == S[own]).all(axis=(1, 2))]:
             by_perm.setdefault(perm[block].tobytes(), []).append(block)
         self.blocks = np.array(sum(by_perm.values(), []), dtype=int)
         self.frames, start, i = [], 0, np.arange(s)
@@ -315,19 +314,28 @@ class _HermitianBasis:
             start += len(blocks)
 
 
-def _hermitian_basis(M: np.ndarray,
-                     group: np.ndarray) -> _HermitianBasis | None:
-    """The blocks of a group that are factorised in real arithmetic, or None
-    if there are none.  Blocks whose products OpenBLAS keeps on the calling
-    thread (see _threaded: s <= 32) stay complex, as _expm hands their stacks to
-    scipy whole: there the change of basis costs more than it saves (one
-    block of 16, custom d = 4: propagator 89 -> 269 us with it; two blocks
-    of 128, QBM N = 16: 25 -> 12 ms; 2-core machine, one BLAS thread)."""
-    s = group.shape[1]
+def _parts(M: np.ndarray, group: np.ndarray) -> tuple:
+    """The parts (rows, basis) of a group of diagonal blocks of M: the
+    blocks rows of the group that run in complex arithmetic, with basis
+    None, and those that run in real arithmetic in their _HermitianBasis.
+    A part that is the whole group has rows slice(None), so that its stack
+    is the group's, not a copy.  Blocks whose products OpenBLAS keeps on
+    the calling thread (see _threaded: s <= 32) stay complex, as _expm
+    hands their stacks to scipy whole: there the change of basis costs more
+    than it saves (one block of 16, custom d = 4: propagator 89 -> 269 us
+    with it; two blocks of 128, QBM N = 16: 25 -> 12 ms; 2-core machine,
+    one BLAS thread)."""
+    m, s = group.shape
+    whole = slice(None)
     if not _threaded(s, s, s):
-        return None
+        return ((whole, None),)
     basis = _HermitianBasis(_stack(M, group), group, math.isqrt(len(M)))
-    return basis if basis.blocks.size else None
+    if not basis.blocks.size:
+        return ((whole, None),)
+    if np.array_equal(basis.blocks, np.arange(m)):
+        return ((whole, basis),)
+    general = np.setdiff1d(np.arange(m), basis.blocks)
+    return ((general, None),) * bool(general.size) + ((basis.blocks, basis),)
 
 
 #: the _block_structure of each read-only M that owns its data, by id(M),
@@ -336,15 +344,16 @@ _STRUCTURES: dict = {}
 
 
 def _block_structure(M: np.ndarray) -> tuple:
-    """The (group, _hermitian_basis) pair of each group of
-    superoperator_blocks(M), for the split, its verification, the kernel
-    and the propagator of M.  Kept for an M that owns its data and is
-    read-only, as build_superoperator's is, which nothing changes without
-    first making it writable; found afresh for every other M."""
+    """The (group, _parts) pair of each group of superoperator_blocks(M),
+    for the split, its verification, the kernel and the semigroup of M: the
+    one place that decides which blocks run in real arithmetic.  Kept for
+    an M that owns its data and is read-only, as build_superoperator's is,
+    which nothing changes without first making it writable; found afresh
+    for every other M."""
     kept = _STRUCTURES.get(id(M))
     if kept is not None and kept[0]() is M:
         return kept[1]
-    structure = tuple((group, _hermitian_basis(M, group))
+    structure = tuple((group, _parts(M, group))
                       for group in superoperator_blocks(M))
     if M.flags.owndata and not M.flags.writeable:
         key = id(M)
@@ -361,20 +370,21 @@ def _block_structure(M: np.ndarray) -> tuple:
 # into the real matrix U^H B U (a Hermiticity preserving map is real in a
 # Hermitian basis; M. M. Wolf, Quantum Channels & Operations, 2012).
 
-def _rotate(X: np.ndarray, basis: _HermitianBasis,
-            adjoint: bool = False) -> np.ndarray:
-    """U X, or U^H X, of each slice of an (m, s, c) stack X of the blocks
-    basis.blocks, in that order.  U X has the rows X_f at F and (X_c +- i
-    X_e)/sqrt2 at P and Q, where X_f, X_c and X_e are the rows of the
-    elements F, C and E; U^H takes them back."""
-    Z = np.empty(X.shape, dtype=complex)
+def _rotate(X: np.ndarray, basis: _HermitianBasis, adjoint: bool = False,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """U X, or U^H X, of each slice of an (m, s, c) stack X of the part of
+    basis, into out (which may be X itself for U^H X) or a new stack.  U X
+    has the rows X_f at F and (X_c +- i X_e)/sqrt2 at P and Q, where X_f,
+    X_c and X_e are the rows of the elements F, C and E; U^H takes them
+    back."""
+    Z = np.empty(X.shape, dtype=complex) if out is None else out
     r = math.sqrt(0.5)
     for rows, F, P, Q in basis.frames:
         Xw, Zw = X[rows], Z[rows]
         if adjoint:
+            XF, XP, XQ = Xw[:, F], Xw[:, P], Xw[:, Q]  # copies, read first
             f, c, e = np.split(Zw, [len(F), len(F) + len(P)], axis=1)
-            XP, XQ = Xw[:, P], Xw[:, Q]
-            f[:] = Xw[:, F]
+            f[:] = XF
             np.add(XP, XQ, out=c)
             c *= r
             np.subtract(XP, XQ, out=e)
@@ -387,24 +397,28 @@ def _rotate(X: np.ndarray, basis: _HermitianBasis,
     return Z
 
 
-def _to_real(S: np.ndarray, basis: _HermitianBasis) -> np.ndarray:
-    """U^H B U = (U^H (U^H B)^H)^H, real, of the blocks B of the group's
-    stack S that basis holds, in the order basis.blocks."""
-    R = _rotate(S[basis.blocks], basis, adjoint=True)
-    R = _rotate(np.conjugate(R, out=R).swapaxes(1, 2), basis, adjoint=True)
-    return np.ascontiguousarray(R.real.swapaxes(1, 2))
+def _to_real(X: np.ndarray, basis: _HermitianBasis) -> np.ndarray:
+    """U^H B U = (U^H (U^H B)^H)^H, real, of the blocks B of the stack X of
+    basis's part.  The second rotation writes over the first."""
+    R = _rotate(X, basis, adjoint=True)
+    H = np.conjugate(R, out=R).swapaxes(1, 2)
+    _rotate(H, basis, adjoint=True, out=H)
+    return np.ascontiguousarray(R.real)
 
 
 def _from_real(X: np.ndarray, basis: _HermitianBasis,
                both: bool = True) -> np.ndarray:
     """U X U^H = (U (U X)^H)^H (or U X alone) of each real slice of a stack
-    in the Hermitian bases of the blocks basis.blocks: back in the basis of
-    M."""
+    of basis's part in the Hermitian bases of its blocks: back in the basis
+    of M.  U X U^H is C-ordered, as the layout of an operand of _gemm picks
+    its BLAS orientation: the second rotation writes into its transpose."""
     Z = _rotate(X, basis)
-    if both:
-        Z = _rotate(np.conjugate(Z, out=Z).swapaxes(1, 2), basis)
-        Z = np.conjugate(Z, out=Z).swapaxes(1, 2)
-    return Z
+    if not both:
+        return Z
+    out = np.empty(X.shape, dtype=complex)
+    _rotate(np.conjugate(Z, out=Z).swapaxes(1, 2), basis,
+            out=out.swapaxes(1, 2))
+    return np.conjugate(out, out=out)
 
 
 def _stacked_gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -414,6 +428,19 @@ def _stacked_gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if not _threaded(A.shape[-2], A.shape[-1], B.shape[-1]):
         return A @ B
     return np.stack([_gemm(a, b) for a, b in zip(A, B)])
+
+
+def _block_apply(blocks, X: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix with the diagonal blocks given as pairs
+    (at, A), an (m, s, s) stack A of the blocks at the (m, s) indices at,
+    applied to a vec column X or to each column of a d^2 x c matrix X."""
+    out = np.zeros(X.shape, dtype=complex)
+    for at, A in blocks:
+        if X.ndim == 1:
+            out[at] = _stacked_gemm(A, X[at][..., None])[..., 0]
+        else:
+            out[at] = _stacked_gemm(A, X[at])
+    return out
 
 
 def _expm(A: np.ndarray, pade: np.ndarray | None = None) -> np.ndarray:
@@ -450,50 +477,62 @@ def _expm(A: np.ndarray, pade: np.ndarray | None = None) -> np.ndarray:
     return E
 
 
-def _part_blocks(S: np.ndarray, rows: np.ndarray,
-                 basis: _HermitianBasis | None) -> np.ndarray:
-    """The blocks rows of S, in their Hermitian basis if basis is given."""
-    return S[rows] if basis is None else _to_real(S, basis)
+def _part_exp(B: np.ndarray, basis: _HermitianBasis | None, t: float,
+              rows=slice(None)) -> tuple:
+    """(E, pade): exp(tB) of the blocks rows of a part's stack B, real in
+    the part's Hermitian basis where it has one, and the Pade structure of
+    each (see _expm)."""
+    if basis is None:
+        A = t * B[rows]
+    else:
+        B = _to_real(B, basis)  # the complex stack goes, if only B held it
+        A = B[rows]
+        A *= t
+    pade = np.empty((len(A), 2), dtype=int)
+    return _expm(A, pade), pade
 
 
-class _BlockExp:
-    """exp(tB) of each block B of one group of diagonal blocks of M, as
-    propagator has always computed it, in parts (rows, basis, E, pade): E
-    the exponentials of the blocks rows of the group, real in their
-    Hermitian basis where basis is given, and pade their Pade structure
-    (see _expm), by which doubled squares them."""
+class _Semigroup:
+    """T_t = exp(tL) held in the blocks of the superoperator M of L, as one
+    list of parts (at, basis, E, pade) over the _block_structure(M): the
+    indices in M of the part's blocks, its Hermitian basis (or None), the
+    exponentials of its blocks (real in that basis) and their Pade
+    structure (see _expm), by which doubled squares them.  It applies to
+    vec columns block by block, and as a map A -> T_t(A); no d^2 x d^2
+    array is formed but the one dense() scatters for propagator."""
 
-    def __init__(self, t: float, shape: tuple, parts: list):
-        self.t, self.shape, self.parts = t, shape, parts
-
-    @classmethod
-    def of(cls, S: np.ndarray, basis: _HermitianBasis | None,
-           t: float) -> _BlockExp:
-        """exp(tB) of each block of the stack S of a group of blocks of M,
-        whose _hermitian_basis is basis: its blocks in one real part, the
-        others in one complex part."""
-        parts = []
-        for rows, b in [(np.arange(len(S)), None)] if basis is None else [
-                (np.flatnonzero(basis.general), None), (basis.blocks, basis)]:
-            if len(rows):
-                pade = np.empty((len(rows), 2), dtype=int)
-                E = _expm(t * _part_blocks(S, rows, b), pade)
-                parts.append((rows, b, E, pade))
-        return cls(t, S.shape, parts)
+    def __init__(self, M: np.ndarray, t: float, parts=None):
+        self.M, self.t = M, t
+        self.parts = parts if parts is not None else [
+            (group[rows], basis, *_part_exp(_stack(M, group[rows]), basis, t))
+            for group, group_parts in _block_structure(M)
+            for rows, basis in group_parts]
 
     @cached_property
-    def stack(self) -> np.ndarray:
-        """The (m, s, s) complex stack of the exponentials, in the order of
-        the group, in the basis of M."""
-        if len(self.parts) == 1 and self.parts[0][1] is None:
-            return self.parts[0][2]  # the whole group, as it is
-        out = np.empty(self.shape, dtype=complex)
-        for rows, basis, E, _ in self.parts:
-            out[rows] = E if basis is None else _from_real(E, basis)
-        return out
+    def stacks(self) -> list:
+        """Per part, its indices in M and its complex exponentials in the
+        basis of M."""
+        return [(at, E if basis is None else _from_real(E, basis))
+                for at, basis, E, _ in self.parts]
 
-    def doubled(self, k: int, M: np.ndarray, group: np.ndarray) -> _BlockExp:
-        """exp(2^k t B) of each block, group's blocks of M being the B.
+    def dense(self) -> np.ndarray:
+        """The d^2 x d^2 matrix of T_t, zero between the blocks."""
+        E = np.zeros(self.M.shape, dtype=complex)
+        for at, A in self.stacks:
+            E[at[:, :, None], at[:, None, :]] = A
+        return E
+
+    def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """T_t x, or T_t^dag x, for a vec column x: each block's product,
+        the adjoint's with the block's conjugate transpose."""
+        return _block_apply([(at, A.conj().swapaxes(1, 2) if adjoint else A)
+                             for at, A in self.stacks], x)
+
+    def __call__(self, A) -> np.ndarray:
+        return unvec(self.apply(vec(A)))
+
+    def doubled(self, k: int) -> _Semigroup:
+        """T at 2^k t, exp(2^k t B) of each block B.
 
         A slice that expm approximated with degree 13 and scaled by 2^-s,
         s >= 1, is squared k times: at 2^k t expm scales by 2^-(s+k), so it
@@ -501,8 +540,10 @@ class _BlockExp:
         is _expm at 2^k t bit for bit (when s came from the norm bound, not
         from Al-Mohy & Higham's correction for a non-normal slice alone).
         Every other slice is exponentiated at 2^k t afresh."""
+        if k == 0:
+            return self
         tau, parts = self.t * 2 ** k, []
-        for rows, basis, E, pade in self.parts:
+        for at, basis, E, pade in self.parts:
             E, pade = E.copy(), pade.copy()
             fresh = (pade[:, 0] != 13) | (pade[:, 1] == 0)
             for i in np.flatnonzero(~fresh):
@@ -510,63 +551,21 @@ class _BlockExp:
                     E[i] = _gemm(E[i], E[i])
             pade[~fresh, 1] += k
             if fresh.any():
-                A = _part_blocks(_stack(M, group), rows, basis)[fresh]
-                again = np.empty((len(A), 2), dtype=int)
-                E[fresh] = _expm(tau * A, again)
-                pade[fresh] = again
-            parts.append((rows, basis, E, pade))
-        return _BlockExp(tau, self.shape, parts)
-
-
-class _Semigroup:
-    """T_t = exp(tL) held in the blocks of the superoperator M of L: one
-    _BlockExp per group of _block_structure(M).  It applies to vec columns
-    block by block, and as a map A -> T_t(A); no d^2 x d^2 array is formed
-    but the one dense() scatters for propagator."""
-
-    def __init__(self, M: np.ndarray, t: float, parts=None):
-        self.M, self.t = M, t
-        self.parts = parts if parts is not None else [
-            (group, _BlockExp.of(_stack(M, group), basis, t))
-            for group, basis in _block_structure(M)]
-
-    def dense(self) -> np.ndarray:
-        """The d^2 x d^2 matrix of T_t, zero between the blocks."""
-        E = np.zeros(self.M.shape, dtype=complex)
-        for group, exp in self.parts:
-            E[group[:, :, None], group[:, None, :]] = exp.stack
-        return E
-
-    def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """T_t x, or T_t^dag x, for a vec column x: each block's product,
-        the adjoint's with the block's conjugate transpose."""
-        out = np.empty(x.shape, dtype=complex)
-        for group, exp in self.parts:
-            E = exp.stack.conj().swapaxes(1, 2) if adjoint else exp.stack
-            out[group] = _stacked_gemm(E, x[group][..., None])[..., 0]
-        return out
-
-    def __call__(self, A) -> np.ndarray:
-        return unvec(self.apply(vec(A)))
-
-    def doubled(self, k: int) -> _Semigroup:
-        """T at 2^k t (see _BlockExp.doubled)."""
-        if k == 0:
-            return self
-        return _Semigroup(self.M, self.t * 2 ** k, [
-            (group, exp.doubled(k, self.M, group))
-            for group, exp in self.parts])
+                E[fresh], pade[fresh] = _part_exp(_stack(self.M, at), basis,
+                                                  tau, fresh)
+            parts.append((at, basis, E, pade))
+        return _Semigroup(self.M, tau, parts)
 
 
 def propagator(gen: LindbladGenerator, t: float) -> np.ndarray:
     """Superoperator matrix of T_t = exp(tL), the dense d^2 x d^2 scatter of
-    the block-form semigroup: scaling-and-squaring Pade, one stack of
-    equal-size blocks of M at a time.  A block of more than 32 rows that
-    X -> X^T carries onto its own conjugate is exponentiated in real
-    arithmetic in its Hermitian basis (see _hermitian_basis); every other
-    block as it is.  The blocks and their bases are found once per
-    generator (see _block_structure).  Nothing in qsieve needs the dense
-    matrix; channel_applier and steady_state act in the blocks."""
+    the block-form semigroup (_Semigroup): scaling-and-squaring Pade, one
+    stack of blocks of M at a time, part by part of _block_structure(M).
+    A block of more than 32 rows that X -> X^T carries onto its own
+    conjugate is exponentiated in real arithmetic in its Hermitian basis
+    (see _parts); every other block as it is.  The parts are found once
+    per generator.  Nothing in qsieve needs the dense matrix;
+    channel_applier and steady_state act in the blocks."""
     if t < 0:
         raise ValidationError("the semigroup is defined for t >= 0 only")
     return _Semigroup(build_superoperator(gen), t).dense()
@@ -605,21 +604,18 @@ def _power_limit(T: _Semigroup, rho: np.ndarray) -> np.ndarray:
     """lim T^n rho by power iteration, stopped at the first step that moves
     the iterate by at most 1e-13; RuntimeError after _POWER_STEPS steps.
 
-    It runs part by part (see _BlockExp): a part held in a Hermitian basis
-    in its real coordinates, where U^H vec(rho) splits into a real and an
+    It walks the semigroup's parts: one held in a Hermitian basis in its
+    real coordinates, where U^H vec(rho) splits into a real and an
     imaginary column, both real for a Hermitian rho, and every other part
     as it is.  U is unitary, so the step is measured in either basis."""
     x = vec(rho)
-    at, parts, v = [], [], []  # one entry per part
-    for group, exp in T.parts:
-        for rows, basis, E, _ in exp.parts:
-            at.append(group[rows])
-            parts.append((basis, E))
-            w = x[at[-1]][..., None]
-            v.append(w if basis is None else
-                     _rotate(w, basis, adjoint=True).view(float))
+    v = []  # one entry per part
+    for at, basis, _, _ in T.parts:
+        w = x[at][..., None]
+        v.append(w if basis is None else
+                 _rotate(w, basis, adjoint=True).view(float))
     for _ in range(_POWER_STEPS):
-        nxt = [_stacked_gemm(E, w) for (_, E), w in zip(parts, v)]
+        nxt = [_stacked_gemm(E, w) for (_, _, E, _), w in zip(T.parts, v)]
         step = math.hypot(*(np.linalg.norm(a - b) for a, b in zip(nxt, v)))
         v = nxt
         if step <= 1e-13:
@@ -631,10 +627,10 @@ def _power_limit(T: _Semigroup, rho: np.ndarray) -> np.ndarray:
             f"semigroup may have an oscillating peripheral part, or a "
             f"spectral gap too small for {_POWER_STEPS} steps of tau")
     out = np.empty(x.shape, dtype=complex)
-    for rows, (basis, _), w in zip(at, parts, v):
+    for (at, basis, _, _), w in zip(T.parts, v):
         if basis is not None:
             w = _rotate(np.ascontiguousarray(w).view(complex), basis)
-        out[rows] = w[..., 0]
+        out[at] = w[..., 0]
     return unvec(out)
 
 

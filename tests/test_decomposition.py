@@ -50,7 +50,7 @@ import qsieve.operators as operators
 from qsieve.cli import _cmd_classify, _cmd_decompose
 from qsieve.decomposition import _fixed_point_candidates, _fixed_point_kernel
 from qsieve.liouville import (
-    _hermitian_basis,
+    _block_structure,
     _stack,
     channel_applier,
     eis_check,
@@ -267,7 +267,7 @@ def dense_spectral_split(M, tol=None) -> SpectralSplit:
     gap = float(swept_res.min()) if swept_res.size else np.inf
     return SpectralSplit(periph.copy(), gap, tol, (np.arange(n)[None],),
                          (P[None],), (np.hstack([Q[:, :k], sweep_q])[None],),
-                         (M[None],), (None,))
+                         (M[None],), (((slice(None), None),),))
 
 
 def assert_same_multiset(a, b, tol):
@@ -1165,7 +1165,9 @@ def test_robustness_matches_membership_on_superpositions(rng):
 # self-conjugate blocks factorised in real arithmetic, their bases found once
 
 def _hermitian_bases(M: np.ndarray) -> list:
-    return [_hermitian_basis(M, group) for group in superoperator_blocks(M)]
+    """Per group of M, the Hermitian basis of its real part, or None."""
+    return [next((basis for _, basis in parts if basis is not None), None)
+            for _, parts in _block_structure(M)]
 
 
 def _counting_bases(monkeypatch) -> list:
@@ -1235,6 +1237,21 @@ def test_a_split_pickles_and_verifies():
         assert all(map(np.array_equal, getattr(split, name),
                        getattr(restored, name)))
     assert verify_split_properties(restored).max_residual <= 1e-7
+
+
+def test_split_and_verification_take_their_parts_without_copies():
+    # a part that is its whole group is the group's stack, not a copy, and
+    # each change of basis writes its second rotation over the first: the
+    # QBM N=16 split and its verification held 6.75 M.nbytes at their peak
+    # when every rotation copied the stack
+    M = build_superoperator(qbm_model(16, 0.5))
+    tracemalloc.start()
+    try:
+        verify_split_properties(spectral_split(M))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.7 * M.nbytes
 
 
 def test_blocks_of_at_most_32_rows_stay_complex(monkeypatch):
@@ -1384,25 +1401,24 @@ def test_change_of_basis_is_the_unitary_of_each_frame(make):
     rng = np.random.default_rng(0)
     with every_product_threaded():
         M = build_superoperator(make())
-        bases = _hermitian_bases(M)
+        structure = _block_structure(M)
     checked = 0
-    for group, basis in zip(superoperator_blocks(M), bases):
-        if basis is None:
-            continue
-        S = _stack(M, group)
-        R = liouville._to_real(S, basis)
-        assert R.dtype == np.float64
-        assert np.abs(liouville._from_real(R, basis)
-                      - S[basis.blocks]).max() <= 1e-14
-        X = rng.standard_normal(R.shape)
-        UX = liouville._from_real(X, basis, both=False)
-        for frame in basis.frames:
-            rows = frame[0]
-            blocks = basis.blocks[rows]
-            U = _frame_unitary(frame, group.shape[1])
-            B = S[blocks]
-            assert np.abs(R[rows] - (U.conj().T @ B @ U).real).max() \
-                <= 1e-14 * max(1.0, np.abs(B).max())
-            assert np.abs(UX[rows] - U @ X[rows]).max() <= 1e-14
-            checked += len(blocks)
+    for group, parts in structure:
+        for rows, basis in parts:
+            if basis is None:
+                continue
+            S = _stack(M, group)[rows]
+            R = liouville._to_real(S, basis)
+            assert R.dtype == np.float64
+            assert np.abs(liouville._from_real(R, basis) - S).max() <= 1e-14
+            X = rng.standard_normal(R.shape)
+            UX = liouville._from_real(X, basis, both=False)
+            for frame in basis.frames:
+                blocks = frame[0]
+                U = _frame_unitary(frame, group.shape[1])
+                B = S[blocks]
+                assert np.abs(R[blocks] - (U.conj().T @ B @ U).real).max() \
+                    <= 1e-14 * max(1.0, np.abs(B).max())
+                assert np.abs(UX[blocks] - U @ X[blocks]).max() <= 1e-14
+                checked += len(B)
     assert checked

@@ -337,15 +337,20 @@ _STRUCTURE_DRAWS = {"jump_list": random_jump_list,
                     "grw": random_grw, "hadamard": _random_hadamard}
 
 
+def _part_rows(group: np.ndarray, parts: tuple) -> list:
+    """The blocks of each part of a group, as index arrays."""
+    return [np.arange(len(group))[rows] for rows, _ in parts]
+
+
 def _plain(structure: tuple) -> list:
-    """The groups and Hermitian bases of a _block_structure as lists, which
-    compare by value: per group its indices, and the basis's blocks and
-    involutions."""
-    return [(group.tolist(), None if basis is None else (
-        basis.general.tolist(), basis.blocks.tolist(),
-        [(basis.blocks[rows].tolist(), rows, F.tolist(), P.tolist(),
-          Q.tolist()) for rows, F, P, Q in basis.frames]))
-        for group, basis in structure]
+    """The groups and parts of a _block_structure as lists, which compare
+    by value: per group its indices, and per part its blocks and its
+    basis's involutions."""
+    return [(group.tolist(), [(rows.tolist(), None if basis is None else [
+        (frame, F.tolist(), P.tolist(), Q.tolist())
+        for frame, F, P, Q in basis.frames])
+        for rows, (_, basis) in zip(_part_rows(group, parts), parts)])
+        for group, parts in structure]
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,9 +359,10 @@ def _plain(structure: tuple) -> list:
 def test_block_structure_of_random_generators(kind, seed, d):
     # the groups are the graph's connected components; the structure of a
     # read-only M that owns its data is found once, that of a writable copy
-    # or of a view afresh.  The generator is built under the patch, which
-    # gives every block of more than one row a Hermitian basis to find, so
-    # that no structure found without it is read
+    # or of a view afresh.  Each group's parts partition its blocks, and
+    # the one with a basis holds the blocks _HermitianBasis accepts.  The
+    # generator is built under the patch, which gives every block a
+    # Hermitian basis to find, so that no structure found without it is read
     with every_product_threaded():
         M = build_superoperator(_STRUCTURE_DRAWS[kind](seed, d))
         groups = superoperator_blocks(M)
@@ -367,6 +373,14 @@ def test_block_structure_of_random_generators(kind, seed, d):
         structure = _block_structure(M)
         assert _block_structure(M) is structure
         assert all(map(np.array_equal, groups, [g for g, _ in structure]))
+        for group, parts in structure:
+            rows = _part_rows(group, parts)
+            assert sorted(np.concatenate(rows).tolist()) \
+                == list(range(len(group)))
+            accepted = liouville._HermitianBasis(_stack(M, group), group, d)
+            assert [r.tolist() for r, (_, basis) in zip(rows, parts)
+                    if basis is not None] \
+                == [accepted.blocks.tolist()] * bool(accepted.blocks.size)
         for other in (M.copy(), M[:, :]):
             again = _block_structure(other)
             assert again is not structure
@@ -508,6 +522,22 @@ def test_evolve_takes_one_exponential_per_block_and_no_propagator(
     assert peak < 2.5 * M.nbytes
 
 
+def test_semigroup_build_holds_few_copies_of_the_blocks():
+    # each real part is rotated out of its own stack of M, the second
+    # rotation written over the first and scaled in place, and the complex
+    # stack is let go before the Pade step: QBM N=20, two blocks of 200
+    # rows, held about 2 M.nbytes at once when each step made a new stack
+    M = build_superoperator(qbm_model(20, 0.5))
+    liouville._block_structure(M)
+    tracemalloc.start()
+    try:
+        liouville._Semigroup(M, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * M.nbytes
+
+
 def _limit_by_eigendecomposition(gen, rho) -> np.ndarray:
     """P_0 rho: the projection onto the kernel of M along its range, from
     the kernels of M and M^dag."""
@@ -558,13 +588,13 @@ def test_doubled_steps_are_the_scaled_exponentials_bit_for_bit(n_levels, dt):
     step = liouville._Semigroup(M, dt)
     k = 5
     doubled = step.doubled(k)
-    for (group, exp), (_, far) in zip(step.parts, doubled.parts):
-        S = _stack(M, group)
-        for (rows, basis, _, pade), (_, _, E, _) in zip(exp.parts, far.parts):
-            assert (pade[:, 0] == 13).all()
-            assert (pade[:, 1] == 0).all() == (dt == 0.05)
-            assert np.array_equal(E, _expm(
-                dt * 2 ** k * liouville._part_blocks(S, rows, basis)))
+    for (at, basis, _, pade), (_, _, E, _) in zip(step.parts, doubled.parts):
+        B = _stack(M, at)
+        if basis is not None:
+            B = liouville._to_real(B, basis)
+        assert (pade[:, 0] == 13).all()
+        assert (pade[:, 1] == 0).all() == (dt == 0.05)
+        assert np.array_equal(E, _expm(dt * 2 ** k * B))
 
 
 def test_steady_state_names_both_causes_when_it_stops(rng):
